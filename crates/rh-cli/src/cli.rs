@@ -31,8 +31,7 @@ USAGE:
                  [--fallback-after-ms <MS>] [--speculate-after-ms <MS>]
                  [--fault-plan <PLAN>] [--max-pending-jobs <N>]
                  [--max-jobs-per-client <N>] [--max-cells-per-client <N>]
-                 [--target-lease-ms <MS>] [--handshake-timeout-ms <MS>]
-                 [--auth-token-file <PATH>]
+                 [--handshake-timeout-ms <MS>] [--auth-token-file <PATH>]
     rh-cli worker [--connect <ADDR>] [--exit-after-cells <N>]
                   [--fault-plan <PLAN>] [--config-epoch <N>]
                   [--retry <N>] [--backoff-ms <MS>]
@@ -138,7 +137,11 @@ SERVE OPTIONS:
     --kernel <K>            settle-kernel request sent with every shard
     --cache-capacity <N>    result-cache size in documents (default 128)
     --checkpoint-dir <DIR>  append per-cell checkpoints; resubmits resume
-    --shard-cells <N>       max cells per shard lease (default 16)
+    --shard-cells <N>       max cells per shard lease (default 16); each
+                            cell list is cut into contiguous leases of
+                            ceil(missing cells / live workers) cells, at
+                            most N, so every worker gets a share of every
+                            job; merged output is byte-identical at any N
     --cache-dir <DIR>       persistent result cache: completed documents
                             survive coordinator restarts as checksummed
                             jsonl segments; corrupt records are skipped
@@ -168,12 +171,6 @@ SERVE OPTIONS:
     --max-cells-per-client <N> per-client quota on queued (not yet merged)
                             cells; rejects name client_cell_quota
                             (default 1000000)
-    --target-lease-ms <MS>  adaptive shard sizing: widen or narrow leases
-                            so each takes about MS of wall time, using
-                            per-list EWMA cell times (PARA cells get much
-                            wider shards than grid cells); 0 restores the
-                            fixed --shard-cells width; merged output is
-                            byte-identical at any setting (default 1500)
     --handshake-timeout-ms <MS> how long a fresh TCP connection gets to
                             produce its first protocol line, which also
                             bounds the auth challenge (default 10000)
@@ -577,14 +574,6 @@ pub fn parse_serve_args(args: &[String]) -> Result<ServeInvocation, String> {
                 if opts.max_cells_per_client == 0 {
                     return Err("--max-cells-per-client must be at least 1".to_string());
                 }
-            }
-            "--target-lease-ms" => {
-                // 0 is meaningful here: it turns the adaptive sizer off and
-                // restores the fixed --shard-cells width.
-                let v = value(&mut i, "--target-lease-ms")?;
-                opts.target_lease_ms = v
-                    .parse()
-                    .map_err(|_| format!("invalid --target-lease-ms '{v}'"))?;
             }
             "--handshake-timeout-ms" => {
                 let v = value(&mut i, "--handshake-timeout-ms")?;
@@ -1438,8 +1427,6 @@ mod tests {
             "2",
             "--max-cells-per-client",
             "500",
-            "--target-lease-ms",
-            "0",
             "--handshake-timeout-ms",
             "1500",
             "--auth-token-file",
@@ -1453,19 +1440,16 @@ mod tests {
                 assert_eq!(o.max_pending_jobs, 3);
                 assert_eq!(o.max_jobs_per_client, 2);
                 assert_eq!(o.max_cells_per_client, 500);
-                assert_eq!(o.target_lease_ms, 0, "0 disables the adaptive sizer");
                 assert_eq!(o.handshake_timeout, std::time::Duration::from_millis(1500));
                 assert_eq!(o.auth_token.as_deref(), Some("sekrit"), "token is trimmed");
             }
             ServeInvocation::Help => panic!("unexpected help"),
         }
-        // Defaults: admission on with generous bounds, adaptive sizing on,
-        // no auth.
+        // Defaults: admission on with generous bounds, no auth.
         match parse_serve_args(&[]).unwrap() {
             ServeInvocation::Serve(o) => {
                 assert_eq!(o.max_pending_jobs, 64);
                 assert_eq!(o.max_jobs_per_client, 16);
-                assert_eq!(o.target_lease_ms, 1500);
                 assert_eq!(o.handshake_timeout, std::time::Duration::from_secs(10));
                 assert_eq!(o.auth_token, None);
             }
@@ -1476,7 +1460,6 @@ mod tests {
             &["--max-pending-jobs", "x"],
             &["--max-jobs-per-client", "0"],
             &["--max-cells-per-client", "0"],
-            &["--target-lease-ms", "soon"],
             // A zero handshake deadline would reject every connection.
             &["--handshake-timeout-ms", "0"],
             &["--auth-token-file", "/nonexistent/rh-token"],
@@ -1495,6 +1478,18 @@ mod tests {
             .collect();
         let err = parse_serve_args(&owned).unwrap_err();
         assert!(err.contains("empty"), "got '{err}'");
+    }
+
+    #[test]
+    fn target_lease_ms_is_refused_as_unknown() {
+        let owned: Vec<String> = ["--target-lease-ms", "1500"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        assert_eq!(
+            parse_serve_args(&owned).unwrap_err(),
+            "unknown serve option '--target-lease-ms'"
+        );
     }
 
     #[test]

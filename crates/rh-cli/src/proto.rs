@@ -145,6 +145,7 @@ impl Value {
 /// Parse one JSON document (trailing whitespace allowed, nothing else).
 pub fn parse(input: &str) -> Result<Value, String> {
     let mut p = Parser {
+        src: input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -158,6 +159,7 @@ pub fn parse(input: &str) -> Result<Value, String> {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -258,6 +260,15 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote, backslash or control byte
+            // as one slice. It starts after an ASCII byte and ends before
+            // one (or at the end of input), so both ends are char
+            // boundaries of `src`.
+            let run = self.pos;
+            while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\' && b >= 0x20) {
+                self.pos += 1;
+            }
+            out.push_str(&self.src[run..self.pos]);
             match self.peek() {
                 None => return Err("unterminated string".to_string()),
                 Some(b'"') => {
@@ -285,7 +296,10 @@ impl Parser<'_> {
                                     self.pos += 1;
                                     self.expect(b'u')?;
                                     let lo = self.hex4()?;
-                                    0x10000 + ((hi - 0xD800) << 10) + (lo.wrapping_sub(0xDC00))
+                                    if !(0xDC00..0xE000).contains(&lo) {
+                                        return Err("invalid low surrogate".to_string());
+                                    }
+                                    0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
                                 } else {
                                     return Err("lone high surrogate".to_string());
                                 }
@@ -302,16 +316,7 @@ impl Parser<'_> {
                         }
                     }
                 }
-                Some(b) if b < 0x20 => return Err("raw control byte in string".to_string()),
-                Some(_) => {
-                    // Copy one UTF-8 scalar (input is a &str, so boundaries
-                    // are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8".to_string())?;
-                    let c = rest.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => return Err("raw control byte in string".to_string()),
             }
         }
     }
@@ -1301,8 +1306,79 @@ mod tests {
             "1.",
             "-",
             "\"unterminated",
+            "\"raw \u{1} control\"",
+            "\"tab\there\"",
+            "\"bad \\x escape\"",
+            "\"bad \\é escape\"",
+            "\"short \\u12\"",
+            "\"lone \\ud800 high\"",
+            "\"bad \\ud800\\u0041 low\"",
+            "\"bad \\ud800\\ue000 low\"",
+            "\"unterminated \\",
         ] {
             assert!(parse(bad).is_err(), "'{bad}' must be rejected");
+        }
+    }
+
+    /// Seeded round trip over strings up to 64 KB mixing long ASCII runs,
+    /// 2–4-byte UTF-8, every character `jstr` escapes and raw control
+    /// characters. Each string is also decoded from a second encoding that
+    /// spells characters with the escapes `jstr` never emits (`\/`, `\b`,
+    /// `\f`, `\uXXXX` and surrogate pairs).
+    #[test]
+    fn strings_round_trip_through_jstr_and_every_escape() {
+        let pieces: [&str; 12] = [
+            "plain ascii run ",
+            "é",
+            "ß",
+            "中",
+            "€",
+            "😀",
+            "\"",
+            "\\",
+            "/",
+            "\n\t\r",
+            "\u{0}\u{1}\u{8}\u{c}\u{1f}",
+            "\u{7f}",
+        ];
+        let mut rng = rh_core::SplitMix64::new(0x5EED_57A1);
+        for case in 0..48 {
+            let target = match case {
+                0 => 0,
+                1 => 64 * 1024,
+                _ => rng.gen_range(64 * 1024) as usize,
+            };
+            let mut s = String::new();
+            while s.len() < target {
+                let piece = pieces[rng.gen_range(pieces.len() as u64) as usize];
+                if rng.chance(0.1) {
+                    s.push_str(&"x".repeat(rng.gen_range(4096) as usize));
+                }
+                s.push_str(piece);
+            }
+            assert_eq!(parse(&jstr(&s)), Ok(Value::Str(s.clone())), "case {case}");
+
+            let mut alt = String::from("\"");
+            for c in s.chars() {
+                match c {
+                    '/' => alt.push_str("\\/"),
+                    '\u{8}' => alt.push_str("\\b"),
+                    '\u{c}' => alt.push_str("\\f"),
+                    '"' | '\\' => {
+                        alt.push('\\');
+                        alt.push(c);
+                    }
+                    c if (c as u32) < 0x20 || !c.is_ascii() => {
+                        let mut units = [0u16; 2];
+                        for unit in c.encode_utf16(&mut units) {
+                            let _ = write!(alt, "\\u{unit:04X}");
+                        }
+                    }
+                    c => alt.push(c),
+                }
+            }
+            alt.push('"');
+            assert_eq!(parse(&alt), Ok(Value::Str(s)), "case {case}, escaped");
         }
     }
 

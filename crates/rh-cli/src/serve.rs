@@ -49,12 +49,12 @@
 //!   *mid-shard* (a `cancel` lease message, acknowledged with
 //!   `cancel_ack`, never requeued) instead of burning the rest of the
 //!   lease.
-//! * **Adaptive shard sizing**: lease width is driven by a smoothed
-//!   per-cell wall time kept per cell list, targeting a fixed wall time
-//!   per lease (`--target-lease-ms`, 0 = fixed `--shard-cells` width).
-//!   Cheap PARA cells get proportionally wider shards, shrinking
-//!   straggler exposure; the merge is slot-addressed, so any width yields
-//!   byte-identical output.
+//! * **Pool split**: at submit time each cell list's missing slots are cut
+//!   into contiguous leases of `missing / live workers` cells (rounded up,
+//!   at most `--shard-cells`), so every live worker pulls at least one
+//!   lease of every list that has a cell per worker. Contiguous chunks keep
+//!   a lease on one or two `(hc_first, pattern)` device tables; the merge
+//!   is slot-addressed, so any width yields byte-identical output.
 //! * **Authentication**: with `--auth-token-file`, worker hellos and
 //!   client sessions must carry a proof derived from the shared token and
 //!   a caller-chosen nonce ([`proto::auth_proof`], compared in constant
@@ -114,7 +114,8 @@ pub struct ServeOptions {
     /// Directory for per-shard checkpoint files; `None` disables
     /// checkpointing.
     pub checkpoint_dir: Option<PathBuf>,
-    /// Maximum cells per shard lease.
+    /// Maximum cells per shard lease; below this cap each cell list is
+    /// split into one contiguous lease per live worker.
     pub shard_cells: usize,
     /// Worker executable to spawn; defaults to the current executable
     /// (tests point it at the real `rh-cli` binary).
@@ -148,9 +149,6 @@ pub struct ServeOptions {
     /// Per-client bound on queued (not yet merged) cells across that
     /// client's unfinished jobs (`client_cell_quota`).
     pub max_cells_per_client: usize,
-    /// Wall-time target per lease in milliseconds for the adaptive shard
-    /// sizer; `0` disables it and restores the fixed `shard_cells` width.
-    pub target_lease_ms: u64,
     /// How long a fresh TCP connection gets to produce its first line
     /// (also the auth-challenge deadline, since the proof rides that
     /// first line).
@@ -179,7 +177,6 @@ impl Default for ServeOptions {
             max_pending_jobs: 64,
             max_jobs_per_client: 16,
             max_cells_per_client: 1_000_000,
-            target_lease_ms: 1_500,
             handshake_timeout: Duration::from_secs(10),
             auth_token: None,
         }
@@ -268,10 +265,6 @@ struct State {
     /// Per-worker smoothed cell time — sharper straggler deadlines than
     /// the global EWMA on heterogeneous pools.
     worker_ewma_ms: HashMap<String, f64>,
-    /// Per-list smoothed cell time (`[grid, para]`), feeding the adaptive
-    /// shard sizer: PARA cells run ~40× cheaper than grid cells, so one
-    /// blended number would size both lists wrong.
-    list_ewma_ms: [Option<f64>; 2],
     next_job: u64,
     next_shard: u64,
     /// Workers currently connected (past hello + vetting).
@@ -324,8 +317,6 @@ struct Inner {
     max_jobs_per_client: usize,
     /// Per-client queued-cell quota.
     max_cells_per_client: usize,
-    /// Adaptive shard sizer target (ms per lease); 0 = fixed width.
-    target_lease_ms: u64,
     /// First-line (and auth-challenge) deadline for TCP connections.
     handshake_timeout: Duration,
     /// Shared secret; `None` accepts unauthenticated peers.
@@ -377,7 +368,6 @@ impl Coordinator {
                 active: HashMap::new(),
                 ewma_cell_millis: None,
                 worker_ewma_ms: HashMap::new(),
-                list_ewma_ms: [None, None],
                 next_job: 0,
                 next_shard: 0,
                 live_workers: 0,
@@ -404,7 +394,6 @@ impl Coordinator {
             max_pending_jobs: opts.max_pending_jobs.max(1),
             max_jobs_per_client: opts.max_jobs_per_client.max(1),
             max_cells_per_client: opts.max_cells_per_client.max(1),
-            target_lease_ms: opts.target_lease_ms,
             handshake_timeout: opts.handshake_timeout,
             auth_token: opts.auth_token.clone(),
             slow_client_delay: opts.fault_plan.slow_client_delay(),
@@ -864,8 +853,8 @@ impl Inner {
             ));
         }
 
-        // Queue shard leases for the missing cells, sized per list by the
-        // adaptive controller (or the fixed width when it's off).
+        // Queue shard leases for the missing cells, each list split across
+        // the workers live right now.
         let mut leases = Vec::new();
         for (list, slots) in [(ShardList::Grid, &job.grid), (ShardList::Para, &job.para)] {
             let missing: Vec<usize> = slots
@@ -873,7 +862,7 @@ impl Inner {
                 .enumerate()
                 .filter_map(|(i, s)| s.is_none().then_some(i))
                 .collect();
-            let width = adaptive_width(inner, &st, list);
+            let width = lease_width(missing.len(), st.live_workers, inner.shard_cells);
             for chunk in missing.chunks(width) {
                 let shard = st.next_shard;
                 st.next_shard += 1;
@@ -1035,34 +1024,15 @@ fn envelope(
     }
 }
 
-/// How many cells the next lease of `list` should carry: enough that the
-/// lease takes ~`target_lease_ms` of wall time at the list's smoothed
-/// per-cell rate. Before any observation (or with the sizer off) the fixed
-/// `shard_cells` width applies; the result is clamped so a pathological
-/// EWMA can neither starve the pool with single-cell leases nor swallow a
-/// whole job in one lease.
-fn adaptive_width(inner: &Inner, st: &State, list: ShardList) -> usize {
-    /// Upper bound on adaptive lease width — bounds both the wire message
-    /// size and the blast radius of one worker death.
-    const MAX_ADAPTIVE_CELLS: usize = 1_024;
-    if inner.target_lease_ms == 0 {
-        return inner.shard_cells;
-    }
-    match st.list_ewma_ms[list_slot(list)] {
-        Some(ms) if ms > 0.0 => {
-            let ideal = (inner.target_lease_ms as f64 / ms).round() as usize;
-            ideal.clamp(1, MAX_ADAPTIVE_CELLS)
-        }
-        _ => inner.shard_cells,
-    }
-}
-
-/// Index of a list's slot in [`State::list_ewma_ms`].
-fn list_slot(list: ShardList) -> usize {
-    match list {
-        ShardList::Grid => 0,
-        ShardList::Para => 1,
-    }
+/// Cells per lease when a list with `missing` unfilled slots is split
+/// across `live_workers`: one contiguous chunk per worker, capped at
+/// `shard_cells`. A list with at least one missing cell per worker thus
+/// gives every worker a lease; contiguous chunks (not a strided deal) keep
+/// each lease on one or two `(hc_first, pattern)` device tables. With no
+/// worker attached yet (a TCP listener before the first hello) the list is
+/// cut as for one worker.
+fn lease_width(missing: usize, live_workers: usize, shard_cells: usize) -> usize {
+    missing.div_ceil(live_workers.max(1)).clamp(1, shard_cells)
 }
 
 /// Write a completed document through to the persistent cache (when one is
@@ -1473,6 +1443,12 @@ fn worker_session<R: BufRead, W: Write>(
     // Jobs this connection has already told the worker to abandon — one
     // `cancel` per job per connection is enough.
     let mut cancel_sent: HashSet<u64> = HashSet::new();
+    // The list of every lease sent on this connection whose stream has not
+    // closed yet. A cell is merged under its own shard's list: after a
+    // speculative twin settles a lease early, this loop already drains the
+    // next lease (possibly of the other list) while the straggler still
+    // streams the old one.
+    let mut leased: HashMap<u64, ShardList> = HashMap::new();
 
     loop {
         // Dequeue one live lease (or exit on shutdown).
@@ -1518,6 +1494,7 @@ fn worker_session<R: BufRead, W: Write>(
             worker_gone(inner, name, local);
             return;
         }
+        leased.insert(lease.shard, lease.list);
         {
             // Register for supervision: the speculation supervisor watches
             // this entry's progress timestamps.
@@ -1535,8 +1512,8 @@ fn worker_session<R: BufRead, W: Write>(
 
         // Drain the shard's result stream. Messages for *other* shards can
         // legitimately appear here (a worker flushing the tail of a lease
-        // we already closed as complete) and are merged, never confused
-        // with the current lease's lifecycle.
+        // we already closed as complete) and are merged under their own
+        // lease's list, never confused with the current lease's lifecycle.
         loop {
             let line = match read_line(reader) {
                 Ok(Some(line)) => line,
@@ -1569,9 +1546,16 @@ fn worker_session<R: BufRead, W: Write>(
                     kernel,
                     result,
                 } => {
+                    let Some(&list) = leased.get(&shard) else {
+                        eprintln!(
+                            "rh-serve: dropping cell {index} of shard {shard} from {name}: \
+                             no such lease on this connection"
+                        );
+                        continue;
+                    };
                     let mut st = inner.state.lock().expect("coordinator lock");
                     record_cell(
-                        inner, &mut st, name, &kernel, job, shard, lease.list, index, result,
+                        inner, &mut st, name, &kernel, job, shard, list, index, result,
                     );
                     // A cell for a canceled/expired/failed job means the
                     // worker is still burning cells it can't use: tell it
@@ -1605,6 +1589,7 @@ fn worker_session<R: BufRead, W: Write>(
                     // The worker abandoned the lease at a cell boundary;
                     // its remaining cells die with the job — requeue-free
                     // teardown by design.
+                    leased.remove(&shard);
                     let mut st = inner.state.lock().expect("coordinator lock");
                     st.active.remove(&shard);
                     if shard == lease.shard {
@@ -1619,6 +1604,7 @@ fn worker_session<R: BufRead, W: Write>(
                     // supervisor exists to route around.
                 }
                 FromWorker::ShardDone { job, shard, kernel } => {
+                    leased.remove(&shard);
                     let mut st = inner.state.lock().expect("coordinator lock");
                     if let Some(j) = st.jobs.get_mut(&job) {
                         // The per-lease resolution is authoritative for this
@@ -1641,6 +1627,7 @@ fn worker_session<R: BufRead, W: Write>(
                     shard,
                     message,
                 } => {
+                    leased.remove(&shard);
                     let mut st = inner.state.lock().expect("coordinator lock");
                     fail_job(inner, &mut st, job, &message);
                     if shard == lease.shard {
@@ -1689,8 +1676,7 @@ fn record_cell(
 ) {
     // Supervision bookkeeping first: this arrival is progress for its
     // shard, and its wall time feeds the straggler deadline's EWMAs
-    // (global and per-worker) plus the per-list EWMA behind the adaptive
-    // shard sizer.
+    // (global and per-worker).
     let now = Instant::now();
     if let Some(active) = st.active.get_mut(&shard) {
         let sample_ms = now.duration_since(active.last_progress).as_secs_f64() * 1e3;
@@ -1703,7 +1689,6 @@ fn record_cell(
         let per_worker = st.worker_ewma_ms.get(worker).copied();
         st.worker_ewma_ms
             .insert(worker.to_string(), fold(per_worker));
-        st.list_ewma_ms[list_slot(list)] = Some(fold(st.list_ewma_ms[list_slot(list)]));
     }
 
     let Some(job) = st.jobs.get_mut(&job_id) else {
@@ -2396,7 +2381,6 @@ mod tests {
                 active: HashMap::new(),
                 ewma_cell_millis: None,
                 worker_ewma_ms: HashMap::new(),
-                list_ewma_ms: [None, None],
                 next_job: 0,
                 next_shard: 0,
                 live_workers: 0,
@@ -2423,7 +2407,6 @@ mod tests {
             max_pending_jobs,
             max_jobs_per_client,
             max_cells_per_client,
-            target_lease_ms: 1_500,
             handshake_timeout: Duration::from_secs(10),
             auth_token,
             slow_client_delay: None,
@@ -2888,23 +2871,154 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_width_targets_the_lease_time_per_list() {
-        // test_inner: target_lease_ms 1500, fixed shard_cells 4.
+    fn lease_width_splits_each_list_across_the_pool() {
+        // (missing, live_workers, shard_cells) -> cells per lease.
+        for (missing, live, cap, width) in [
+            // No worker attached yet (TCP listen): cut as for one worker.
+            (10, 0, 16, 10),
+            (40, 0, 16, 16),
+            // Fewer missing cells than workers: single-cell leases.
+            (1, 2, 16, 1),
+            (2, 3, 16, 1),
+            // The default job on two workers: 8 grid leases, 2 PARA ones.
+            (120, 2, 16, 16),
+            (4, 2, 16, 2),
+            // One chunk per worker below the cap, rounded up.
+            (15, 2, 16, 8),
+            (9, 3, 1_024, 3),
+            // More than workers x cap: the cap wins.
+            (1_000, 3, 4, 4),
+            (100, 2, 1, 1),
+            // Nothing missing still yields a usable chunk width.
+            (0, 2, 16, 1),
+        ] {
+            assert_eq!(
+                lease_width(missing, live, cap),
+                width,
+                "missing={missing} live={live} cap={cap}"
+            );
+        }
+    }
+
+    /// With two live workers, every list with at least two missing cells
+    /// is queued as at least two contiguous leases that together cover
+    /// each missing slot exactly once, in order.
+    #[test]
+    fn submit_splits_every_list_across_two_live_workers() {
         let inner = test_inner();
-        let mut st = inner.state.lock().unwrap();
-        // No EWMA yet (cold start): fall back to the fixed width.
-        assert_eq!(adaptive_width(&inner, &st, ShardList::Grid), 4);
-        // Each list is sized from its own cell-time estimate: slow grid
-        // cells get narrow leases, cheap PARA cells wide ones.
-        st.list_ewma_ms[0] = Some(100.0);
-        st.list_ewma_ms[1] = Some(2.5);
-        assert_eq!(adaptive_width(&inner, &st, ShardList::Grid), 15);
-        assert_eq!(adaptive_width(&inner, &st, ShardList::Para), 600);
-        // Pathological estimates clamp instead of degenerating.
-        st.list_ewma_ms[0] = Some(1e9);
-        assert_eq!(adaptive_width(&inner, &st, ShardList::Grid), 1);
-        st.list_ewma_ms[1] = Some(0.000_1);
-        assert_eq!(adaptive_width(&inner, &st, ShardList::Para), 1_024);
+        inner.state.lock().unwrap().live_workers = 2;
+        let cfg = SweepConfig {
+            para_probabilities: vec![0.0, 0.01, 0.5],
+            ..small_config()
+        };
+        let plan = SweepPlan::from_config(&cfg).unwrap();
+        let submitter = {
+            let inner = Arc::clone(&inner);
+            let cfg = cfg.clone();
+            std::thread::spawn(move || Inner::submit(&inner, Some("split".into()), &cfg, "t", None))
+        };
+        let queued: Vec<Lease> = {
+            let mut st = inner.state.lock().unwrap();
+            while st.queue.is_empty() {
+                st = inner.work.wait(st).unwrap();
+            }
+            st.queue.iter().cloned().collect()
+        };
+        for (list, len) in [
+            (ShardList::Grid, plan.grid.len()),
+            (ShardList::Para, plan.para_sweep.len()),
+        ] {
+            let leases: Vec<&Lease> = queued.iter().filter(|l| l.list == list).collect();
+            assert!(len >= 2, "{list:?} needs two cells to split");
+            assert!(leases.len() >= 2, "{list:?}: {leases:?}");
+            for lease in &leases {
+                assert!(
+                    lease.indices.windows(2).all(|w| w[1] == w[0] + 1),
+                    "{list:?} lease not contiguous: {:?}",
+                    lease.indices
+                );
+            }
+            let covered: Vec<usize> = leases.iter().flat_map(|l| l.indices.clone()).collect();
+            assert_eq!(covered, (0..len).collect::<Vec<_>>(), "{list:?}");
+        }
+        assert!(cancel_by_name(&inner, "split"));
+        assert!(submitter.join().unwrap().is_err());
+    }
+
+    /// A speculative twin settles grid lease 10 early, so the connection
+    /// moves on to PARA lease 11 while the straggler still streams lease
+    /// 10's cells. Those must merge into the grid list, not into the PARA
+    /// slots of the lease being drained; a cell for a shard this connection
+    /// never leased is dropped.
+    #[test]
+    fn late_cells_merge_under_their_own_leases_list() {
+        let inner = test_inner();
+        let cfg = SweepConfig {
+            para_probabilities: vec![0.0, 0.5],
+            ..small_config()
+        };
+        let (job_id, results) = seed_job(&inner, &cfg);
+        {
+            let mut st = inner.state.lock().unwrap();
+            let job = st.jobs.get_mut(&job_id).unwrap();
+            job.grid[1] = Some(results[1].clone());
+            job.remaining -= 1;
+            st.queue.push_back(Lease {
+                job: job_id,
+                shard: 10,
+                list: ShardList::Grid,
+                indices: vec![0, 1],
+            });
+            st.queue.push_back(Lease {
+                job: job_id,
+                shard: 11,
+                list: ShardList::Para,
+                indices: vec![0, 1],
+            });
+        }
+        let cell = |shard: u64, index: usize| {
+            FromWorker::Cell {
+                job: job_id,
+                shard,
+                index,
+                kernel: "scalar".to_string(),
+                result: results[index].clone(),
+            }
+            .encode()
+        };
+        let script = [cell(10, 0), cell(10, 1), cell(99, 0)]
+            .map(|line| line + "\n")
+            .concat();
+        let mut out = Vec::new();
+        worker_session(
+            &inner,
+            "scripted",
+            &mut Cursor::new(script.into_bytes()),
+            &mut out,
+            false,
+        );
+
+        let st = inner.state.lock().unwrap();
+        let job = &st.jobs[&job_id];
+        for (i, slot) in job.grid.iter().take(2).enumerate() {
+            let merged = slot.as_ref().map(proto::result_to_json);
+            assert_eq!(merged, Some(proto::result_to_json(&results[i])), "grid {i}");
+        }
+        assert!(
+            job.para.iter().all(Option::is_none),
+            "grid cells leaked into PARA slots: {:?}",
+            job.para
+        );
+        assert_eq!(job.executed_cells, 1);
+        assert_eq!(job.duplicate_cells, 1, "the late grid cell is a duplicate");
+        assert!(job.done.is_none());
+        // The connection closed on lease 11, which is requeued whole.
+        let requeued: Vec<_> = st
+            .queue
+            .iter()
+            .map(|l| (l.shard, l.indices.clone()))
+            .collect();
+        assert_eq!(requeued, vec![(11, vec![0, 1])]);
     }
 
     #[test]

@@ -2,10 +2,11 @@
 //!
 //! Every scenario here exercises one pillar of the job manager — admission
 //! control and quotas, deadlines and cancellation, shared-secret
-//! authentication, and adaptive shard sizing — while holding the same north
-//! star as `distributed.rs` and `chaos.rs`: an admitted, uncancelled job's
-//! merged document is byte-identical to the in-process sweep, and every
-//! reject, expiry, and auth failure is observable in the envelope counters.
+//! authentication, and splitting each job across the pool — while holding
+//! the same north star as `distributed.rs` and `chaos.rs`: an admitted,
+//! uncancelled job's merged document is byte-identical to the in-process
+//! sweep, and every reject, expiry, and auth failure is observable in the
+//! envelope counters.
 
 use rh_cli::serve::SubmitError;
 use rh_cli::{
@@ -214,34 +215,39 @@ fn wrong_token_worker_is_rejected_and_an_authenticated_worker_serves_the_job() {
     let _ = good.join().expect("worker thread");
 }
 
-/// Pillar 3: adaptive shard sizing is on by default and byte-identical at
-/// every target and pool size — including a warmed coordinator whose EWMAs
-/// actively resize the second job's leases.
+/// Pillar 3: each job's lists are split across the pool in contiguous
+/// leases of at most `shard_cells`, and the merged document is
+/// byte-identical at every width and pool size, for a first job and for the
+/// job after it on the same coordinator.
 #[test]
-fn adaptive_shard_sizing_is_byte_identical_at_every_setting() {
+fn pool_split_is_byte_identical_at_every_width_and_pool_size() {
     let first_ref = reference(10);
     let second_ref = reference(11);
-    for (workers, target_lease_ms) in [(1usize, 1u64), (2, 1_500), (2, 0), (2, 100_000)] {
-        let coordinator = Coordinator::start(ServeOptions {
-            workers,
-            worker_program: Some(worker_bin()),
-            target_lease_ms,
-            ..ServeOptions::default()
-        })
-        .expect("start");
-        // The first job runs on cold EWMAs (fixed width); the second is
-        // sized from the times the first one taught the controller.
-        let first = coordinator.submit(None, &job_config(10)).expect("cold job");
-        assert_eq!(
-            first.document, first_ref,
-            "workers={workers} target={target_lease_ms}"
-        );
-        let second = coordinator.submit(None, &job_config(11)).expect("warm job");
-        assert_eq!(
-            second.document, second_ref,
-            "workers={workers} target={target_lease_ms}"
-        );
-        coordinator.shutdown();
+    for workers in [1usize, 2, 3] {
+        for shard_cells in [1usize, 4, 16, 1_024] {
+            let coordinator = Coordinator::start(ServeOptions {
+                workers,
+                worker_program: Some(worker_bin()),
+                shard_cells,
+                ..ServeOptions::default()
+            })
+            .expect("start");
+            let first = coordinator
+                .submit(None, &job_config(10))
+                .expect("first job");
+            assert_eq!(
+                first.document, first_ref,
+                "workers={workers} shard_cells={shard_cells}"
+            );
+            let second = coordinator
+                .submit(None, &job_config(11))
+                .expect("second job");
+            assert_eq!(
+                second.document, second_ref,
+                "workers={workers} shard_cells={shard_cells}"
+            );
+            coordinator.shutdown();
+        }
     }
 }
 
