@@ -19,25 +19,12 @@
 //! work is "bytes for a config", and storing post-render means a hit skips
 //! rendering too.
 //!
-//! ## The persistent layer
-//!
-//! [`PersistentCache`] (enabled with `serve --cache-dir`) puts the same
-//! key→document mapping on disk so a coordinator restart keeps its history:
-//! append-only jsonl segments (`cache-NNNNNNNN.jsonl`), one record per
-//! line, each carrying an FNV-1a checksum over `hash:seed:document`. The
-//! durability contract is *detect, don't trust*: a torn tail (crash mid
-//! append) or a garbled record (bit rot, truncation, a chaos test) fails
-//! the checksum or the parse and is **skipped with a counted warning** —
-//! never served, never fatal. Appends after a torn tail go to a fresh
-//! segment so the damage cannot spread. The in-memory [`ResultCache`] LRU
-//! fronts the disk layer: hot documents are served from memory, the disk is
-//! only read on an LRU miss, and every disk read re-verifies the checksum.
+//! The cache lives in memory only. Surviving a coordinator restart is the
+//! per-cell checkpoint journal's job ([`crate::serve`], `--checkpoint-dir`):
+//! a key whose cells are all journaled is restored without a worker, and
+//! the rendered document warms this cache.
 
-use crate::faults::FaultPlan;
-use crate::proto::{fnv1a64, jstr, parse, Value};
 use std::collections::HashMap;
-use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
 
 /// Default number of cached sweep documents. A default-config document is
 /// ~60 KiB, so the default bound keeps the cache comfortably in tens of
@@ -129,14 +116,6 @@ impl ResultCache {
         self.hits
     }
 
-    /// Count a served-from-cache response that bypassed [`ResultCache::get`]
-    /// (the coordinator's persistent tier): keeps the envelope's
-    /// `cache_hits` counter meaning "responses served without execution"
-    /// regardless of which tier answered.
-    pub fn count_hit(&mut self) {
-        self.hits += 1;
-    }
-
     /// Lifetime count of [`ResultCache::get`] calls that missed.
     pub fn misses(&self) -> u64 {
         self.misses
@@ -156,288 +135,6 @@ impl ResultCache {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
-}
-
-// ---------------------------------------------------------------------------
-// Persistent on-disk cache
-// ---------------------------------------------------------------------------
-
-/// Rotate to a fresh segment once the active one exceeds this many bytes.
-/// Segments stay small enough that a corrupt region quarantines little.
-pub const SEGMENT_ROTATE_BYTES: u64 = 8 << 20;
-
-/// Where a record's bytes live on disk.
-#[derive(Debug, Clone, Copy)]
-struct RecordLoc {
-    segment: u64,
-    offset: u64,
-    len: u64,
-}
-
-/// Crash-safe persistent result cache: append-only checksummed jsonl
-/// segments under one directory. See the module docs for the durability
-/// contract.
-pub struct PersistentCache {
-    dir: PathBuf,
-    index: HashMap<Key, RecordLoc>,
-    /// Sequence number of the segment appends go to.
-    active_segment: u64,
-    /// Byte length of the active segment (== next append offset).
-    active_len: u64,
-    /// Records skipped as torn or corrupt, over the cache's lifetime
-    /// (restore scan + read-time verification).
-    corrupt_skipped: u64,
-    rotate_bytes: u64,
-}
-
-fn segment_path(dir: &Path, seq: u64) -> PathBuf {
-    dir.join(format!("cache-{seq:08}.jsonl"))
-}
-
-/// Encode one record line (no trailing newline).
-fn encode_record(key: Key, document: &str) -> String {
-    let (hash, seed) = key;
-    let sum = record_sum(key, document);
-    format!(
-        "{{\"hash\":{hash},\"seed\":{seed},\"sum\":{sum},\"document\":{}}}",
-        jstr(document)
-    )
-}
-
-fn record_sum(key: Key, document: &str) -> u64 {
-    fnv1a64(format!("{}:{}:{document}", key.0, key.1).as_bytes())
-}
-
-/// Decode and verify one record line. `None` means torn/garbled.
-fn decode_record(line: &str) -> Option<(Key, String)> {
-    let v = parse(line).ok()?;
-    let hash = v.get("hash").and_then(Value::as_u64)?;
-    let seed = v.get("seed").and_then(Value::as_u64)?;
-    let sum = v.get("sum").and_then(Value::as_u64)?;
-    let document = v.get("document").and_then(Value::as_str)?.to_string();
-    (record_sum((hash, seed), &document) == sum).then_some(((hash, seed), document))
-}
-
-impl PersistentCache {
-    /// Open (creating if needed) the cache under `dir`, scanning every
-    /// segment to rebuild the key index. Torn and corrupt records are
-    /// skipped with a counted warning; later records for a key win.
-    pub fn open(dir: &Path) -> Result<Self, String> {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| format!("cache-dir {}: cannot create: {e}", dir.display()))?;
-        let mut segments: Vec<u64> = std::fs::read_dir(dir)
-            .map_err(|e| format!("cache-dir {}: cannot read: {e}", dir.display()))?
-            .filter_map(|entry| {
-                let name = entry.ok()?.file_name().into_string().ok()?;
-                name.strip_prefix("cache-")?
-                    .strip_suffix(".jsonl")?
-                    .parse::<u64>()
-                    .ok()
-            })
-            .collect();
-        segments.sort_unstable();
-
-        let mut cache = Self {
-            dir: dir.to_path_buf(),
-            index: HashMap::new(),
-            active_segment: segments.last().map_or(1, |&s| s),
-            active_len: 0,
-            corrupt_skipped: 0,
-            rotate_bytes: SEGMENT_ROTATE_BYTES,
-        };
-        let mut tail_is_torn = false;
-        for &seq in &segments {
-            let path = segment_path(dir, seq);
-            let bytes = std::fs::read(&path)
-                .map_err(|e| format!("cache segment {}: cannot read: {e}", path.display()))?;
-            let mut offset = 0u64;
-            for chunk in bytes.split_inclusive(|&b| b == b'\n') {
-                let terminated = chunk.ends_with(b"\n");
-                let line_bytes = if terminated {
-                    &chunk[..chunk.len() - 1]
-                } else {
-                    chunk
-                };
-                let line = std::str::from_utf8(line_bytes).unwrap_or("");
-                if !terminated || line.trim().is_empty() {
-                    // A torn tail (crash mid-append) — expected damage.
-                    if !line.trim().is_empty() {
-                        cache.skip(&path, offset, "torn record (no terminator)");
-                        if seq == cache.active_segment {
-                            tail_is_torn = true;
-                        }
-                    }
-                } else {
-                    match decode_record(line) {
-                        Some((key, _)) => {
-                            cache.index.insert(
-                                key,
-                                RecordLoc {
-                                    segment: seq,
-                                    offset,
-                                    len: line_bytes.len() as u64,
-                                },
-                            );
-                        }
-                        None => cache.skip(&path, offset, "garbled record (checksum/parse)"),
-                    }
-                }
-                offset += chunk.len() as u64;
-            }
-            if seq == cache.active_segment {
-                cache.active_len = offset;
-            }
-        }
-        if tail_is_torn {
-            // Never append after a torn tail: the next record would fuse
-            // with the fragment and both would be unreadable.
-            cache.active_segment += 1;
-            cache.active_len = 0;
-        }
-        Ok(cache)
-    }
-
-    fn skip(&mut self, path: &Path, offset: u64, why: &str) {
-        self.corrupt_skipped += 1;
-        eprintln!(
-            "rh-cache: skipping {} at {} byte {offset} (record #{} skipped so far)",
-            why,
-            path.display(),
-            self.corrupt_skipped
-        );
-    }
-
-    /// Read a document back, re-verifying its checksum (the file may have
-    /// been damaged since the open-time scan). A failed verification counts
-    /// as corrupt and un-indexes the record.
-    pub fn get(&mut self, key: Key) -> Option<String> {
-        let loc = *self.index.get(&key)?;
-        let path = segment_path(&self.dir, loc.segment);
-        let read = (|| -> std::io::Result<Vec<u8>> {
-            let mut file = std::fs::File::open(&path)?;
-            file.seek(SeekFrom::Start(loc.offset))?;
-            let mut buf = vec![0u8; loc.len as usize];
-            file.read_exact(&mut buf)?;
-            Ok(buf)
-        })();
-        let decoded = read
-            .ok()
-            .and_then(|buf| String::from_utf8(buf).ok())
-            .and_then(|line| decode_record(&line));
-        match decoded {
-            Some((k, document)) if k == key => Some(document),
-            _ => {
-                self.skip(&path, loc.offset, "unreadable record on get");
-                self.index.remove(&key);
-                None
-            }
-        }
-    }
-
-    /// Append a record (flushed before returning, so a coordinator crash
-    /// right after a job completes loses nothing already acknowledged),
-    /// rotating segments at the size bound.
-    pub fn put(&mut self, key: Key, document: &str) -> Result<(), String> {
-        if self.active_len >= self.rotate_bytes {
-            self.active_segment += 1;
-            self.active_len = 0;
-        }
-        let path = segment_path(&self.dir, self.active_segment);
-        let line = encode_record(key, document);
-        let mut file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .map_err(|e| format!("cache segment {}: cannot open: {e}", path.display()))?;
-        file.write_all(line.as_bytes())
-            .and_then(|()| file.write_all(b"\n"))
-            .and_then(|()| file.flush())
-            .map_err(|e| format!("cache segment {}: write failed: {e}", path.display()))?;
-        self.index.insert(
-            key,
-            RecordLoc {
-                segment: self.active_segment,
-                offset: self.active_len,
-                len: line.len() as u64,
-            },
-        );
-        self.active_len += line.len() as u64 + 1;
-        Ok(())
-    }
-
-    /// Number of keys currently readable from disk.
-    pub fn len(&self) -> usize {
-        self.index.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
-    }
-
-    /// Lifetime count of records skipped as torn or corrupt.
-    pub fn corrupt_skipped(&self) -> u64 {
-        self.corrupt_skipped
-    }
-
-    /// Override the rotation bound (tests exercise rotation without
-    /// writing megabytes).
-    pub fn set_rotate_bytes(&mut self, bytes: u64) {
-        self.rotate_bytes = bytes.max(1);
-    }
-}
-
-/// Apply a fault plan's `corrupt-cache-record=N` directives to the segments
-/// under `dir`: flip one seeded byte inside the N-th record line (1-based,
-/// in segment order). Returns how many records were actually clobbered.
-/// This is the coordinator-side injection point for the chaos suite — the
-/// corruption happens *before* [`PersistentCache::open`] scans the
-/// directory, exactly like damage at rest.
-pub fn corrupt_cache_segments(dir: &Path, plan: &FaultPlan) -> Result<u64, String> {
-    let targets = plan.corrupt_cache_records();
-    if targets.is_empty() || !dir.exists() {
-        return Ok(0);
-    }
-    let mut segments: Vec<u64> = std::fs::read_dir(dir)
-        .map_err(|e| format!("cache-dir {}: cannot read: {e}", dir.display()))?
-        .filter_map(|entry| {
-            let name = entry.ok()?.file_name().into_string().ok()?;
-            name.strip_prefix("cache-")?
-                .strip_suffix(".jsonl")?
-                .parse::<u64>()
-                .ok()
-        })
-        .collect();
-    segments.sort_unstable();
-
-    let mut ordinal = 0u64;
-    let mut clobbered = 0u64;
-    for seq in segments {
-        let path = segment_path(dir, seq);
-        let mut bytes = std::fs::read(&path)
-            .map_err(|e| format!("cache segment {}: cannot read: {e}", path.display()))?;
-        let mut changed = false;
-        let mut line_start = 0usize;
-        for end in 0..bytes.len() {
-            if bytes[end] != b'\n' {
-                continue;
-            }
-            ordinal += 1;
-            if targets.contains(&ordinal) {
-                let line = bytes[line_start..end].to_vec();
-                if let Some((offset, byte)) = plan.corrupt_byte_for(ordinal, &line) {
-                    bytes[line_start + offset] = byte;
-                    changed = true;
-                    clobbered += 1;
-                }
-            }
-            line_start = end + 1;
-        }
-        if changed {
-            std::fs::write(&path, &bytes)
-                .map_err(|e| format!("cache segment {}: write failed: {e}", path.display()))?;
-        }
-    }
-    Ok(clobbered)
 }
 
 #[cfg(test)]
@@ -497,121 +194,5 @@ mod tests {
         c.put((1, 0), "a".into());
         assert_eq!(c.len(), 1);
         assert_eq!(c.get((1, 0)).as_deref(), Some("a"));
-    }
-
-    // -- Persistent layer --
-
-    fn scratch(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "rh-cache-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
-    #[test]
-    fn persistent_round_trip_survives_reopen() {
-        let dir = scratch("roundtrip");
-        {
-            let mut c = PersistentCache::open(&dir).unwrap();
-            c.put((1, 2), "doc with\nnewlines and \"quotes\"").unwrap();
-            c.put((3, 4), "other").unwrap();
-            // Append-only update: the later record wins.
-            c.put((1, 2), "doc v2").unwrap();
-            assert_eq!(c.get((1, 2)).as_deref(), Some("doc v2"));
-        }
-        let mut c = PersistentCache::open(&dir).unwrap();
-        assert_eq!(c.len(), 2);
-        assert_eq!(c.corrupt_skipped(), 0);
-        assert_eq!(c.get((1, 2)).as_deref(), Some("doc v2"));
-        assert_eq!(c.get((3, 4)).as_deref(), Some("other"));
-        assert_eq!(c.get((9, 9)), None);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn torn_tail_is_skipped_counted_and_quarantined() {
-        let dir = scratch("torn");
-        {
-            let mut c = PersistentCache::open(&dir).unwrap();
-            c.put((1, 1), "good").unwrap();
-        }
-        // Simulate a crash mid-append: an unterminated record fragment.
-        let seg = segment_path(&dir, 1);
-        let mut bytes = std::fs::read(&seg).unwrap();
-        bytes.extend_from_slice(br#"{"hash":2,"seed":2,"sum":3,"docu"#);
-        std::fs::write(&seg, &bytes).unwrap();
-
-        let mut c = PersistentCache::open(&dir).unwrap();
-        assert_eq!(c.corrupt_skipped(), 1, "the torn tail must be counted");
-        assert_eq!(c.get((1, 1)).as_deref(), Some("good"), "good prefix holds");
-        // New appends must go to a fresh segment, not after the fragment.
-        c.put((5, 5), "post-crash").unwrap();
-        assert!(segment_path(&dir, 2).exists());
-        let reread = PersistentCache::open(&dir).unwrap().get((5, 5));
-        assert_eq!(reread.as_deref(), Some("post-crash"));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn garbled_record_fails_checksum_and_is_skipped() {
-        let dir = scratch("garble");
-        {
-            let mut c = PersistentCache::open(&dir).unwrap();
-            c.put((1, 1), "aaaa").unwrap();
-            c.put((2, 2), "bbbb").unwrap();
-            c.put((3, 3), "cccc").unwrap();
-        }
-        let plan = FaultPlan::parse("seed=5,corrupt-cache-record=2").unwrap();
-        assert_eq!(corrupt_cache_segments(&dir, &plan).unwrap(), 1);
-
-        let mut c = PersistentCache::open(&dir).unwrap();
-        assert_eq!(c.corrupt_skipped(), 1);
-        assert_eq!(c.get((1, 1)).as_deref(), Some("aaaa"));
-        assert_eq!(c.get((2, 2)), None, "the clobbered record must not serve");
-        assert_eq!(c.get((3, 3)).as_deref(), Some("cccc"));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn segments_rotate_at_the_size_bound() {
-        let dir = scratch("rotate");
-        let mut c = PersistentCache::open(&dir).unwrap();
-        c.set_rotate_bytes(64);
-        for i in 0..8u64 {
-            c.put((i, 0), &format!("document-{i}-padding-padding"))
-                .unwrap();
-        }
-        let segments = std::fs::read_dir(&dir).unwrap().count();
-        assert!(segments > 1, "64-byte bound must force rotation");
-        let mut c = PersistentCache::open(&dir).unwrap();
-        for i in 0..8u64 {
-            assert_eq!(
-                c.get((i, 0)).as_deref(),
-                Some(format!("document-{i}-padding-padding").as_str()),
-                "rotation must not lose records"
-            );
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn get_reverifies_and_unindexes_damage_after_open() {
-        let dir = scratch("reverify");
-        let mut c = PersistentCache::open(&dir).unwrap();
-        c.put((1, 1), "pristine").unwrap();
-        // Damage the segment *after* the open-time scan.
-        let seg = segment_path(&dir, 1);
-        let mut bytes = std::fs::read(&seg).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] = if bytes[mid] == b'#' { b'~' } else { b'#' };
-        std::fs::write(&seg, &bytes).unwrap();
-        assert_eq!(c.get((1, 1)), None, "a read must re-verify the checksum");
-        assert_eq!(c.corrupt_skipped(), 1);
-        assert_eq!(c.get((1, 1)), None, "the record must be un-indexed");
-        assert_eq!(c.corrupt_skipped(), 1, "second miss is a plain miss");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

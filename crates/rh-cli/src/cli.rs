@@ -27,14 +27,13 @@ USAGE:
                      [--validate] [--trials <N>] [--seed <N>]
     rh-cli serve [--workers <N>] [--listen <ADDR>] [--kernel <K>]
                  [--cache-capacity <N>] [--checkpoint-dir <DIR>]
-                 [--shard-cells <N>] [--cache-dir <DIR>] [--config-epoch <N>]
+                 [--shard-cells <N>] [--config-epoch <N>]
                  [--fallback-after-ms <MS>] [--speculate-after-ms <MS>]
                  [--fault-plan <PLAN>] [--max-pending-jobs <N>]
                  [--max-jobs-per-client <N>] [--max-cells-per-client <N>]
                  [--handshake-timeout-ms <MS>] [--auth-token-file <PATH>]
-    rh-cli worker [--connect <ADDR>] [--exit-after-cells <N>]
-                  [--fault-plan <PLAN>] [--config-epoch <N>]
-                  [--retry <N>] [--backoff-ms <MS>]
+    rh-cli worker [--connect <ADDR>] [--fault-plan <PLAN>]
+                  [--config-epoch <N>] [--retry <N>] [--backoff-ms <MS>]
                   [--auth-token-file <PATH>]
     rh-cli submit --connect <ADDR> [--timeout <SECS>]
                   [--job-deadline-ms <MS>] [--auth-token-file <PATH>]
@@ -136,16 +135,15 @@ SERVE OPTIONS:
                             without it, configs are read as jsonl on stdin
     --kernel <K>            settle-kernel request sent with every shard
     --cache-capacity <N>    result-cache size in documents (default 128)
-    --checkpoint-dir <DIR>  append per-cell checkpoints; resubmits resume
+    --checkpoint-dir <DIR>  the one durable store, a checksummed per-cell
+                            journal: a resubmit, even to a restarted
+                            coordinator, runs only the cells not on disk;
+                            damaged records are skipped and re-executed
     --shard-cells <N>       max cells per shard lease (default 16); each
                             cell list is cut into contiguous leases of
                             ceil(missing cells / live workers) cells, at
                             most N, so every worker gets a share of every
                             job; merged output is byte-identical at any N
-    --cache-dir <DIR>       persistent result cache: completed documents
-                            survive coordinator restarts as checksummed
-                            jsonl segments; corrupt records are skipped
-                            and counted, never served
     --config-epoch <N>      config generation; worker hellos announcing a
                             different epoch are rejected (default 0)
     --fallback-after-ms <MS> graceful degradation: a job stranded this long
@@ -157,9 +155,7 @@ SERVE OPTIONS:
                             duplicate results asserted bit-identical
                             (default 10000; 0 disables speculation)
     --fault-plan <PLAN>     coordinator-side fault injection; the useful
-                            directives here are corrupt-cache-record=N
-                            (clobber one byte of persistent record N before
-                            opening the cache), cancel-after-cells=N (cancel
+                            directives here are cancel-after-cells=N (cancel
                             the owning job after the Nth merged cell) and
                             slow-client=MS (delay every client reply)
     --max-pending-jobs <N>  admission bound: submits past N unfinished jobs
@@ -184,9 +180,6 @@ WORKER OPTIONS:
     --connect <ADDR>        attach to a coordinator over TCP (default:
                             speak the jsonl protocol over stdio, as when
                             spawned by serve)
-    --exit-after-cells <N>  fault injection: drop the connection after N
-                            cells (for reassignment tests); alias for the
-                            fault-plan directive crash-after-cells=N
     --fault-plan <PLAN>     deterministic fault schedule, comma-separated
                             key=value directives: crash-after-cells=N,
                             stall-after-cells=N, stall-ms=MS, drop-line=N,
@@ -519,9 +512,6 @@ pub fn parse_serve_args(args: &[String]) -> Result<ServeInvocation, String> {
                     return Err("--shard-cells must be at least 1".to_string());
                 }
             }
-            "--cache-dir" => {
-                opts.cache_dir = Some(value(&mut i, "--cache-dir")?.into());
-            }
             "--config-epoch" => {
                 let v = value(&mut i, "--config-epoch")?;
                 opts.config_epoch = v
@@ -628,16 +618,6 @@ pub fn parse_worker_args(args: &[String]) -> Result<WorkerInvocation, String> {
     while i < args.len() {
         match args[i].as_str() {
             "--connect" => opts.connect = Some(value(&mut i, "--connect")?),
-            "--exit-after-cells" => {
-                let v = value(&mut i, "--exit-after-cells")?;
-                let n: u64 = v
-                    .parse()
-                    .map_err(|_| format!("invalid --exit-after-cells '{v}'"))?;
-                if n == 0 {
-                    return Err("--exit-after-cells must be at least 1".to_string());
-                }
-                opts.exit_after_cells = Some(n);
-            }
             "--fault-plan" => {
                 opts.fault_plan = FaultPlan::parse(&value(&mut i, "--fault-plan")?)?;
             }
@@ -1252,6 +1232,8 @@ mod tests {
             &["--cache-capacity", "0"],
             &["--shard-cells", "0"],
             &["--bogus"],
+            // No second durable store: --checkpoint-dir is the only one.
+            &["--cache-dir", "/tmp/rhcache"],
         ] {
             let owned: Vec<String> = bad.iter().map(|s| s.to_string()).collect();
             assert!(
@@ -1266,23 +1248,30 @@ mod tests {
         match parse_worker_args(&[]).unwrap() {
             WorkerInvocation::Worker(o) => {
                 assert_eq!(o.connect, None);
-                assert_eq!(o.exit_after_cells, None);
+                assert!(o.fault_plan.is_empty());
             }
             WorkerInvocation::Help => panic!("unexpected help"),
         }
-        let owned: Vec<String> = ["--connect", "127.0.0.1:9", "--exit-after-cells", "3"]
+        let owned: Vec<String> = ["--connect", "127.0.0.1:9"]
             .iter()
             .map(|s| s.to_string())
             .collect();
         match parse_worker_args(&owned).unwrap() {
             WorkerInvocation::Worker(o) => {
                 assert_eq!(o.connect.as_deref(), Some("127.0.0.1:9"));
-                assert_eq!(o.exit_after_cells, Some(3));
             }
             WorkerInvocation::Help => panic!("unexpected help"),
         }
-        assert!(parse_worker_args(&["--exit-after-cells".to_string(), "0".to_string()]).is_err());
-        assert!(parse_worker_args(&["--bogus".to_string()]).is_err());
+        for bad in [
+            &["--bogus"][..],
+            // `--fault-plan crash-after-cells=N` is the one way to
+            // schedule a crash.
+            &["--exit-after-cells", "3"],
+        ] {
+            let owned: Vec<String> = bad.iter().map(|s| s.to_string()).collect();
+            let err = parse_worker_args(&owned).unwrap_err();
+            assert!(err.contains("unknown worker option"), "{bad:?}: {err}");
+        }
 
         let owned: Vec<String> = ["--connect", "127.0.0.1:9"]
             .iter()
@@ -1304,8 +1293,6 @@ mod tests {
     #[test]
     fn chaos_flags_parse_and_reject() {
         let owned: Vec<String> = [
-            "--cache-dir",
-            "/tmp/rhcache",
             "--config-epoch",
             "7",
             "--fallback-after-ms",
@@ -1313,17 +1300,13 @@ mod tests {
             "--speculate-after-ms",
             "400",
             "--fault-plan",
-            "corrupt-cache-record=2",
+            "cancel-after-cells=2",
         ]
         .iter()
         .map(|s| s.to_string())
         .collect();
         match parse_serve_args(&owned).unwrap() {
             ServeInvocation::Serve(o) => {
-                assert_eq!(
-                    o.cache_dir.as_deref(),
-                    Some(std::path::Path::new("/tmp/rhcache"))
-                );
                 assert_eq!(o.config_epoch, 7);
                 assert_eq!(
                     o.fallback_after,
@@ -1333,7 +1316,7 @@ mod tests {
                     o.speculate_after,
                     Some(std::time::Duration::from_millis(400))
                 );
-                assert_eq!(o.fault_plan.corrupt_cache_records(), &[2]);
+                assert_eq!(o.fault_plan.cancel_after_cells(), Some(2));
             }
             ServeInvocation::Help => panic!("unexpected help"),
         }
@@ -1379,7 +1362,10 @@ mod tests {
         .collect();
         match parse_worker_args(&owned).unwrap() {
             WorkerInvocation::Worker(o) => {
-                assert_eq!(o.fault_plan.crash_pending_at(), Some(3));
+                assert_eq!(
+                    o.fault_plan,
+                    FaultPlan::parse("crash-after-cells=3,drop-line=2").unwrap()
+                );
                 assert_eq!(o.config_epoch, 9);
                 assert_eq!(o.retries, 4);
                 assert_eq!(o.backoff_base_ms, 50);

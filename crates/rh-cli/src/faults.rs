@@ -12,14 +12,13 @@
 //!
 //! | directive | side | effect |
 //! |---|---|---|
-//! | `seed=N` | both | seeds byte/offset choices (garbling, cache corruption) |
+//! | `seed=N` | worker | seeds garbled-line prefixes and reconnect backoff jitter |
 //! | `crash-after-cells=N` | worker | drop the connection after streaming the N-th cell |
 //! | `stall-after-cells=N` | worker | sleep `stall-ms` once, after the N-th cell |
 //! | `stall-ms=MS` | worker | duration of the injected stall (default 1000) |
 //! | `drop-line=N` | worker | silently drop the N-th outgoing protocol line |
 //! | `garble-line=N` | worker | corrupt the N-th outgoing protocol line |
 //! | `delay-connect-ms=MS` | worker | sleep before connecting / greeting |
-//! | `corrupt-cache-record=N` | coordinator | flip a byte in the N-th persistent-cache record at startup |
 //! | `wrong-token=1` | worker | present a corrupted auth proof in the hello |
 //! | `cancel-after-cells=N` | coordinator | cancel a job the moment its N-th cell merges |
 //! | `slow-client=MS` | coordinator | stall each client reply by MS (a slow-reading client) |
@@ -74,7 +73,6 @@ pub struct FaultPlan {
     drop_lines: Vec<u64>,
     garble_lines: Vec<u64>,
     delay_connect_millis: u64,
-    corrupt_cache_records: Vec<u64>,
     wrong_token: bool,
     cancel_after_cells: Option<u64>,
     slow_client_millis: u64,
@@ -104,9 +102,6 @@ impl FaultPlan {
                 "drop-line" => plan.drop_lines.push(num("drop-line")?),
                 "garble-line" => plan.garble_lines.push(num("garble-line")?),
                 "delay-connect-ms" => plan.delay_connect_millis = num("delay-connect-ms")?,
-                "corrupt-cache-record" => plan
-                    .corrupt_cache_records
-                    .push(num("corrupt-cache-record")?),
                 "wrong-token" => plan.wrong_token = num("wrong-token")? != 0,
                 "cancel-after-cells" => plan.cancel_after_cells = Some(num("cancel-after-cells")?),
                 "slow-client" => plan.slow_client_millis = num("slow-client")?,
@@ -114,8 +109,8 @@ impl FaultPlan {
                     return Err(format!(
                         "fault-plan: unknown directive '{other}' (expected seed, \
                          crash-after-cells, stall-after-cells, stall-ms, drop-line, \
-                         garble-line, delay-connect-ms, corrupt-cache-record, \
-                         wrong-token, cancel-after-cells, slow-client)"
+                         garble-line, delay-connect-ms, wrong-token, \
+                         cancel-after-cells, slow-client)"
                     ))
                 }
             }
@@ -148,18 +143,9 @@ impl FaultPlan {
             && self.drop_lines.is_empty()
             && self.garble_lines.is_empty()
             && self.delay_connect_millis == 0
-            && self.corrupt_cache_records.is_empty()
             && !self.wrong_token
             && self.cancel_after_cells.is_none()
             && self.slow_client_millis == 0
-    }
-
-    /// Fold the legacy `--exit-after-cells N` knob into the plan; an
-    /// explicit `crash-after-cells` directive wins.
-    pub fn merge_exit_after_cells(&mut self, exit_after: Option<u64>) {
-        if self.crash_after_cells.is_none() {
-            self.crash_after_cells = exit_after;
-        }
     }
 
     /// Delay to apply before connecting / greeting the coordinator.
@@ -181,12 +167,6 @@ impl FaultPlan {
             return CellFate::Crash;
         }
         CellFate::Continue
-    }
-
-    /// The scheduled crash trigger, if any (observability for tests and for
-    /// merging the legacy `--exit-after-cells` knob).
-    pub fn crash_pending_at(&self) -> Option<u64> {
-        self.crash_after_cells
     }
 
     /// The plan's seed — shared with other seeded mechanisms (reconnect
@@ -222,11 +202,6 @@ impl FaultPlan {
         LineFate::Send
     }
 
-    /// 1-based indices of persistent-cache records to corrupt at startup.
-    pub fn corrupt_cache_records(&self) -> &[u64] {
-        &self.corrupt_cache_records
-    }
-
     /// Worker side: present a deliberately wrong auth proof in the hello,
     /// exercising the coordinator's reject + `auth_failures` counter.
     pub fn wrong_token(&self) -> bool {
@@ -245,20 +220,6 @@ impl FaultPlan {
     pub fn slow_client_delay(&self) -> Option<Duration> {
         (self.slow_client_millis > 0).then(|| Duration::from_millis(self.slow_client_millis))
     }
-
-    /// Deterministically choose the byte to clobber inside record number
-    /// `record` of length `len`, and the replacement. The replacement is
-    /// never a newline (that would *split* the record instead of corrupting
-    /// it) and never the original byte (that would be a no-op).
-    pub fn corrupt_byte_for(&self, record: u64, line: &[u8]) -> Option<(usize, u8)> {
-        if line.is_empty() {
-            return None;
-        }
-        let mut rng = SplitMix64::new(derive_seed(self.seed ^ 0xC0DE, &[record]));
-        let offset = (rng.next_u64() as usize) % line.len();
-        let replacement = if line[offset] == b'#' { b'~' } else { b'#' };
-        Some((offset, replacement))
-    }
 }
 
 #[cfg(test)]
@@ -276,13 +237,12 @@ mod tests {
     fn full_spec_round_trips_every_directive() {
         let plan = FaultPlan::parse(
             "seed=7, crash-after-cells=5, stall-after-cells=2, stall-ms=250, \
-             drop-line=3, garble-line=4, delay-connect-ms=10, corrupt-cache-record=1, \
-             wrong-token=1, cancel-after-cells=6, slow-client=20",
+             drop-line=3, garble-line=4, delay-connect-ms=10, wrong-token=1, \
+             cancel-after-cells=6, slow-client=20",
         )
         .unwrap();
         assert!(!plan.is_empty());
         assert_eq!(plan.connect_delay(), Some(Duration::from_millis(10)));
-        assert_eq!(plan.corrupt_cache_records(), &[1]);
         assert!(plan.wrong_token());
         assert_eq!(plan.cancel_after_cells(), Some(6));
         assert_eq!(plan.slow_client_delay(), Some(Duration::from_millis(20)));
@@ -336,16 +296,6 @@ mod tests {
     }
 
     #[test]
-    fn exit_after_cells_merges_but_never_overrides() {
-        let mut plan = FaultPlan::default();
-        plan.merge_exit_after_cells(Some(4));
-        assert_eq!(plan.crash_pending_at(), Some(4));
-        let mut plan = FaultPlan::parse("crash-after-cells=2").unwrap();
-        plan.merge_exit_after_cells(Some(9));
-        assert_eq!(plan.crash_pending_at(), Some(2));
-    }
-
-    #[test]
     fn line_schedule_drops_and_garbles_deterministically() {
         let spec = "seed=42,drop-line=2,garble-line=3";
         let mut a = FaultPlan::parse(spec).unwrap();
@@ -361,17 +311,5 @@ mod tests {
         b.on_line(line);
         b.on_line(line);
         assert_eq!(b.on_line(line), LineFate::Garble(garbled));
-    }
-
-    #[test]
-    fn corrupt_byte_choice_is_seeded_and_never_a_newline_or_noop() {
-        let plan = FaultPlan::parse("seed=9,corrupt-cache-record=1").unwrap();
-        let line = br#"{"hash":1,"seed":2,"sum":3,"document":"x"}"#;
-        let (offset, byte) = plan.corrupt_byte_for(1, line).unwrap();
-        assert!(offset < line.len());
-        assert_ne!(byte, b'\n');
-        assert_ne!(byte, line[offset]);
-        assert_eq!(plan.corrupt_byte_for(1, line), Some((offset, byte)));
-        assert_eq!(plan.corrupt_byte_for(1, b""), None);
     }
 }

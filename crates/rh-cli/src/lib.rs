@@ -20,8 +20,10 @@
 //! The distributed layer ([`serve`], [`worker`], [`proto`], [`cache`]) runs
 //! the same pipeline across processes and hosts, hardened by [`faults`] — a
 //! deterministic, seeded fault-injection plan (`--fault-plan`) that makes
-//! every chaos scenario (crashes, stalls, lossy links, corrupt cache
-//! segments) a reproducible test of the byte-identity invariant.
+//! every chaos scenario (crashes, stalls, lossy links, cancels) a
+//! reproducible test of the byte-identity invariant. The per-cell
+//! checkpoint journal ([`serve`], `--checkpoint-dir`) is the service's one
+//! durable store; damage at rest costs one re-executed cell per bad record.
 
 pub mod bench;
 pub mod cache;
@@ -38,7 +40,7 @@ pub mod sweep;
 pub mod worker;
 
 pub use bench::{run_bench, BenchOptions, BenchReport};
-pub use cache::{PersistentCache, ResultCache};
+pub use cache::ResultCache;
 pub use configure::{
     analytic_pfail, empirical_failure_rate, recommended_p, run_configure, ConfigureOptions,
     ConfigureReport, CROSSVAL_Z,

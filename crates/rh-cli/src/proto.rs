@@ -521,7 +521,7 @@ pub fn config_to_json(cfg: &SweepConfig) -> String {
 }
 
 /// FNV-1a over raw bytes — the workspace's one content fingerprint, shared
-/// by the config hash, checkpoint records, and persistent-cache records.
+/// by the config hash and the checkpoint journal's records.
 pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

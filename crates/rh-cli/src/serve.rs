@@ -25,11 +25,15 @@
 //!   doesn't execute — it waits on that job and is served from the cache
 //!   the moment the primary lands (`coalesced: true`). N concurrent
 //!   identical requests cost one execution.
-//! * **Checkpointing**: with `--checkpoint-dir`, every merged cell is
-//!   appended to a jsonl file keyed by `(config_hash, seed, list)`. A
-//!   resubmit after a crash or cancel loads the file, fills the slots it
+//! * **Checkpoint journal**: with `--checkpoint-dir`, every merged cell is
+//!   appended to a checksummed jsonl file keyed by `(config_hash, seed,
+//!   list)` — the service's one durable store. A resubmit after a crash,
+//!   cancel, or coordinator restart loads the file, fills the slots it
 //!   covers, and schedules only the missing cells (`checkpoint_cells` in
-//!   the envelope counts the restored ones).
+//!   the envelope counts the restored ones); a fully journaled key merges
+//!   without a worker and warms the result cache. Damage at rest (a torn
+//!   tail, a flipped or non-UTF-8 byte) costs one re-executed cell per bad
+//!   record, counted as `checkpoint_skipped`.
 //! * **Worker-death recovery**: a worker connection dropping mid-shard
 //!   requeues the lease minus the cells that already streamed back; another
 //!   worker re-executes only the remainder. Determinism makes re-execution
@@ -62,7 +66,7 @@
 //!   stdio workers are exempt — the pipe itself is the trust boundary;
 //!   auth guards the TCP front door.
 
-use crate::cache::{corrupt_cache_segments, PersistentCache, ResultCache};
+use crate::cache::ResultCache;
 use crate::engine::RunResult;
 use crate::faults::FaultPlan;
 use crate::json;
@@ -121,16 +125,10 @@ pub struct ServeOptions {
     /// (tests point it at the real `rh-cli` binary).
     pub worker_program: Option<PathBuf>,
     /// Extra argv per local worker index (fault injection in tests:
-    /// `["--exit-after-cells", "7"]` for worker 0 only).
+    /// `["--fault-plan", "crash-after-cells=7"]` for worker 0 only).
     pub worker_extra_args: Vec<Vec<String>>,
-    /// Coordinator-side fault plan. Today the only coordinator-side
-    /// directive is `corrupt-cache-record=N`, applied to the persistent
-    /// cache segments *before* they are opened (simulating disk rot across
-    /// a restart).
+    /// Coordinator-side fault plan (`cancel-after-cells`, `slow-client`).
     pub fault_plan: FaultPlan,
-    /// Directory for the persistent result cache; `None` keeps results in
-    /// memory only.
-    pub cache_dir: Option<PathBuf>,
     /// Graceful degradation: when a job has waited this long without any
     /// live worker, the submitting thread claims the job's leases and
     /// executes them in-process. `None` (default) preserves fail-fast.
@@ -170,7 +168,6 @@ impl Default for ServeOptions {
             worker_program: None,
             worker_extra_args: Vec::new(),
             fault_plan: FaultPlan::default(),
-            cache_dir: None,
             fallback_after: None,
             config_epoch: 0,
             speculate_after: Some(Duration::from_secs(10)),
@@ -253,8 +250,6 @@ struct State {
     named: HashMap<String, u64>,
     queue: VecDeque<Lease>,
     cache: ResultCache,
-    /// Crash-safe on-disk cache behind the LRU (`--cache-dir`).
-    persistent: Option<PersistentCache>,
     /// Key → job id of the in-flight execution (single-flight dedup).
     inflight: HashMap<(u64, u64), u64>,
     /// Shard id → supervision record for every lease out on a worker.
@@ -278,8 +273,6 @@ struct State {
     rejected_connections: u64,
     /// Workers refused for protocol-version or config-epoch skew.
     rejected_workers: u64,
-    /// Submits answered from the persistent (on-disk) cache.
-    disk_hits: u64,
     /// Submits refused by admission control or quotas (or client auth).
     rejected_submits: u64,
     /// Worker hellos and client sessions refused for a bad auth proof.
@@ -290,6 +283,33 @@ struct State {
     /// `cancel-after-cells` fault arm).
     merged_cells_total: u64,
     shutting_down: bool,
+}
+
+impl State {
+    fn new(cache_capacity: usize) -> Self {
+        Self {
+            jobs: HashMap::new(),
+            named: HashMap::new(),
+            queue: VecDeque::new(),
+            cache: ResultCache::new(cache_capacity),
+            inflight: HashMap::new(),
+            active: HashMap::new(),
+            ewma_cell_millis: None,
+            worker_ewma_ms: HashMap::new(),
+            next_job: 0,
+            next_shard: 0,
+            live_workers: 0,
+            local_hellos: 0,
+            spawn_failed: None,
+            rejected_connections: 0,
+            rejected_workers: 0,
+            rejected_submits: 0,
+            auth_failures: 0,
+            cancelled_jobs: 0,
+            merged_cells_total: 0,
+            shutting_down: false,
+        }
+    }
 }
 
 struct Inner {
@@ -342,46 +362,8 @@ impl Coordinator {
     /// Spawn local workers, bind the listener (if any), and wait for every
     /// local worker's hello so submits never race worker startup.
     pub fn start(opts: ServeOptions) -> Result<Self, String> {
-        // The coordinator-side fault plan runs *before* the persistent
-        // cache opens: injected corruption is indistinguishable from real
-        // disk rot, so recovery is exercised on the same code path.
-        let persistent = match &opts.cache_dir {
-            Some(dir) => {
-                if !opts.fault_plan.corrupt_cache_records().is_empty() {
-                    let clobbered = corrupt_cache_segments(dir, &opts.fault_plan)?;
-                    eprintln!(
-                        "rh-serve: fault plan clobbered {clobbered} persistent cache record(s)"
-                    );
-                }
-                Some(PersistentCache::open(dir)?)
-            }
-            None => None,
-        };
         let inner = Arc::new(Inner {
-            state: Mutex::new(State {
-                jobs: HashMap::new(),
-                named: HashMap::new(),
-                queue: VecDeque::new(),
-                cache: ResultCache::new(opts.cache_capacity),
-                persistent,
-                inflight: HashMap::new(),
-                active: HashMap::new(),
-                ewma_cell_millis: None,
-                worker_ewma_ms: HashMap::new(),
-                next_job: 0,
-                next_shard: 0,
-                live_workers: 0,
-                local_hellos: 0,
-                spawn_failed: None,
-                rejected_connections: 0,
-                rejected_workers: 0,
-                disk_hits: 0,
-                rejected_submits: 0,
-                auth_failures: 0,
-                cancelled_jobs: 0,
-                merged_cells_total: 0,
-                shutting_down: false,
-            }),
+            state: Mutex::new(State::new(opts.cache_capacity)),
             work: Condvar::new(),
             done: Condvar::new(),
             kernel: opts.kernel,
@@ -577,11 +559,6 @@ impl Coordinator {
             .rejected_connections
     }
 
-    /// Submits served from the persistent (on-disk) cache.
-    pub fn disk_hits(&self) -> u64 {
-        self.inner.state.lock().expect("coordinator lock").disk_hits
-    }
-
     /// Unfinished jobs currently held — the number admission control
     /// weighs against `--max-pending-jobs`.
     pub fn queue_depth(&self) -> u64 {
@@ -630,17 +607,6 @@ impl Coordinator {
             .expect("coordinator lock")
             .cache
             .evictions()
-    }
-
-    /// Corrupt or torn persistent-cache records skipped since open.
-    pub fn cache_corrupt_skipped(&self) -> u64 {
-        self.inner
-            .state
-            .lock()
-            .expect("coordinator lock")
-            .persistent
-            .as_ref()
-            .map_or(0, PersistentCache::corrupt_skipped)
     }
 
     /// Stop accepting work, shut down workers, and join handler threads.
@@ -721,19 +687,9 @@ impl Inner {
         }
         let id = id.unwrap_or_else(|| format!("job-{}", st.next_job));
 
-        // 1. Cache: the in-memory LRU first, then the persistent segments
-        //    (which survive coordinator restarts); a disk hit warms the LRU.
+        // 1. Cache: the in-memory LRU. What survives a restart is the
+        //    checkpoint journal, restored in step 4.
         if let Some(document) = st.cache.get(key) {
-            let stats = EnvStats {
-                served_from_cache: true,
-                ..EnvStats::default()
-            };
-            return Ok(envelope(&id, key, &st, stats, document));
-        }
-        if let Some(document) = st.persistent.as_mut().and_then(|p| p.get(key)) {
-            st.cache.put(key, document.clone());
-            st.cache.count_hit();
-            st.disk_hits += 1;
             let stats = EnvStats {
                 served_from_cache: true,
                 ..EnvStats::default()
@@ -829,11 +785,10 @@ impl Inner {
         }
 
         if job.remaining == 0 {
-            // Fully restored from checkpoints: no worker needed at all.
+            // Fully restored from the journal: no worker needed at all.
             job.queue_wait_ms = Some(0);
             let document = finalize_document(&job);
             st.cache.put(key, document.clone());
-            persist_document(&mut st, key, &document);
             let stats = EnvStats {
                 checkpoint_cells: job.checkpoint_cells,
                 checkpoint_skipped: job.checkpoint_skipped,
@@ -1033,17 +988,6 @@ fn envelope(
 /// cut as for one worker.
 fn lease_width(missing: usize, live_workers: usize, shard_cells: usize) -> usize {
     missing.div_ceil(live_workers.max(1)).clamp(1, shard_cells)
-}
-
-/// Write a completed document through to the persistent cache (when one is
-/// configured). A write failure degrades durability, not the response —
-/// log and move on.
-fn persist_document(st: &mut MutexGuard<'_, State>, key: (u64, u64), document: &str) {
-    if let Some(p) = st.persistent.as_mut() {
-        if let Err(e) = p.put(key, document) {
-            eprintln!("rh-serve: persistent cache write failed: {e}");
-        }
-    }
 }
 
 /// Graceful degradation: execute a stranded job's leases on the submitting
@@ -1255,19 +1199,29 @@ fn decode_checkpoint_line(line: &str) -> Option<(usize, RunResult)> {
     (checkpoint_sum(index, &result_json) == sum).then_some((index, result))
 }
 
-/// Load whatever a previous run checkpointed for this job's key, filling
-/// result slots so only the remainder gets scheduled. Torn lines (a crash
-/// mid-append) and garbled records (checksum mismatch) are skipped and
-/// counted — a bad record costs one cell, not the file, and the skip is
-/// observable as `checkpoint_skipped` in the envelope.
+/// Load whatever a previous run journaled for this job's key, filling
+/// result slots so only the remainder gets scheduled. The reader works on
+/// raw bytes, one `\n`-terminated record at a time: a record that is not
+/// UTF-8, does not parse, or fails its checksum is skipped and counted — a
+/// bad record costs one cell, not the file, and the skip is observable as
+/// `checkpoint_skipped` in the envelope. Blank lines are ignored. An
+/// unterminated tail (a crash mid-append) is skipped the same way and cut
+/// off the file, so the next append starts a fresh line instead of fusing
+/// with the fragment.
 fn load_checkpoints(dir: &Path, job: &mut Job) {
     for list in [ShardList::Grid, ShardList::Para] {
         let path = checkpoint_path(dir, job.key, list);
-        let Ok(contents) = std::fs::read_to_string(&path) else {
+        let Ok(bytes) = std::fs::read(&path) else {
             continue;
         };
-        for line in contents.lines() {
-            match decode_checkpoint_line(line) {
+        let terminated = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+        let (records, tail) = bytes.split_at(terminated);
+        for line in records.split(|&b| b == b'\n') {
+            if line.trim_ascii().is_empty() {
+                continue;
+            }
+            let record = std::str::from_utf8(line).ok();
+            match record.and_then(decode_checkpoint_line) {
                 Some((index, result)) => {
                     if let Some(slot @ None) = job.slot(list, index) {
                         *slot = Some(result);
@@ -1275,18 +1229,36 @@ fn load_checkpoints(dir: &Path, job: &mut Job) {
                         job.checkpoint_cells += 1;
                     }
                 }
-                None => {
-                    job.checkpoint_skipped += 1;
-                    eprintln!(
-                        "rh-serve: skipping garbled checkpoint record in {} \
-                         ({} skipped for this job so far)",
-                        path.display(),
-                        job.checkpoint_skipped
-                    );
-                }
+                None => skip_checkpoint_record(job, &path, "garbled checkpoint record"),
+            }
+        }
+        if !tail.is_empty() {
+            skip_checkpoint_record(job, &path, "torn checkpoint tail");
+            let truncated = std::fs::OpenOptions::new()
+                .write(true)
+                .open(&path)
+                .and_then(|f| {
+                    f.set_len(terminated as u64)?;
+                    f.sync_all()
+                });
+            if let Err(e) = truncated {
+                eprintln!(
+                    "rh-serve: cannot truncate the torn tail of {}: {e}",
+                    path.display()
+                );
             }
         }
     }
+}
+
+/// Count and log one journal record that cannot be trusted.
+fn skip_checkpoint_record(job: &mut Job, path: &Path, what: &str) {
+    job.checkpoint_skipped += 1;
+    eprintln!(
+        "rh-serve: skipping {what} in {} ({} skipped for this job so far)",
+        path.display(),
+        job.checkpoint_skipped
+    );
 }
 
 /// Append one merged cell to its job's checkpoint file.
@@ -1756,7 +1728,6 @@ fn record_cell(
     if complete {
         let document = finalize_document(&st.jobs[&job_id]);
         st.cache.put(key, document.clone());
-        persist_document(st, key, &document);
         st.inflight.remove(&key);
         if let Some(job) = st.jobs.get_mut(&job_id) {
             job.done = Some(Ok(document));
@@ -2371,30 +2342,7 @@ mod tests {
         max_cells_per_client: usize,
     ) -> Arc<Inner> {
         Arc::new(Inner {
-            state: Mutex::new(State {
-                jobs: HashMap::new(),
-                named: HashMap::new(),
-                queue: VecDeque::new(),
-                cache: ResultCache::new(8),
-                persistent: None,
-                inflight: HashMap::new(),
-                active: HashMap::new(),
-                ewma_cell_millis: None,
-                worker_ewma_ms: HashMap::new(),
-                next_job: 0,
-                next_shard: 0,
-                live_workers: 0,
-                local_hellos: 0,
-                spawn_failed: None,
-                rejected_connections: 0,
-                rejected_workers: 0,
-                disk_hits: 0,
-                rejected_submits: 0,
-                auth_failures: 0,
-                cancelled_jobs: 0,
-                merged_cells_total: 0,
-                shutting_down: false,
-            }),
+            state: Mutex::new(State::new(8)),
             work: Condvar::new(),
             done: Condvar::new(),
             kernel: KernelChoice::Auto,

@@ -41,8 +41,7 @@
 //! ## Fault injection
 //!
 //! `--fault-plan` (see [`crate::faults`]) schedules deterministic crashes
-//! (`crash-after-cells=N`, the generalization of the legacy
-//! `--exit-after-cells N`), injected stalls, dropped/garbled protocol
+//! (`crash-after-cells=N`), injected stalls, dropped/garbled protocol
 //! lines, and delayed greetings. Heartbeats are exempt from line counting
 //! so the schedule stays deterministic regardless of timing.
 //!
@@ -78,9 +77,6 @@ pub struct WorkerOptions {
     /// Coordinator address to attach to over TCP; `None` means the worker
     /// was spawned by a local coordinator and speaks over stdio.
     pub connect: Option<String>,
-    /// Legacy fault knob: drop the connection after this many cells.
-    /// Folded into the fault plan (`crash-after-cells`), which wins.
-    pub exit_after_cells: Option<u64>,
     /// Deterministic fault schedule for this worker's connections.
     pub fault_plan: FaultPlan,
     /// Config generation announced in the hello; must match the
@@ -100,7 +96,6 @@ impl Default for WorkerOptions {
     fn default() -> Self {
         Self {
             connect: None,
-            exit_after_cells: None,
             fault_plan: FaultPlan::default(),
             config_epoch: 0,
             retries: 0,
@@ -147,8 +142,6 @@ impl Default for SessionOptions {
 
 /// Entry point for `rh-cli worker`.
 pub fn run_worker(opts: &WorkerOptions) -> Result<(), String> {
-    let mut base_plan = opts.fault_plan.clone();
-    base_plan.merge_exit_after_cells(opts.exit_after_cells);
     let session = SessionOptions {
         config_epoch: opts.config_epoch,
         auth_token: opts.auth_token.clone(),
@@ -156,12 +149,12 @@ pub fn run_worker(opts: &WorkerOptions) -> Result<(), String> {
     };
     match &opts.connect {
         Some(addr) => {
-            let mut backoff_rng = SplitMix64::new(derive_seed(base_plan.seed(), &[0xB0FF]));
+            let mut backoff_rng = SplitMix64::new(derive_seed(opts.fault_plan.seed(), &[0xB0FF]));
             let mut attempt: u32 = 0;
             loop {
                 // A silent hangup (EOF without shutdown) or a failed
                 // connect is retryable; a reject never is.
-                let retryable_err = match connect_session(addr, &session, base_plan.clone()) {
+                let retryable_err = match connect_session(addr, &session, opts.fault_plan.clone()) {
                     Ok(SessionEnd::Shutdown | SessionEnd::Crashed) => return Ok(()),
                     Ok(SessionEnd::Rejected(reason)) => {
                         return Err(format!(
@@ -200,7 +193,7 @@ pub fn run_worker(opts: &WorkerOptions) -> Result<(), String> {
             // locks internally.
             let stdin = BufReader::new(std::io::stdin());
             let stdout = std::io::stdout();
-            let mut plan = base_plan;
+            let mut plan = opts.fault_plan.clone();
             match worker_loop(stdin, stdout, &session, &mut plan)? {
                 SessionEnd::Rejected(reason) => Err(format!(
                     "worker: coordinator rejected this worker: {reason}"
@@ -701,28 +694,6 @@ mod tests {
                 .any(|m| matches!(m, FromWorker::ShardDone { .. })),
             "a crashed shard must not be acknowledged"
         );
-    }
-
-    #[test]
-    fn legacy_exit_after_cells_still_crashes() {
-        let mut plan = FaultPlan::default();
-        plan.merge_exit_after_cells(Some(2));
-        let cfg = small_config();
-        let lease = ToWorker::Shard {
-            job: 1,
-            shard: 0,
-            list: ShardList::Grid,
-            indices: (0..SweepPlan::from_config(&cfg).unwrap().grid.len()).collect(),
-            kernel: KernelChoice::Auto,
-            config: cfg,
-        };
-        let (msgs, end) = drive_plan(&[lease.encode(), ToWorker::Shutdown.encode()], plan);
-        assert_eq!(end, SessionEnd::Crashed);
-        let cells = msgs
-            .iter()
-            .filter(|m| matches!(m, FromWorker::Cell { .. }))
-            .count();
-        assert_eq!(cells, 2);
     }
 
     #[test]

@@ -3,17 +3,17 @@
 //! Every scenario here asserts the same north star as `distributed.rs` —
 //! the merged document is byte-identical to the in-process sweep — but
 //! under a `--fault-plan`: crashed workers, dropped and garbled protocol
-//! lines, stalled stragglers (speculative re-execution), corrupted
-//! persistent-cache segments, garbled checkpoint records, and workers
-//! arriving with the wrong protocol version or config epoch. Faults may
+//! lines, stalled stragglers (speculative re-execution), garbled and torn
+//! checkpoint journals, and workers arriving with the wrong protocol
+//! version or config epoch. Faults may
 //! cost retransmits and duplicate work; they must never change the bytes.
 
 use rh_cli::{
-    json, run_submit, run_sweep_with_kernel, run_worker, Coordinator, FaultPlan, ServeOptions,
-    SubmitOptions, SweepConfig, SweepPlan, WorkerOptions,
+    json, run_submit, run_sweep_with_kernel, run_worker, Coordinator, FaultPlan, ResultEnvelope,
+    ServeOptions, SubmitOptions, SweepConfig, SweepPlan, WorkerOptions,
 };
 use rh_core::{Geometry, KernelChoice};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 fn worker_bin() -> PathBuf {
@@ -58,9 +58,44 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// A crashed run: the only worker dies after 5 cells, nobody is left, the
+/// job fails, and exactly 5 grid records are journaled under `dir`.
+fn crash_after_five_cells(dir: &Path) {
+    let mut opts = opts_with_workers(1);
+    opts.checkpoint_dir = Some(dir.to_path_buf());
+    opts.worker_extra_args = vec![vec!["--fault-plan".into(), "crash-after-cells=5".into()]];
+    let coordinator = Coordinator::start(opts).expect("start");
+    let err = coordinator
+        .submit(None, &chaos_config())
+        .expect_err("sole worker crashed: the job cannot finish");
+    assert!(err.contains("workers exited"), "got: {err}");
+    coordinator.shutdown();
+}
+
+/// The grid list's journal file under `dir`.
+fn grid_journal(dir: &Path) -> PathBuf {
+    std::fs::read_dir(dir)
+        .expect("checkpoint dir")
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .find(|p| p.to_string_lossy().contains("grid"))
+        .expect("a grid checkpoint file")
+}
+
+/// A fresh coordinator over the journal in `dir` serves `chaos_config()`.
+fn restart_and_submit(dir: &Path) -> ResultEnvelope {
+    let mut opts = opts_with_workers(1);
+    opts.checkpoint_dir = Some(dir.to_path_buf());
+    let coordinator = Coordinator::start(opts).expect("restart");
+    let env = coordinator
+        .submit(None, &chaos_config())
+        .expect("restored submit");
+    coordinator.shutdown();
+    env
+}
+
 /// Tentpole 1: a scheduled crash via `--fault-plan crash-after-cells=5`
-/// behaves exactly like the legacy `--exit-after-cells 5` kill — the
-/// survivor absorbs the remainder and the bytes match.
+/// drops the worker mid-shard — the survivor absorbs the remainder and the
+/// bytes match.
 #[test]
 fn crash_fault_plan_is_reassigned_and_stays_byte_identical() {
     let cfg = chaos_config();
@@ -144,63 +179,6 @@ fn stalled_worker_is_speculated_and_bytes_are_unaffected() {
     assert_eq!(env.document, chaos_reference());
 }
 
-/// Tentpole 4 + 5 acceptance: the persistent result cache survives a
-/// coordinator restart (a resubmit is served from disk without executing
-/// a cell), and a corrupted segment record is skipped and counted — the
-/// job silently re-executes to the same bytes.
-#[test]
-fn persistent_cache_survives_restart_and_contains_corruption() {
-    let dir = scratch_dir("cache");
-    let cfg = chaos_config();
-    let reference = chaos_reference();
-
-    // Run 1: populate the cache.
-    let mut opts = opts_with_workers(1);
-    opts.cache_dir = Some(dir.clone());
-    let coordinator = Coordinator::start(opts).expect("start");
-    let first = coordinator.submit(None, &cfg).expect("first submit");
-    coordinator.shutdown();
-    assert!(!first.served_from_cache);
-    assert_eq!(first.document, reference);
-
-    // Run 2: a fresh coordinator over the same directory serves the
-    // identical request from disk — no worker touches it.
-    let mut opts = opts_with_workers(1);
-    opts.cache_dir = Some(dir.clone());
-    let coordinator = Coordinator::start(opts).expect("restart");
-    let env = coordinator.submit(None, &cfg).expect("restored submit");
-    assert!(env.served_from_cache, "restart must not lose the cache");
-    assert_eq!(env.executed_cells, 0, "disk hits execute nothing");
-    assert!(env.workers.is_empty());
-    assert_eq!(env.document, reference, "disk restore must be byte-exact");
-    assert_eq!(coordinator.disk_hits(), 1);
-    coordinator.shutdown();
-
-    // Run 3: the fault plan clobbers a byte of the first cache record
-    // before the segments are read back. The record fails its checksum,
-    // is skipped and counted, and the job re-executes — same bytes.
-    let mut opts = opts_with_workers(1);
-    opts.cache_dir = Some(dir.clone());
-    opts.fault_plan = FaultPlan::parse("corrupt-cache-record=1").expect("plan");
-    let coordinator = Coordinator::start(opts).expect("restart over corruption");
-    assert!(
-        coordinator.cache_corrupt_skipped() >= 1,
-        "the clobbered record must be detected at open"
-    );
-    let env = coordinator
-        .submit(None, &cfg)
-        .expect("submit over corruption");
-    coordinator.shutdown();
-    assert!(
-        !env.served_from_cache,
-        "a corrupt record must never be served"
-    );
-    assert_eq!(env.executed_cells, cell_count(&cfg));
-    assert_eq!(env.document, reference, "re-execution must be byte-exact");
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// Tentpole 2 acceptance: a worker announcing a mismatched config epoch
 /// is cleanly rejected — terminal for the worker, invisible to the job,
 /// which the epoch-matched local worker completes byte-identically.
@@ -242,56 +220,88 @@ fn epoch_mismatched_worker_is_rejected_without_affecting_the_job() {
 }
 
 /// Satellite (c), end to end: a crashed run leaves checkpoints; one
-/// record is garbled on disk; the restore skips exactly that record
+/// record is damaged on disk; the restore skips exactly that record
 /// (counted in the envelope), re-executes the hole, and the merged
-/// document is byte-identical.
+/// document is byte-identical. Two kinds of damage: a byte bumped by one
+/// (the record fails its checksum) and a `0xFF` byte (the record is no
+/// longer UTF-8, which must not cost the rest of the file).
 #[test]
 fn garbled_checkpoint_record_is_skipped_and_reexecuted_on_restore() {
-    let dir = scratch_dir("ckpt");
-    let cfg = chaos_config();
-    let total = cell_count(&cfg);
+    let total = cell_count(&chaos_config());
+    let bump: fn(u8) -> u8 = |b| b.wrapping_add(1);
+    let not_utf8: fn(u8) -> u8 = |_| 0xFF;
+    for (tag, damage) in [("bump", bump), ("0xff", not_utf8)] {
+        let dir = scratch_dir(&format!("ckpt-{tag}"));
+        crash_after_five_cells(&dir);
 
-    // Run 1: the only worker crashes after 5 cells; nobody is left, the
-    // job fails, and 5 checkpoint records are on disk.
-    let mut opts = opts_with_workers(1);
-    opts.checkpoint_dir = Some(dir.clone());
-    opts.worker_extra_args = vec![vec!["--fault-plan".into(), "crash-after-cells=5".into()]];
-    let coordinator = Coordinator::start(opts).expect("start");
-    let err = coordinator
-        .submit(None, &cfg)
-        .expect_err("sole worker crashed: the job cannot finish");
-    assert!(err.contains("workers exited"), "got: {err}");
-    coordinator.shutdown();
+        // Damage the middle of the third record of the grid journal (all
+        // 5 streamed cells are grid cells).
+        let ckpt = grid_journal(&dir);
+        let mut bytes = std::fs::read(&ckpt).expect("read checkpoint");
+        let lines: Vec<usize> = bytes
+            .iter()
+            .enumerate()
+            .filter(|(_, &b)| b == b'\n')
+            .map(|(i, _)| i)
+            .collect();
+        assert!(lines.len() >= 5, "five records expected: {}", lines.len());
+        let mid = (lines[1] + lines[2]) / 2; // inside the third record
+        bytes[mid] = damage(bytes[mid]);
+        std::fs::write(&ckpt, &bytes).expect("write garbled checkpoint");
 
-    // Garble one record: flip a byte in the middle line of the grid
-    // checkpoint file (all 5 streamed cells are grid cells).
-    let ckpt = std::fs::read_dir(&dir)
-        .expect("checkpoint dir")
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .find(|p| p.to_string_lossy().contains("grid"))
-        .expect("a grid checkpoint file");
+        // Run 2: restore skips exactly the damaged record and re-executes it.
+        let env = restart_and_submit(&dir);
+        assert_eq!(
+            env.checkpoint_skipped, 1,
+            "{tag}: the damaged record, and only it"
+        );
+        assert_eq!(env.checkpoint_cells, 4, "{tag}: the intact records restore");
+        assert_eq!(
+            env.executed_cells,
+            total - 4,
+            "{tag}: only the holes re-execute"
+        );
+        assert_eq!(
+            env.document,
+            chaos_reference(),
+            "{tag}: bytes are unaffected"
+        );
+
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A crash mid-append leaves an unterminated fragment at the end of a
+/// journal. The restore skips it, counts it, and cuts it off the file
+/// before appending, so the records the resumed run appends stay whole: a
+/// third coordinator restores every cell and executes nothing.
+#[test]
+fn torn_journal_tail_is_cut_before_the_next_append() {
+    let dir = scratch_dir("ckpt-torn");
+    let total = cell_count(&chaos_config());
+    crash_after_five_cells(&dir);
+    let ckpt = grid_journal(&dir);
     let mut bytes = std::fs::read(&ckpt).expect("read checkpoint");
-    let lines: Vec<usize> = bytes
-        .iter()
-        .enumerate()
-        .filter(|(_, &b)| b == b'\n')
-        .map(|(i, _)| i)
-        .collect();
-    assert!(lines.len() >= 5, "five records expected: {}", lines.len());
-    let mid = (lines[1] + lines[2]) / 2; // inside the third record
-    bytes[mid] = bytes[mid].wrapping_add(1);
-    std::fs::write(&ckpt, &bytes).expect("write garbled checkpoint");
+    bytes.extend_from_slice(br#"{"index":7,"sum":1,"res"#);
+    std::fs::write(&ckpt, &bytes).expect("write torn tail");
 
-    // Run 2: restore skips exactly the garbled record and re-executes it.
-    let mut opts = opts_with_workers(1);
-    opts.checkpoint_dir = Some(dir.clone());
-    let coordinator = Coordinator::start(opts).expect("restart");
-    let env = coordinator.submit(None, &cfg).expect("restored submit");
-    coordinator.shutdown();
-    assert_eq!(env.checkpoint_skipped, 1, "the garbled record, and only it");
-    assert_eq!(env.checkpoint_cells, 4, "the intact records restore");
-    assert_eq!(env.executed_cells, total - 4, "only the holes re-execute");
-    assert_eq!(env.document, chaos_reference(), "bytes are unaffected");
+    // Run 2: the 5 whole records restore, the fragment is skipped, the
+    // remainder executes and is appended after the cut.
+    let env = restart_and_submit(&dir);
+    assert_eq!(env.checkpoint_cells, 5, "the whole records restore");
+    assert_eq!(env.checkpoint_skipped, 1, "the torn tail, and only it");
+    assert_eq!(env.executed_cells, total - 5);
+    assert_eq!(env.document, chaos_reference());
+
+    // Run 3: every cell is journaled intact; no worker runs a cell, and
+    // the envelope is the journal's (not the result cache's).
+    let env = restart_and_submit(&dir);
+    assert_eq!(env.checkpoint_cells, total, "no appended record fused");
+    assert_eq!(env.checkpoint_skipped, 0);
+    assert_eq!(env.executed_cells, 0);
+    assert!(!env.served_from_cache);
+    assert!(env.workers.is_empty());
+    assert_eq!(env.document, chaos_reference());
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -336,15 +346,7 @@ fn cancel_mid_checkpoint_restore_leaves_no_restored_cell_leak() {
 
     // Run 1: the sole worker crashes after 5 cells, stranding the job and
     // leaving exactly 5 checkpoint records on disk.
-    let mut opts = opts_with_workers(1);
-    opts.checkpoint_dir = Some(dir.clone());
-    opts.worker_extra_args = vec![vec!["--fault-plan".into(), "crash-after-cells=5".into()]];
-    let coordinator = Coordinator::start(opts).expect("start");
-    let err = coordinator
-        .submit(None, &cfg)
-        .expect_err("sole worker crashed: the job cannot finish");
-    assert!(err.contains("workers exited"), "got: {err}");
-    coordinator.shutdown();
+    crash_after_five_cells(&dir);
 
     // Run 2: a fresh coordinator restores those 5 cells at submit, then
     // the fault cancels the job the moment its 2nd *fresh* cell merges.

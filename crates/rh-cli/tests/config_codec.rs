@@ -3,8 +3,8 @@
 //! The distributed protocol's one serialization contract: for any valid
 //! `SweepConfig`, `config_to_json → parse → config_from_value →
 //! config_to_json` is **byte-stable** — the re-encoding equals the first
-//! encoding exactly. Byte stability is what the persistent cache,
-//! checkpoint records, and request dedup all key on, so a drift here
+//! encoding exactly. Byte stability is what the result cache, the
+//! checkpoint journal, and request dedup all key on, so a drift here
 //! (a float formatted differently, a field reordered) would silently
 //! invalidate every cached artifact. The generator below drives every axis
 //! the codec carries — patterns, ECC, sides, PARA probabilities including

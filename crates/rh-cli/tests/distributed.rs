@@ -100,7 +100,7 @@ fn worker_death_mid_job_reassigns_and_stays_byte_identical() {
     let mut opts = opts_with_workers(2);
     // Worker 0 drops its connection after streaming its 5th cell —
     // mid-shard, with no shard_done, exactly like a crash.
-    opts.worker_extra_args = vec![vec!["--exit-after-cells".into(), "5".into()]];
+    opts.worker_extra_args = vec![vec!["--fault-plan".into(), "crash-after-cells=5".into()]];
     let coordinator = Coordinator::start(opts).expect("start");
     let env = coordinator
         .submit(None, &SweepConfig::default())
@@ -193,7 +193,7 @@ fn checkpoints_survive_crashes_and_make_resubmits_incremental() {
     // the job fails — but the 5 merged cells are already checkpointed.
     let mut opts = opts_with_workers(1);
     opts.checkpoint_dir = Some(dir.clone());
-    opts.worker_extra_args = vec![vec!["--exit-after-cells".into(), "5".into()]];
+    opts.worker_extra_args = vec![vec!["--fault-plan".into(), "crash-after-cells=5".into()]];
     let coordinator = Coordinator::start(opts).expect("start");
     let err = coordinator
         .submit(Some("doomed".into()), &cfg)
@@ -222,6 +222,7 @@ fn checkpoints_survive_crashes_and_make_resubmits_incremental() {
     let coordinator = Coordinator::start(opts).expect("start");
     let env = coordinator.submit(None, &cfg).expect("restored submit");
     coordinator.shutdown();
+    assert!(!env.served_from_cache, "the journal answers, not the LRU");
     assert_eq!(env.checkpoint_cells, total);
     assert_eq!(env.executed_cells, 0);
     assert!(env.workers.is_empty());
