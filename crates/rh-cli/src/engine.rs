@@ -24,52 +24,54 @@
 //! step-at-a-time loop (which the benchmark harness retains as its legacy
 //! path).
 //!
-//! On top of batching, the inner loop **coalesces activation runs**: it
-//! keeps a small group of pending `(address, count)` runs and applies each
-//! as one [`Device::activate_repeat`] call, which walks the blast window
-//! once with register-resident per-victim partial sums and settles once.
-//! A repeat of a pending address extends its run; a *new* address may open
-//! another run only if the device vouches — [`Device::runs_commute`] —
-//! that its window either misses every pending window or meets it only on
-//! lanes drawing *equal* quanta from both (then every shared lane's charge
-//! is a sum of equal addends, which any interleaving evaluates to the same
-//! bits). Under the default radius-2 model that covers exactly the
-//! double-/many-sided attack geometry (aggressors 2 rows apart), so the
-//! classic alternating patterns coalesce as thoroughly as single-sided
-//! repeats. This is exact, not approximate: nothing else touches the
-//! device while runs pend, `activate_repeat` performs the identical
-//! per-lane fp additions in the identical order, and recorded flips are a
-//! monotone function of each lane's (monotone nondecreasing) charge — so
-//! settling at flush time records what per-activation settling would have
-//! (see the `rh-core` kernel docs). The mitigation still observes every
-//! activation individually, so sampling mitigations (PARA) consume their
-//! RNG stream and tracker tables count activations exactly as in the
-//! step-at-a-time loop; any emitted action — and every tREFW boundary —
-//! flushes the pending group before the refresh lands.
+//! On top of batching, the inner loop **coalesces the aggressors' activation
+//! runs**. The workload declares the rows it hammers
+//! ([`Workload::aggressors`]), and each declared aggressor owns a fixed run
+//! slot for the whole cell: its activations only bump the slot's count, and
+//! a flush applies every nonzero slot as one [`Device::activate_repeat`]
+//! call, which walks the blast window once with register-resident
+//! per-victim partial sums and settles once. Before the loop starts, the
+//! engine sorts each row near an aggressor into one of three classes,
+//! asking [`Device::runs_commute`] about each nearby (row, aggressor) pair;
+//! the loop then handles an activation by its row's class:
 //!
-//! Two details keep the group bookkeeping off the critical path:
+//! * **slot *i*** (aggressor *i* itself): bump the slot's count;
+//! * **commutes with every aggressor**: apply it at once with
+//!   [`Device::activate`] while the slots stay pending;
+//! * **conflicts with some aggressor**: flush the slots, then activate.
 //!
-//! * **Hot-run prediction, then one branchless scan.** Attack patterns
-//!   cycle their aggressors in order, so the run extended by an
-//!   activation is almost always the previously extended one or its
-//!   successor — checked with two compares before any scan. On a miss,
-//!   membership ("is this address already a pending run?") and proximity
-//!   ("could it fail to commute with one?") are answered together by a
-//!   single pass over packed two-word address keys kept parallel to the
-//!   run list, using the device's [`Device::conflict_radius`] structure
-//!   hint. The exact (and slower) pairwise [`Device::runs_commute`] check
-//!   only runs for the rare address that lands within the conflict radius
-//!   of a pending run.
-//! * **Full-group bypass.** When the group is at capacity and a commuting
-//!   newcomer arrives (scattered benign traffic, typically), it is applied
-//!   immediately as a single activation instead of flushing the group:
-//!   commuting with every pending run makes the early application
-//!   bit-exact (it is a length-1 run applied eagerly; shared lanes draw
-//!   equal quanta, and its early settle is completed by the flush-time
-//!   settle of whichever pending run shares the lane). Long-lived
-//!   aggressor runs therefore keep coalescing to the chunk end instead of
-//!   being flushed and re-walked every time scattered traffic overflows
-//!   the group.
+//! Only rows of the aggressors' bank within [`Device::conflict_radius`]
+//! rows of the declared span need a table entry — the radius promises that
+//! every other row commutes — so the table holds a few entries per
+//! aggressor. Under the default radius-2 model, rows 0, 2 or 4 apart
+//! commute (the double- and many-sided geometries, so every sweep pattern
+//! coalesces into its slots), and a benign row 1 or 3 rows from an
+//! aggressor conflicts.
+//!
+//! This is exact, not approximate. Two runs commute when their windows
+//! either miss each other or meet only on lanes drawing *equal* quanta from
+//! both; every shared lane's charge is then a sum of equal addends, which
+//! any interleaving evaluates to the same bits. The slots are checked to
+//! commute pairwise, so their flush order is free. A commuting row applied
+//! ahead of the pending slots is a length-1 run moved earlier past runs it
+//! commutes with: the final charge of every shared lane is unchanged, and
+//! its early settle is completed by the flush-time settle of the slot that
+//! shares the lane. `activate_repeat` performs the identical per-lane fp
+//! additions in the identical order, and recorded flips are a monotone
+//! function of each lane's (monotone nondecreasing) charge, so settling at
+//! flush time records what per-activation settling would have (see the
+//! `rh-core` kernel docs). The mitigation still observes every activation
+//! individually, so sampling mitigations (PARA) consume their RNG stream and
+//! tracker tables count activations exactly as in the step-at-a-time loop;
+//! any emitted action — and every tREFW boundary — flushes the slots before
+//! the refresh lands.
+//!
+//! A run goes **uncoalesced** — every activation applied on its own, exact
+//! but slower — when the workload declares no aggressors, when the device
+//! promises no conflict radius (the eager reference, whose `runs_commute`
+//! admits only literal repeats), or when the declared aggressors span banks
+//! or fail pairwise `runs_commute`. The declaration is a hint, never an
+//! input to the result: a wrong one costs speed, not bits.
 //!
 //! The loop is allocation-free: the caller supplies the device (built once
 //! per worker thread and reset per cell) and an [`EngineScratch`] whose
@@ -86,8 +88,10 @@ use rh_workloads::Workload;
 pub const BATCH: usize = 1024;
 
 /// Reusable per-run buffers for the engine hot loop: the mitigation action
-/// sink, the workload chunk buffer, and the pending-run group. One instance
-/// per worker thread, reused across every cell the worker executes.
+/// sink, the workload chunk buffer, the aggressor run slots and the row
+/// class table. One instance per worker thread, reused across every cell
+/// the worker executes; each run rebuilds the slots and the table from its
+/// workload's declared aggressors.
 #[derive(Debug, Default)]
 pub struct EngineScratch {
     /// Sink the mitigation writes refresh actions into (cleared per
@@ -96,73 +100,115 @@ pub struct EngineScratch {
     /// Chunk of upcoming activations (refilled per [`BATCH`], capacity
     /// retained).
     batch: Vec<RowAddr>,
-    /// Pending coalesced activation runs, in first-seen order (capacity
-    /// retained; bounded by [`RUN_GROUP_CAP`]).
-    runs: Vec<(RowAddr, u64)>,
-    /// Packed address keys parallel to `runs`, so the per-activation
-    /// membership/proximity scan compares two words per entry instead of
-    /// chasing struct fields.
-    keys: Vec<(u64, u64)>,
-}
-
-/// Maximum simultaneously pending runs. Large enough for the widest
-/// many-sided pattern in the sweep (8 aggressors) plus a first wave of
-/// interleaved benign rows; small enough that the per-activation scan stays
-/// a handful of compares. Overflow does not flush: commuting newcomers
-/// bypass the group as immediate single activations.
-const RUN_GROUP_CAP: usize = 16;
-
-/// Pack an address into the two-word key the group scan compares: channel
-/// and rank in the first word, bank and row in the second (row in the low
-/// half, so same-bank row distance is one masked subtraction).
-#[inline]
-fn pack_key(a: RowAddr) -> (u64, u64) {
-    (
-        ((a.channel as u64) << 32) | a.rank as u64,
-        ((a.bank as u64) << 32) | a.row as u64,
-    )
-}
-
-/// One pass over the pending-run keys answering both questions the
-/// coalescer asks about an incoming address: the index of its existing run
-/// (`usize::MAX` when absent) and whether it lands within `radius` rows of
-/// any same-bank pending run — the only geometry in which it could fail to
-/// commute, per the [`Device::conflict_radius`] contract. Written without
-/// early exits so the compiler keeps the whole scan branch-free.
-#[inline]
-fn scan_runs(keys: &[(u64, u64)], key: (u64, u64), radius: u64) -> (usize, bool) {
-    let mut found = usize::MAX;
-    let mut near = false;
-    for (j, &(k0, k1)) in keys.iter().enumerate() {
-        if (k0, k1) == key {
-            found = j;
-        }
-        let same_bank = k0 == key.0 && (k1 >> 32) == (key.1 >> 32);
-        let dist = (k1 & u64::from(u32::MAX)).abs_diff(key.1 & u64::from(u32::MAX));
-        near |= same_bank && dist <= radius;
-    }
-    (found, near)
-}
-
-/// Apply every pending run to the device, in first-seen order (any order
-/// is bit-identical — that's the group invariant — but first-seen is
-/// deterministic and cache-friendly).
-#[inline]
-fn flush_runs<D: Device + ?Sized>(
-    runs: &mut Vec<(RowAddr, u64)>,
-    keys: &mut Vec<(u64, u64)>,
-    device: &mut D,
-) {
-    for &(addr, n) in runs.iter() {
-        device.activate_repeat(addr, n);
-    }
-    runs.clear();
-    keys.clear();
+    /// One run slot per declared aggressor: its address and the
+    /// activations not yet applied to the device.
+    slots: Vec<(RowAddr, u64)>,
+    /// How each row relates to the slots.
+    classes: RowClasses,
 }
 
 impl EngineScratch {
     pub fn new() -> Self {
         Self::default()
+    }
+}
+
+/// Class of a row that commutes with every aggressor slot.
+const COMMUTES: u32 = u32::MAX;
+/// Class of a row that fails to commute with some aggressor slot.
+const CONFLICTS: u32 = u32::MAX - 1;
+
+/// The per-cell class table: for each row of the aggressors' bank from
+/// `lo` on, a slot index, [`COMMUTES`] or [`CONFLICTS`]. Every row outside
+/// it commutes.
+#[derive(Debug, Default)]
+struct RowClasses {
+    bank: (u32, u32, u32),
+    lo: u32,
+    table: Vec<u32>,
+}
+
+fn bank_of(a: RowAddr) -> (u32, u32, u32) {
+    (a.channel, a.rank, a.bank)
+}
+
+impl RowClasses {
+    /// Give each declared aggressor a slot, in row order, and classify the
+    /// rows within the device's conflict radius of them — or leave both
+    /// empty, so every row commutes: the uncoalesced loop (see the module
+    /// docs for when). Farther rows and pairs commute by the radius
+    /// contract, so the cost is linear in the number of aggressors.
+    fn rebuild<D: Device + ?Sized>(
+        &mut self,
+        device: &D,
+        aggressors: &[RowAddr],
+        slots: &mut Vec<(RowAddr, u64)>,
+    ) {
+        slots.clear();
+        self.table.clear();
+        let (Some(&first), Some(radius)) = (aggressors.first(), device.conflict_radius()) else {
+            return;
+        };
+        self.bank = bank_of(first);
+        if aggressors.iter().any(|&a| bank_of(a) != self.bank) {
+            return;
+        }
+        slots.extend(aggressors.iter().map(|&a| (a, 0)));
+        slots.sort_unstable_by_key(|&(a, _)| a.row);
+        let commute = slots.iter().enumerate().all(|(i, &(a, _))| {
+            slots[i + 1..]
+                .iter()
+                .take_while(|(b, _)| b.row - a.row <= radius)
+                .all(|&(b, _)| device.runs_commute(a, b))
+        });
+        if !commute {
+            slots.clear();
+            return;
+        }
+        let (min, max) = (slots[0].0.row, slots[slots.len() - 1].0.row);
+        self.lo = min.saturating_sub(radius);
+        let bank_end = device.geometry().rows_per_bank.saturating_sub(1);
+        let hi = max.saturating_add(radius).min(bank_end);
+        self.table
+            .resize((hi + 1).saturating_sub(self.lo) as usize, COMMUTES);
+        for &(a, _) in slots.iter() {
+            for row in a.row.saturating_sub(radius)..=a.row.saturating_add(radius).min(hi) {
+                if !device.runs_commute(a, a.with_row(row)) {
+                    self.table[(row - self.lo) as usize] = CONFLICTS;
+                }
+            }
+        }
+        for (slot, &(a, _)) in slots.iter().enumerate() {
+            if let Some(class) = self.table.get_mut(a.row.wrapping_sub(self.lo) as usize) {
+                *class = slot as u32;
+            }
+        }
+    }
+
+    /// Class of `addr`: a slot index, [`COMMUTES`] or [`CONFLICTS`].
+    #[inline]
+    fn of(&self, addr: RowAddr) -> u32 {
+        if bank_of(addr) != self.bank {
+            return COMMUTES;
+        }
+        self.table
+            .get(addr.row.wrapping_sub(self.lo) as usize)
+            .copied()
+            .unwrap_or(COMMUTES)
+    }
+}
+
+/// Apply every pending slot to the device as one run and empty it. Any
+/// order is bit-identical (the slots commute pairwise); slots with nothing
+/// pending are skipped, so `activate_repeat(addr, 0)` never reaches the
+/// device.
+#[inline]
+fn flush<D: Device + ?Sized>(slots: &mut [(RowAddr, u64)], device: &mut D) {
+    for (addr, n) in slots.iter_mut() {
+        if *n > 0 {
+            device.activate_repeat(*addr, *n);
+            *n = 0;
+        }
     }
 }
 
@@ -220,21 +266,10 @@ where
     let EngineScratch {
         actions,
         batch,
-        runs,
-        keys,
+        slots,
+        classes,
     } = scratch;
-    runs.clear();
-    keys.clear();
-    // Structure hint for the proximity prefilter, resolved once per run:
-    // `Some(r)` lets the scan rule out conflicts by bank and row distance;
-    // `None` (no structure) falls back to the exact pairwise check whenever
-    // any other address is pending.
-    let conflict_radius = device.conflict_radius();
-    // Index of the run extended by the previous activation. Attack
-    // patterns cycle their aggressors in order, so the next activation
-    // almost always extends run `hot` (single-sided) or `hot + 1`
-    // (double-/many-sided cycling) — two compares instead of a group scan.
-    let mut hot = 0usize;
+    classes.rebuild(device, workload.aggressors(), slots);
     let mut remaining = activations;
     let mut until_refresh = if auto_refresh_interval > 0 {
         auto_refresh_interval
@@ -247,64 +282,24 @@ where
         for &addr in batch.iter() {
             actions.clear();
             mitigation.on_activate(addr, &geom, actions);
-            let key = pack_key(addr);
-            // Hot-run prediction, then the group scan on a miss. `near` is
-            // irrelevant when a run is found (membership short-circuits the
-            // commute question), so the prediction hit reports `true`
-            // harmlessly.
-            let (found, near) = if keys.get(hot) == Some(&key) {
-                (hot, true)
-            } else {
-                let next = if hot + 1 < keys.len() { hot + 1 } else { 0 };
-                if keys.get(next) == Some(&key) {
-                    (next, true)
-                } else {
-                    match conflict_radius {
-                        Some(r) => scan_runs(keys, key, u64::from(r)),
-                        None => {
-                            let found = runs
-                                .iter()
-                                .position(|run| run.0 == addr)
-                                .unwrap_or(usize::MAX);
-                            (found, !runs.is_empty())
-                        }
+            // A mitigation action must land after every pending run,
+            // including this activation's.
+            let acted = !actions.is_empty();
+            let class = classes.of(addr);
+            match slots.get_mut(class as usize) {
+                Some(slot) => {
+                    slot.1 += 1;
+                    if acted {
+                        flush(slots, device);
                     }
                 }
-            };
-            if actions.is_empty() {
-                if found != usize::MAX {
-                    runs[found].1 += 1;
-                    hot = found;
-                } else if !near || runs.iter().all(|run| device.runs_commute(run.0, addr)) {
-                    if runs.len() < RUN_GROUP_CAP {
-                        hot = runs.len();
-                        runs.push((addr, 1));
-                        keys.push(key);
-                    } else {
-                        // Full-group bypass (see the module docs): a
-                        // commuting one-off is applied eagerly instead of
-                        // flushing the long-lived runs.
-                        device.activate(addr);
+                None => {
+                    if acted || class == CONFLICTS {
+                        flush(slots, device);
                     }
-                } else {
-                    flush_runs(runs, keys, device);
-                    runs.push((addr, 1));
-                    keys.push(key);
-                    hot = 0;
+                    device.activate(addr);
                 }
-                continue;
             }
-            // The mitigation acted: the pending group (folding this
-            // activation into its run when the address is already a member)
-            // must hit the device before the refresh actions do.
-            if found != usize::MAX {
-                runs[found].1 += 1;
-                flush_runs(runs, keys, device);
-            } else {
-                flush_runs(runs, keys, device);
-                device.activate(addr);
-            }
-            hot = 0;
             for action in actions.actions() {
                 match *action {
                     MitigationAction::RefreshRow(row) => device.refresh_row(row),
@@ -312,18 +307,18 @@ where
                 }
             }
         }
-        // Flush the tail group before the chunk's tREFW boundary fires.
-        flush_runs(runs, keys, device);
         remaining -= n;
         if auto_refresh_interval > 0 {
             until_refresh -= n;
             if until_refresh == 0 {
+                flush(slots, device);
                 device.refresh_all();
                 mitigation.reset();
                 until_refresh = auto_refresh_interval;
             }
         }
     }
+    flush(slots, device);
     RunResult {
         workload: workload.name(),
         mitigation: mitigation.name(),
@@ -503,10 +498,10 @@ mod tests {
         }
     }
 
-    /// The full-group bypass and the packed-key scan must also be
-    /// invisible when the traffic mixes wide aggressor sets with scattered
-    /// benign rows — the geometry that exercises overflow, proximity
-    /// conflicts, and eager application together.
+    /// Slot coalescing must also be invisible when the traffic mixes wide
+    /// aggressor sets with scattered benign rows — the geometry that
+    /// exercises commuting rows applied at once and conflicting rows that
+    /// flush, together. Sixteen sides is the default grid's widest pattern.
     #[test]
     fn mixed_benign_traffic_matches_eager_reference() {
         use rh_workloads::WorkloadSpec;
@@ -521,6 +516,7 @@ mod tests {
             WorkloadSpec::SingleSided,
             WorkloadSpec::DoubleSided,
             WorkloadSpec::ManySided { sides: 8 },
+            WorkloadSpec::ManySided { sides: 16 },
         ] {
             let mut w = spec.build(&geom, 0.25, 0xBE7C4).unwrap();
             let mut fast = DeviceState::new(geom, params, 1);
@@ -547,6 +543,172 @@ mod tests {
             assert_eq!(a.flips_1to0, b.flips_1to0, "{}", a.workload);
             assert_eq!(a.flips_0to1, b.flips_0to1, "{}", a.workload);
             assert!(a.total_flips > 0, "{} must exercise flips", a.workload);
+        }
+    }
+
+    /// Every counter a [`RunResult`] carries, `flips_per_mact` bit for bit.
+    fn assert_same_result(a: &RunResult, b: &RunResult, what: &str) {
+        assert_eq!(a.total_flips, b.total_flips, "{what}");
+        assert_eq!(a.flipped_rows, b.flipped_rows, "{what}");
+        assert_eq!(
+            a.flips_per_mact.to_bits(),
+            b.flips_per_mact.to_bits(),
+            "{what}"
+        );
+        assert_eq!(a.refreshes_issued, b.refreshes_issued, "{what}");
+        assert_eq!(a.flips_1to0, b.flips_1to0, "{what}");
+        assert_eq!(a.flips_0to1, b.flips_0to1, "{what}");
+        assert_eq!(a.post_ecc_flips, b.post_ecc_flips, "{what}");
+    }
+
+    /// A sweep workload whose declared aggressors are replaced by `hint`.
+    struct Hinted {
+        inner: rh_workloads::BuiltWorkload,
+        hint: Vec<RowAddr>,
+    }
+
+    impl Workload for Hinted {
+        fn name(&self) -> String {
+            self.inner.name()
+        }
+
+        fn next_access(&mut self) -> RowAddr {
+            self.inner.next_access()
+        }
+
+        fn aggressors(&self) -> &[RowAddr] {
+            &self.hint
+        }
+    }
+
+    /// Run `w` for 30K activations under `EveryKth { k }`, or under no
+    /// mitigation when `k` is `None`.
+    fn run_hinted<D: Device>(device: &mut D, w: &mut Hinted, k: Option<u64>) -> RunResult {
+        let mut scratch = EngineScratch::new();
+        match k {
+            None => run_experiment(device, w, &mut NoMitigation, 30_000, 7_777, &mut scratch),
+            Some(k) => {
+                let mut m = EveryKth { k, seen: 0 };
+                run_experiment(device, w, &mut m, 30_000, 7_777, &mut scratch)
+            }
+        }
+    }
+
+    /// The aggressor declaration is a hint: whatever a workload declares,
+    /// the coalesced device matches the step-at-a-time eager reference on
+    /// every counter and every row's charge. Benign fractions 0.25 and 1.0
+    /// put benign rows inside the conflict span and on the declared rows
+    /// themselves.
+    #[test]
+    fn wrong_aggressor_hints_cost_speed_never_bits() {
+        use rh_workloads::WorkloadSpec;
+        let geom = Geometry {
+            channels: 1,
+            ranks: 1,
+            banks: 2,
+            rows_per_bank: 256,
+        };
+        let params = VictimModelParams {
+            ecc_codeword_bits: 64,
+            ..VictimModelParams::with_hc_first(400)
+        };
+        for spec in [
+            WorkloadSpec::DoubleSided,
+            WorkloadSpec::ManySided { sides: 16 },
+        ] {
+            let truth = spec.build(&geom, 0.0, 0).unwrap().aggressors().to_vec();
+            let first = truth[0];
+            let hints = [
+                ("nothing", vec![]),
+                // Past the bank's last row: no access ever lands there.
+                ("never hit", vec![first.with_row(256), first.with_row(258)]),
+                ("non-commuting", vec![first, first.with_row(first.row + 1)]),
+                ("two banks", vec![first, RowAddr { bank: 1, ..first }]),
+                ("true set", truth.clone()),
+            ];
+            for benign in [0.25, 1.0] {
+                for k in [None, Some(7)] {
+                    for (label, hint) in &hints {
+                        let what = format!("{spec:?} benign {benign} every-kth {k:?} hint {label}");
+                        let w = || Hinted {
+                            inner: spec.build(&geom, benign, 0x5107).unwrap(),
+                            hint: hint.clone(),
+                        };
+                        let mut fast_device = DeviceState::new(geom, params, 3);
+                        let mut eager_device = EagerDeviceState::new(geom, params, 3);
+                        let fast = run_hinted(&mut fast_device, &mut w(), k);
+                        let eager = run_hinted(&mut eager_device, &mut w(), k);
+                        assert_same_result(&fast, &eager, &what);
+                        // Flip counts hide rounding drift; the charges of the
+                        // last tREFW window do not.
+                        for bank in 0..geom.banks {
+                            for row in 0..geom.rows_per_bank {
+                                let addr = RowAddr::bank_row(bank, row);
+                                assert_eq!(
+                                    fast_device.charge_of(addr).to_bits(),
+                                    eager_device.charge_of(addr).to_bits(),
+                                    "{what}: charge of {addr:?}"
+                                );
+                            }
+                        }
+                        if benign < 1.0 && k.is_none() {
+                            assert!(fast.total_flips > 0, "{what} must exercise flips");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The class table: slots for the declared aggressors, and around them
+    /// the radius-2 model's commuting (0, 2, 4 apart) and conflicting (1, 3
+    /// apart) rows. Unsafe or empty declarations leave no slots at all.
+    #[test]
+    fn class_table_maps_slots_and_refuses_unsafe_hints() {
+        let geom = Geometry {
+            channels: 1,
+            ranks: 1,
+            banks: 2,
+            rows_per_bank: 256,
+        };
+        let params = VictimModelParams::with_hc_first(400);
+        let device = DeviceState::new(geom, params, 1);
+        let (mut slots, mut classes) = (Vec::new(), RowClasses::default());
+        let at = |row| RowAddr::bank_row(0, row);
+
+        classes.rebuild(&device, &[at(127), at(129)], &mut slots);
+        assert_eq!(slots, vec![(at(127), 0), (at(129), 0)]);
+        let (c, x) = (COMMUTES, CONFLICTS);
+        assert_eq!(
+            classes.table,
+            vec![x, c, x, 0, x, 1, x, c, x],
+            "rows 124..=132"
+        );
+        assert_eq!(classes.of(at(129)), 1);
+        assert_eq!(classes.of(at(126)), CONFLICTS);
+        assert_eq!(classes.of(at(133)), COMMUTES);
+        assert_eq!(classes.of(at(0)), COMMUTES);
+        assert_eq!(classes.of(RowAddr::bank_row(1, 127)), COMMUTES);
+
+        // Declaration order does not matter: slots follow row order.
+        classes.rebuild(&device, &[at(129), at(127)], &mut slots);
+        assert_eq!(slots, vec![(at(127), 0), (at(129), 0)]);
+        assert_eq!(classes.table, vec![x, c, x, 0, x, 1, x, c, x]);
+
+        // At the bank edge the table is clipped to the bank's rows.
+        classes.rebuild(&device, &[at(1)], &mut slots);
+        assert_eq!(classes.table, vec![x, 0, x, c, x], "rows 0..=4");
+
+        let eager = EagerDeviceState::new(geom, params, 1);
+        for (device, hint) in [
+            (&device as &dyn Device, vec![]),
+            (&device, vec![at(127), at(128)]),
+            (&device, vec![at(127), RowAddr::bank_row(1, 129)]),
+            (&eager, vec![at(127), at(129)]),
+        ] {
+            classes.rebuild(device, &hint, &mut slots);
+            assert!(slots.is_empty() && classes.table.is_empty(), "{hint:?}");
+            assert_eq!(classes.of(at(127)), COMMUTES, "{hint:?}");
         }
     }
 }

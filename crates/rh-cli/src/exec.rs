@@ -82,7 +82,7 @@ pub(crate) fn build_table_cache(plan: &SweepPlan, cells: &[CellSpec]) -> TableCa
 
 /// One worker's reusable simulation state: a device whose buffers persist
 /// across the cells this worker executes, and the engine scratch (action
-/// sink + workload chunk buffer).
+/// sink, workload chunk buffer, run slots).
 pub(crate) struct Worker {
     device: Option<DeviceState>,
     scratch: EngineScratch,

@@ -19,7 +19,7 @@
 
 use rh_cli::proto::{config_from_value, config_hash, config_to_json, parse};
 use rh_cli::SweepConfig;
-use rh_core::{DataPattern, Geometry, SplitMix64};
+use rh_core::{DataPattern, Geometry, SplitMix64, MAX_TOTAL_ROWS};
 
 /// Draw one valid config covering every codec axis. Values are chosen from
 /// small pools rather than raw bit-noise so the draws stay valid under
@@ -69,7 +69,9 @@ fn gen_config(rng: &mut SplitMix64) -> SweepConfig {
             channels: [1u32, 2][pick(rng, 2)],
             ranks: [1u32, 4][pick(rng, 2)],
             banks: [1u32, 4, 16][pick(rng, 3)],
-            rows_per_bank: [1u32, 64, 4_096, u32::MAX][pick(rng, 4)],
+            // The largest bank the row cap admits at the largest drawn
+            // channel x rank x bank count (2 x 4 x 16).
+            rows_per_bank: [1u32, 64, 4_096, (MAX_TOTAL_ROWS / 128) as u32][pick(rng, 4)],
         },
     }
 }

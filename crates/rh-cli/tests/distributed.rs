@@ -298,3 +298,56 @@ fn kernel_request_propagates_and_is_recorded_per_worker() {
     // reference — kernels can never change results, only speed.
     assert_eq!(env.document, small_reference());
 }
+
+/// A jsonl submit whose geometry overflows the row count, or only exceeds
+/// the cap, gets the wire's error line, and the coordinator stays healthy:
+/// the next submit on the same connection is served byte-identical to the
+/// in-process sweep. Before the cap, such a config passed validation, the
+/// worker panicked allocating its device, and the coordinator re-leased
+/// the lost cells forever, so neither job was ever answered.
+#[test]
+fn oversized_geometry_gets_an_error_reply_and_the_next_job_is_served() {
+    use std::io::{BufReader, Write};
+    let coordinator = Coordinator::start(ServeOptions {
+        listen: Some("127.0.0.1:0".to_string()),
+        ..opts_with_workers(1)
+    })
+    .expect("start");
+    let stream =
+        std::net::TcpStream::connect(coordinator.local_addr().expect("bound")).expect("connect");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(60)))
+        .expect("read timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = stream;
+    let max = u32::MAX;
+    let lines = [
+        format!(
+            r#"{{"geometry":{{"channels":{max},"ranks":{max},"banks":{max},"rows_per_bank":{max}}}}}"#
+        ),
+        r#"{"geometry":{"channels":2,"ranks":1,"banks":512,"rows_per_bank":32768}}"#.to_string(),
+        rh_cli::proto::config_to_json(&small_config()),
+    ];
+    let mut replies = Vec::new();
+    for line in &lines {
+        writeln!(writer, "{line}").expect("send");
+        match rh_cli::proto::read_line(&mut reader) {
+            Ok(Some(reply)) => replies.push(reply),
+            _ => {
+                // A wedged coordinator would also wedge its own shutdown:
+                // fail without dropping it.
+                std::mem::forget(coordinator);
+                panic!("no reply to '{line}' within 60 s");
+            }
+        }
+    }
+    coordinator.shutdown();
+    for (line, reply) in lines.iter().zip(&replies).take(2) {
+        assert!(
+            reply.starts_with(r#"{"type":"error""#) && reply.contains("row limit"),
+            "{line}: got '{reply}'"
+        );
+    }
+    let env = rh_cli::ResultEnvelope::decode(&replies[2]).expect("an envelope");
+    assert_eq!(env.document, small_reference());
+}

@@ -369,3 +369,20 @@ fn sweep_is_deterministic() {
     let fb: Vec<u64> = b.grid.iter().map(|r| r.total_flips).collect();
     assert_eq!(fa, fb);
 }
+
+/// The default `sweep` document is the simulator's byte-identical fixed
+/// point: every change to the engine, the device model or the renderer must
+/// reproduce it exactly. The pinned value is the FNV-1a 64 digest of the
+/// document without its trailing newline, the same digest the benchmark's
+/// `sweep-default` canary checks.
+#[test]
+fn default_sweep_document_is_pinned() {
+    let doc = json::render(&run_sweep(&SweepConfig::default(), 2).expect("default config"));
+    let digest = doc
+        .trim_end_matches('\n')
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+    assert_eq!(digest, 0xf431_0dff_944c_9af6, "digest {digest:#018x}");
+}

@@ -171,39 +171,39 @@ pub trait Device {
     /// Activate a row: account it and leak disturbance into its blast radius.
     fn activate(&mut self, addr: RowAddr);
     /// Apply `n` consecutive activations of the same row with nothing in
-    /// between — the engine's activation-run coalescer calls this for runs
-    /// of identical aggressor addresses with no interleaved mitigation
-    /// action. The default implementation is the definitional `n` single
-    /// activations (which is what the eager reference keeps, making it the
-    /// ground truth the coalesced [`DeviceState`] override is differentially
-    /// tested against).
+    /// between — the engine's activation-run coalescer calls this when it
+    /// flushes an aggressor's run slot (never with `n == 0`). The default
+    /// implementation is the definitional `n` single activations (which is
+    /// what the eager reference keeps, making it the ground truth the
+    /// coalesced [`DeviceState`] override is differentially tested
+    /// against).
     fn activate_repeat(&mut self, addr: RowAddr, n: u64) {
         for _ in 0..n {
             self.activate(addr);
         }
     }
-    /// Whether pending coalesced activation runs at `a` and `b` may be
-    /// applied in either order with bit-identical results — the engine's
-    /// license to keep both runs open while their activations interleave.
-    /// The conservative default only admits literal repeats (so the eager
-    /// reference keeps strict step-at-a-time semantics and plain same-row
-    /// coalescing keeps working); [`DeviceState`] widens it to the
+    /// Whether activation runs at `a` and `b` may be applied in either
+    /// order with bit-identical results. The engine asks once per cell, for
+    /// each nearby pair of declared aggressors (all must commute for their
+    /// run slots to stay open together) and for each row near them (a row
+    /// that commutes with every aggressor is applied at once while the
+    /// slots pend; one that does not flushes them first). The conservative
+    /// default only admits literal repeats; [`DeviceState`] widens it to the
     /// precomputed table of commuting same-bank spacings and to
     /// disjoint-window pairs (see `DeviceTables`).
     fn runs_commute(&self, a: RowAddr, b: RowAddr) -> bool {
         a == b
     }
-    /// Structure hint for the engine's run-group scan: `Some(m)` promises
-    /// that [`Device::runs_commute`] holds for every pair of addresses in
-    /// different banks or farther than `m` rows apart in the same bank —
-    /// letting the engine rule out conflicts with one bank compare and one
-    /// row distance per pending run, and reserve the pairwise
-    /// `runs_commute` calls for the rare same-bank near miss. `None` (the
+    /// Structure hint that bounds the engine's per-cell class table:
+    /// `Some(m)` promises that [`Device::runs_commute`] holds for every pair
+    /// of addresses in different banks or farther than `m` rows apart in
+    /// the same bank, so only the aggressors' bank rows in `[min − m,
+    /// max + m]` need classifying and every other row commutes. `None` (the
     /// conservative default, kept by the eager reference whose
-    /// repeats-only `runs_commute` has no such geometry) means no
-    /// structure is promised and the engine must ask pairwise whenever
-    /// anything else is pending. [`DeviceState`] returns the largest
-    /// non-commuting spacing of its precomputed commutation table.
+    /// repeats-only `runs_commute` has no such geometry) promises no
+    /// structure, and the engine then runs the cell uncoalesced.
+    /// [`DeviceState`] returns the largest non-commuting spacing of its
+    /// precomputed commutation table.
     fn conflict_radius(&self) -> Option<u32> {
         None
     }
@@ -265,15 +265,16 @@ pub struct DeviceTables {
     /// from each (then the lane's charge is a sum of equal addends, which
     /// any interleaving evaluates identically); spacings beyond `2r` have
     /// disjoint windows and always commute. With the default radius 2 this
-    /// holds for spacing 2 and 4 — precisely the double-/many-sided attack
-    /// geometry — which is what lets the engine coalesce alternating
-    /// aggressors, not just literal repeats.
+    /// holds for spacings 0, 2 and 4 — precisely the double-/many-sided
+    /// attack geometry — which is what lets the engine give alternating
+    /// aggressors their own concurrently open run slots, not just coalesce
+    /// literal repeats.
     commute_spacings: Vec<bool>,
     /// Largest same-bank spacing with `commute_spacings[s] == false` — the
     /// device's [`Device::conflict_radius`]: any pair of runs in different
     /// banks or farther apart than this always commutes, which is what
-    /// lets the engine's group scan skip the pairwise table lookups for
-    /// the overwhelmingly common far-apart case.
+    /// bounds the engine's per-cell class table to the rows within this
+    /// distance of the declared aggressors.
     conflict_radius: u32,
     /// Per-row metadata word: true-/anti-cell orientation bit
     /// ([`ANTI_CELL_BIT`]) plus the charged-cell budget under the selected
@@ -1019,6 +1020,28 @@ mod tests {
         let p = VictimModelParams::with_hc_first(1000);
         let err = DeviceTables::new(Geometry::tiny(0), p, 0).unwrap_err();
         assert!(err.contains("rows_per_bank"), "got '{err}'");
+    }
+
+    /// A row count that overflows `u64`, or only exceeds the cap, is an
+    /// error before any per-row slab is allocated (it used to abort the
+    /// worker with "capacity overflow").
+    #[test]
+    fn oversized_geometry_is_rejected_before_allocating() {
+        let p = VictimModelParams::with_hc_first(1000);
+        let overflowing = Geometry {
+            channels: u32::MAX,
+            ranks: u32::MAX,
+            banks: u32::MAX,
+            rows_per_bank: u32::MAX,
+        };
+        let over_cap = Geometry {
+            banks: 2,
+            ..Geometry::tiny(crate::geometry::MAX_TOTAL_ROWS as u32)
+        };
+        for geom in [overflowing, over_cap] {
+            let err = DeviceTables::new(geom, p, 0).unwrap_err();
+            assert!(err.contains("row limit"), "got '{err}'");
+        }
     }
 
     #[test]

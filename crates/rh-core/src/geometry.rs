@@ -6,6 +6,12 @@
 //! overwhelming majority at distance 1–2). All adjacency math here clips at
 //! bank edges: row 0 has no lower neighbor, the last row no upper neighbor.
 
+/// Largest device [`Geometry::validate`] accepts, in rows: 32 times the
+/// 16-bank × 32K-row DDR4 reference grid. The device model keeps 52 bytes
+/// of dense state per row (40 in `DeviceState`, 12 in its shared
+/// `DeviceTables`), so one device at the cap needs about 870 MB.
+pub const MAX_TOTAL_ROWS: u64 = 1 << 24;
+
 /// Static shape of the simulated DRAM device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Geometry {
@@ -26,11 +32,13 @@ impl Geometry {
         }
     }
 
-    /// Check that every dimension is at least 1, so downstream row-adjacency
-    /// math (`rows_per_bank - 1` clipping) and dense per-row vectors are
-    /// well-defined. Device-model constructors and the sweep config both
-    /// call this, so a degenerate geometry fails loudly instead of
-    /// underflowing deep inside the hot path.
+    /// Check that every dimension is at least 1 and that the device holds
+    /// at most [`MAX_TOTAL_ROWS`] rows, so downstream row-adjacency math
+    /// (`rows_per_bank - 1` clipping), flat indexing and the dense per-row
+    /// vectors are well-defined and allocatable. Device-model constructors
+    /// and the sweep config both call this, so a degenerate or oversized
+    /// geometry fails loudly at submit time instead of panicking deep
+    /// inside a worker.
     pub fn validate(&self) -> Result<(), String> {
         for (dim, v) in [
             ("channels", self.channels),
@@ -42,12 +50,36 @@ impl Geometry {
                 return Err(format!("geometry.{dim} must be at least 1, got 0"));
             }
         }
-        Ok(())
+        match self.checked_total_rows() {
+            Some(rows) if rows <= MAX_TOTAL_ROWS => Ok(()),
+            rows => Err(format!(
+                "geometry of {} channels x {} ranks x {} banks x {} rows per bank has {} rows, \
+                 more than the {MAX_TOTAL_ROWS}-row limit",
+                self.channels,
+                self.ranks,
+                self.banks,
+                self.rows_per_bank,
+                rows.map_or_else(|| "over 2^64".to_string(), |r| r.to_string()),
+            )),
+        }
     }
 
-    /// Total number of rows across the whole device.
+    /// Total number of rows across the whole device, or `None` when the
+    /// product of the four dimensions overflows `u64`.
+    pub fn checked_total_rows(&self) -> Option<u64> {
+        [self.ranks, self.banks, self.rows_per_bank]
+            .into_iter()
+            .try_fold(u64::from(self.channels), |rows, dim| {
+                rows.checked_mul(u64::from(dim))
+            })
+    }
+
+    /// Total number of rows across the whole device. Panics when the count
+    /// overflows `u64`, which no geometry passing [`Geometry::validate`]
+    /// does.
     pub fn total_rows(&self) -> u64 {
-        self.channels as u64 * self.ranks as u64 * self.banks as u64 * self.rows_per_bank as u64
+        self.checked_total_rows()
+            .expect("row count overflows u64: Geometry::validate rejects this geometry")
     }
 
     /// Flat index of a row for dense per-row state vectors.
@@ -182,6 +214,34 @@ mod tests {
         .validate()
         .unwrap_err();
         assert!(err.contains("banks"), "got '{err}'");
+    }
+
+    /// Dimensions whose product overflows `u64`, or merely exceeds the
+    /// cap, are refused instead of reaching a per-row allocation.
+    #[test]
+    fn validate_rejects_overflowing_and_oversized_geometries() {
+        let overflowing = Geometry {
+            channels: u32::MAX,
+            ranks: u32::MAX,
+            banks: u32::MAX,
+            rows_per_bank: u32::MAX,
+        };
+        assert_eq!(overflowing.checked_total_rows(), None);
+        let err = overflowing.validate().unwrap_err();
+        assert!(err.contains("over 2^64"), "got '{err}'");
+
+        let at_cap = Geometry {
+            banks: 512,
+            ..Geometry::tiny(32 * 1024)
+        };
+        assert_eq!(at_cap.total_rows(), MAX_TOTAL_ROWS);
+        assert!(at_cap.validate().is_ok());
+        let over_cap = Geometry {
+            channels: 2,
+            ..at_cap
+        };
+        let err = over_cap.validate().unwrap_err();
+        assert!(err.contains(&MAX_TOTAL_ROWS.to_string()), "got '{err}'");
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub mod reference;
 pub mod rng;
 
 pub use device::{Device, DeviceState, DeviceTables, VictimModelParams};
-pub use geometry::{Geometry, RowAddr};
+pub use geometry::{Geometry, RowAddr, MAX_TOTAL_ROWS};
 pub use kernel::{avx2_available, Kernel, KernelChoice};
 pub use pattern::DataPattern;
 pub use reference::EagerDeviceState;

@@ -14,7 +14,8 @@
 //! Hot-path invariant: `next_access` never allocates. Every generator here
 //! steps fixed state (an aggressor cursor, a toggle, an RNG) and returns a
 //! `Copy` address; `ManySided` materializes its aggressor list once at
-//! construction, and [`Workload::fill_batch`] writes into the engine's
+//! construction (it doubles as the [`Workload::aggressors`] declaration),
+//! and [`Workload::fill_batch`] writes into the engine's
 //! reusable chunk buffer (which reaches its steady-state capacity on the
 //! first chunk). The only allocating method is `name()`, which the engine
 //! calls exactly once per run (for the result row), never per activation.
@@ -55,6 +56,17 @@ pub trait Workload {
         // capacity check (unlike a push loop).
         out.extend((0..n).map(|_| self.next_access()));
     }
+
+    /// The rows this workload hammers, in ascending order. The engine gives
+    /// each declared aggressor a fixed activation-run slot for the whole
+    /// run and decides once, from the device, how every other row relates
+    /// to them. The list is a hint, never a semantic input: a wrong or
+    /// incomplete one makes a run slower, not different. The default
+    /// declares nothing, and the engine then applies every activation on
+    /// its own.
+    fn aggressors(&self) -> &[RowAddr] {
+        &[]
+    }
 }
 
 impl<W: Workload + ?Sized> Workload for Box<W> {
@@ -70,6 +82,10 @@ impl<W: Workload + ?Sized> Workload for Box<W> {
         // Forward so the *inner* impl's (monomorphized) fill loop runs,
         // rather than the default body paying a virtual hop per access.
         (**self).fill_batch(out, n)
+    }
+
+    fn aggressors(&self) -> &[RowAddr] {
+        (**self).aggressors()
     }
 }
 
@@ -105,6 +121,10 @@ impl Workload for SingleSided {
     fn next_access(&mut self) -> RowAddr {
         self.aggressor
     }
+
+    fn aggressors(&self) -> &[RowAddr] {
+        std::slice::from_ref(&self.aggressor)
+    }
 }
 
 /// Double-sided hammering: alternate the two rows sandwiching the victim.
@@ -112,8 +132,8 @@ impl Workload for SingleSided {
 /// coupling from both sides, halving the per-aggressor hammer count needed.
 #[derive(Debug, Clone)]
 pub struct DoubleSided {
-    below: RowAddr,
-    above: RowAddr,
+    /// The rows below and above the victim, in that order.
+    pair: [RowAddr; 2],
     toggle: bool,
 }
 
@@ -125,8 +145,10 @@ impl DoubleSided {
             "double-sided victim must have neighbors on both sides"
         );
         Self {
-            below: victim.with_row(victim.row - 1),
-            above: victim.with_row(victim.row + 1),
+            pair: [
+                victim.with_row(victim.row - 1),
+                victim.with_row(victim.row + 1),
+            ],
             toggle: false,
         }
     }
@@ -140,10 +162,14 @@ impl Workload for DoubleSided {
     fn next_access(&mut self) -> RowAddr {
         self.toggle = !self.toggle;
         if self.toggle {
-            self.below
+            self.pair[0]
         } else {
-            self.above
+            self.pair[1]
         }
+    }
+
+    fn aggressors(&self) -> &[RowAddr] {
+        &self.pair
     }
 }
 
@@ -195,6 +221,10 @@ impl Workload for ManySided {
         }
         addr
     }
+
+    fn aggressors(&self) -> &[RowAddr] {
+        &self.aggressors
+    }
 }
 
 /// The closed set of attack patterns, for monomorphized dispatch: the sweep
@@ -224,6 +254,14 @@ impl Workload for AttackKind {
             Self::SingleSided(w) => w.next_access(),
             Self::DoubleSided(w) => w.next_access(),
             Self::ManySided(w) => w.next_access(),
+        }
+    }
+
+    fn aggressors(&self) -> &[RowAddr] {
+        match self {
+            Self::SingleSided(w) => w.aggressors(),
+            Self::DoubleSided(w) => w.aggressors(),
+            Self::ManySided(w) => w.aggressors(),
         }
     }
 }
@@ -267,6 +305,12 @@ impl<W: Workload> Workload for BenignMixer<W> {
         } else {
             self.inner.next_access()
         }
+    }
+
+    /// The attack's aggressors. Benign rows are uniform over the device and
+    /// declare nothing.
+    fn aggressors(&self) -> &[RowAddr] {
+        self.inner.aggressors()
     }
 }
 

@@ -3,11 +3,13 @@
 //! A [`WorkloadSpec`] is the declarative identity of an attack pattern in a
 //! sweep plan: plain data that can be validated against a geometry and
 //! expanded into a fresh [`crate::Workload`] instance by any executor thread (the
-//! built instance's `name()` is the single source of display strings). The
-//! aggressor placement is a pure function of the geometry (victim = mid-bank row, far from edges), so two builds of the
-//! same spec over the same geometry produce identical streams given the same
-//! benign-mixer seed — the property the sweep's common-random-number
-//! comparisons across mitigations rely on.
+//! built instance's `name()` is the single source of display strings, and
+//! its [`crate::Workload::aggressors`] the single source of aggressor
+//! placement). The placement is a pure function of the geometry (victim =
+//! mid-bank row, far from edges), so two builds of the same spec over the
+//! same geometry produce identical streams given the same benign-mixer seed
+//! — the property the sweep's common-random-number comparisons across
+//! mitigations rely on.
 
 use crate::{AttackKind, BenignMixer, DoubleSided, ManySided, SingleSided};
 use rh_core::{Geometry, RowAddr};
@@ -41,34 +43,6 @@ impl WorkloadSpec {
             Self::SingleSided => 1,
             Self::DoubleSided => 2,
             Self::ManySided { sides } => 0x100 + *sides as u64,
-        }
-    }
-
-    /// The bank rows this attack hammers, in ascending order — the rows the
-    /// attacker initializes with its chosen data pattern before hammering
-    /// (the paper's Section 5 methodology: the stored pattern around the
-    /// aggressors is part of the attack, and the device model's
-    /// `DataPattern` axis scales victim coupling by it). An
-    /// analysis/diagnostic hook in the same spirit as the device model's
-    /// `charge_of`/`estimate` accessors: a pure function of the geometry
-    /// that mirrors the placement in [`WorkloadSpec::build`] (tests assert
-    /// the two agree exactly, including `SingleSided`'s edge-row fallback).
-    ///
-    /// Panics if the spec does not fit the geometry (the same condition
-    /// [`WorkloadSpec::validate`] reports as an error and
-    /// [`WorkloadSpec::build`] refuses), matching the assert style of the
-    /// concrete constructors.
-    pub fn aggressor_rows(&self, geom: &Geometry) -> Vec<u32> {
-        self.validate(geom)
-            .unwrap_or_else(|e| panic!("spec does not fit geometry: {e}"));
-        let victim = geom.rows_per_bank / 2;
-        match *self {
-            Self::SingleSided => vec![if victim > 0 { victim - 1 } else { victim + 1 }],
-            Self::DoubleSided => vec![victim - 1, victim + 1],
-            Self::ManySided { sides } => {
-                let first = victim - sides as u32;
-                (0..sides as u32).map(|i| first + 2 * i).collect()
-            }
         }
     }
 
@@ -148,14 +122,8 @@ mod tests {
         assert_eq!(streams.len(), specs.len());
     }
 
-    #[test]
-    #[should_panic(expected = "does not fit geometry")]
-    fn aggressor_rows_reject_oversized_specs_like_build_does() {
-        // build() returns Err for this spec; the diagnostic hook panics
-        // with a clear message instead of underflowing the row math.
-        WorkloadSpec::ManySided { sides: 16 }.aggressor_rows(&Geometry::tiny(16));
-    }
-
+    /// The built workload's declared aggressors are exactly the rows its
+    /// attack stream hits, in ascending order.
     #[test]
     fn aggressor_rows_match_the_built_streams() {
         let geom = Geometry::tiny(128);
@@ -163,20 +131,23 @@ mod tests {
             WorkloadSpec::SingleSided,
             WorkloadSpec::DoubleSided,
             WorkloadSpec::ManySided { sides: 6 },
+            WorkloadSpec::ManySided { sides: 16 },
         ] {
             let mut w = spec.build(&geom, 0.0, 0).unwrap();
-            let declared = spec.aggressor_rows(&geom);
-            let seen: std::collections::BTreeSet<u32> =
-                (0..64).map(|_| w.next_access().row).collect();
+            let declared = w.aggressors().to_vec();
+            assert!(
+                declared.windows(2).all(|p| p[0] < p[1]),
+                "{spec:?} ascending"
+            );
+            let seen: std::collections::BTreeSet<RowAddr> =
+                (0..64).map(|_| w.next_access()).collect();
             assert_eq!(
                 declared
-                    .iter()
-                    .copied()
-                    .collect::<std::collections::BTreeSet<u32>>(),
+                    .into_iter()
+                    .collect::<std::collections::BTreeSet<_>>(),
                 seen,
                 "{spec:?}"
             );
-            assert!(declared.windows(2).all(|p| p[0] < p[1]), "ascending order");
         }
     }
 
