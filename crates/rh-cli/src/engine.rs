@@ -36,9 +36,17 @@
 //! the loop then handles an activation by its row's class:
 //!
 //! * **slot *i*** (aggressor *i* itself): bump the slot's count;
-//! * **commutes with every aggressor**: apply it at once with
-//!   [`Device::activate`] while the slots stay pending;
-//! * **conflicts with some aggressor**: flush the slots, then activate.
+//! * **commutes with every aggressor**: append it to the *deferred* list,
+//!   in stream order, while the slots stay pending;
+//! * **conflicts with some aggressor**: flush the slots and the deferred
+//!   list, then activate.
+//!
+//! The deferred list is applied with one [`Device::activate_each`] call at
+//! every flush and at every chunk end, so it never holds more than
+//! [`BATCH`] rows. Those are mostly benign rows scattered over the whole
+//! device: handed over together, they let the device prefetch rows ahead of
+//! the one it applies, where one `activate` per row would wait out each
+//! cache miss in turn.
 //!
 //! Only rows of the aggressors' bank within [`Device::conflict_radius`]
 //! rows of the declared span need a table entry — the radius promises that
@@ -52,26 +60,37 @@
 //! either miss each other or meet only on lanes drawing *equal* quanta from
 //! both; every shared lane's charge is then a sum of equal addends, which
 //! any interleaving evaluates to the same bits. The slots are checked to
-//! commute pairwise, so their flush order is free. A commuting row applied
-//! ahead of the pending slots is a length-1 run moved earlier past runs it
-//! commutes with: the final charge of every shared lane is unchanged, and
-//! its early settle is completed by the flush-time settle of the slot that
-//! shares the lane. `activate_repeat` performs the identical per-lane fp
+//! commute pairwise, so their flush order is free. Two reorderings remain,
+//! and each moves one application only past activations it commutes with:
+//!
+//! * *early application*: when a chunk ends, its deferred rows are applied
+//!   ahead of slot activations that arrived before them and still pend —
+//!   each a length-1 run moved earlier past runs it commutes with;
+//! * *late application*: at a flush the slots go first, so a deferred row
+//!   lands after slot activations that arrived later — a length-1 run moved
+//!   later past runs it commutes with. It never moves past a conflicting
+//!   row, an action or a refresh (each flushes the list first), nor past
+//!   another deferred row (the list keeps stream order).
+//!
+//! Either way every shared lane ends at the same sum of equal addends, and
+//! the settle of whichever application reaches it last completes any
+//! earlier one. `activate_repeat` performs the identical per-lane fp
 //! additions in the identical order, and recorded flips are a monotone
 //! function of each lane's (monotone nondecreasing) charge, so settling at
 //! flush time records what per-activation settling would have (see the
 //! `rh-core` kernel docs). The mitigation still observes every activation
 //! individually, so sampling mitigations (PARA) consume their RNG stream and
 //! tracker tables count activations exactly as in the step-at-a-time loop;
-//! any emitted action — and every tREFW boundary — flushes the slots before
-//! the refresh lands.
+//! any emitted action — and every tREFW boundary — flushes the slots and
+//! the deferred list before the refresh lands.
 //!
-//! A run goes **uncoalesced** — every activation applied on its own, exact
-//! but slower — when the workload declares no aggressors, when the device
-//! promises no conflict radius (the eager reference, whose `runs_commute`
-//! admits only literal repeats), or when the declared aggressors span banks
-//! or fail pairwise `runs_commute`. The declaration is a hint, never an
-//! input to the result: a wrong one costs speed, not bits.
+//! A run goes **uncoalesced** — no slots, every activation deferred and
+//! applied in stream order, exact but slower — when the workload declares
+//! no aggressors, when the device promises no conflict radius (the eager
+//! reference, whose `runs_commute` admits only literal repeats), or when
+//! the declared aggressors span banks or fail pairwise `runs_commute`. The
+//! declaration is a hint, never an input to the result: a wrong one costs
+//! speed, not bits.
 //!
 //! The loop is allocation-free: the caller supplies the device (built once
 //! per worker thread and reset per cell) and an [`EngineScratch`] whose
@@ -88,10 +107,10 @@ use rh_workloads::Workload;
 pub const BATCH: usize = 1024;
 
 /// Reusable per-run buffers for the engine hot loop: the mitigation action
-/// sink, the workload chunk buffer, the aggressor run slots and the row
-/// class table. One instance per worker thread, reused across every cell
-/// the worker executes; each run rebuilds the slots and the table from its
-/// workload's declared aggressors.
+/// sink, the workload chunk buffer, the aggressor run slots, the deferred
+/// commuting rows and the row class table. One instance per worker thread,
+/// reused across every cell the worker executes; each run rebuilds the
+/// slots and the table from its workload's declared aggressors.
 #[derive(Debug, Default)]
 pub struct EngineScratch {
     /// Sink the mitigation writes refresh actions into (cleared per
@@ -103,6 +122,10 @@ pub struct EngineScratch {
     /// One run slot per declared aggressor: its address and the
     /// activations not yet applied to the device.
     slots: Vec<(RowAddr, u64)>,
+    /// Rows that commute with every slot, in stream order, not yet applied
+    /// to the device: emptied by one [`Device::activate_each`] at every
+    /// flush and every chunk end, so it never outgrows [`BATCH`].
+    deferred: Vec<RowAddr>,
     /// How each row relates to the slots.
     classes: RowClasses,
 }
@@ -198,17 +221,32 @@ impl RowClasses {
     }
 }
 
-/// Apply every pending slot to the device as one run and empty it. Any
-/// order is bit-identical (the slots commute pairwise); slots with nothing
-/// pending are skipped, so `activate_repeat(addr, 0)` never reaches the
-/// device.
+/// Apply every pending slot to the device as one run and empty it, then
+/// the deferred rows, in stream order. Any slot order is bit-identical (the
+/// slots commute pairwise), and so is applying the deferred rows after them
+/// (each commutes with every slot); slots with nothing pending are skipped,
+/// so `activate_repeat(addr, 0)` never reaches the device.
 #[inline]
-fn flush<D: Device + ?Sized>(slots: &mut [(RowAddr, u64)], device: &mut D) {
+fn flush<D: Device + ?Sized>(
+    slots: &mut [(RowAddr, u64)],
+    deferred: &mut Vec<RowAddr>,
+    device: &mut D,
+) {
     for (addr, n) in slots.iter_mut() {
         if *n > 0 {
             device.activate_repeat(*addr, *n);
             *n = 0;
         }
+    }
+    apply_deferred(deferred, device);
+}
+
+/// Apply the deferred rows in stream order and empty the list.
+#[inline]
+fn apply_deferred<D: Device + ?Sized>(deferred: &mut Vec<RowAddr>, device: &mut D) {
+    if !deferred.is_empty() {
+        device.activate_each(deferred);
+        deferred.clear();
     }
 }
 
@@ -267,6 +305,7 @@ where
         actions,
         batch,
         slots,
+        deferred,
         classes,
     } = scratch;
     classes.rebuild(device, workload.aggressors(), slots);
@@ -287,18 +326,15 @@ where
             let acted = !actions.is_empty();
             let class = classes.of(addr);
             match slots.get_mut(class as usize) {
-                Some(slot) => {
-                    slot.1 += 1;
-                    if acted {
-                        flush(slots, device);
-                    }
-                }
-                None => {
-                    if acted || class == CONFLICTS {
-                        flush(slots, device);
-                    }
+                Some(slot) => slot.1 += 1,
+                None if class == CONFLICTS => {
+                    flush(slots, deferred, device);
                     device.activate(addr);
                 }
+                None => deferred.push(addr),
+            }
+            if acted {
+                flush(slots, deferred, device);
             }
             for action in actions.actions() {
                 match *action {
@@ -307,18 +343,19 @@ where
                 }
             }
         }
+        apply_deferred(deferred, device);
         remaining -= n;
         if auto_refresh_interval > 0 {
             until_refresh -= n;
             if until_refresh == 0 {
-                flush(slots, device);
+                flush(slots, deferred, device);
                 device.refresh_all();
                 mitigation.reset();
                 until_refresh = auto_refresh_interval;
             }
         }
     }
-    flush(slots, device);
+    flush(slots, deferred, device);
     RunResult {
         workload: workload.name(),
         mitigation: mitigation.name(),

@@ -28,10 +28,11 @@
 //!   common-random-number structure means all cells at one `HC_first` share
 //!   one table set instead of re-deriving O(total_rows) thresholds per cell.
 //! * **Per-worker device reuse**: each worker owns one [`DeviceState`] and
-//!   one [`rh_mitigations::ActionBuf`] for its whole shard, resetting them
-//!   per cell
-//!   (`reset_for_cell`) instead of reallocating charge/activation/flip
-//!   vectors for every cell.
+//!   one [`EngineScratch`] for its whole shard. Between cells the device is
+//!   reset, not rebuilt: `reset_for_cell` bumps its epoch, which retires
+//!   every charge the previous cell wrote, and clears its per-row flip
+//!   counters; its charge/epoch slabs are reallocated only when the row
+//!   count changes.
 
 use crate::engine::{run_experiment, EngineScratch, RunResult};
 use crate::plan::{CellSpec, SweepPlan, BLAST_RADIUS};

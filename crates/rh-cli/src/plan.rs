@@ -9,9 +9,10 @@
 //!    serializable specs of its workload and mitigation and a [`CellSeeds`]
 //!    bundle derived in `rh-core` via SplitMix64 over the root seed and the
 //!    cell's coordinates.
-//! 2. *Shard / execute* ([`crate::exec::execute_cells`]): worker threads
-//!    claim cells from an atomic cursor and materialize each cell's device,
-//!    workload, and mitigation locally from its specs and seeds.
+//! 2. *Shard / execute* ([`crate::exec::execute_cells`]): the executor
+//!    deals cells round-robin into one shard per worker thread up front (no
+//!    atomic cursor), and each thread materializes its cells' device,
+//!    workload, and mitigation locally from their specs and seeds.
 //! 3. *Merge*: results land back in plan order, so the output is a pure
 //!    function of the config — `--threads 1` and `--threads 8` emit
 //!    byte-identical JSON.

@@ -1240,18 +1240,89 @@ pub fn write_line<W: Write>(w: &mut W, line: &str) -> std::io::Result<()> {
     w.flush()
 }
 
+/// Longest line, in bytes before its newline, the coordinator keeps from a
+/// client or a worker; a longer one is drained without being kept and
+/// answered with an error naming the limit ([`line_too_long`]). 32 MiB
+/// admits every config the default cell quota (1 000 000 cells) admits: in
+/// shortest form an axis value costs at most 24 bytes (a 17-digit PARA
+/// probability in exponent notation plus its comma) and adds at least one
+/// cell, so such a config fits in 24 MB plus a few hundred bytes of fixed
+/// fields. Clients read the coordinator's lines unbounded: a large grid's
+/// envelope is legitimately big.
+pub const MAX_LINE_BYTES: usize = 32 << 20;
+
+/// One line read under a length bound.
+#[derive(Debug, PartialEq, Eq)]
+pub enum Line {
+    /// The line's text, trimmed (never empty).
+    Text(String),
+    /// The line ran past the bound; it was drained to its newline and
+    /// nothing of it was kept.
+    TooLong,
+}
+
+/// The error message answering a [`Line::TooLong`].
+pub fn line_too_long() -> String {
+    format!("line longer than the {MAX_LINE_BYTES}-byte limit (32 MiB) was discarded")
+}
+
 /// Read one non-empty line; `Ok(None)` on clean EOF.
 pub fn read_line<R: BufRead>(r: &mut R) -> std::io::Result<Option<String>> {
-    let mut buf = String::new();
+    Ok(read_line_bounded(r, usize::MAX)?.map(|line| match line {
+        Line::Text(text) => text,
+        Line::TooLong => unreachable!("no line exceeds usize::MAX bytes"),
+    }))
+}
+
+/// Read one non-empty line of at most `limit` bytes before its newline;
+/// `Ok(None)` on clean EOF. A longer line is consumed up to and including
+/// its newline without being kept, so memory stays within `limit` whatever
+/// the peer sends, and the stream stays framed for the next line.
+pub fn read_line_bounded<R: BufRead>(r: &mut R, limit: usize) -> std::io::Result<Option<Line>> {
+    let mut buf = Vec::new();
     loop {
         buf.clear();
-        let n = r.read_line(&mut buf)?;
-        if n == 0 {
+        let (mut read_any, mut too_long) = (false, false);
+        loop {
+            let chunk = match r.fill_buf() {
+                Ok(chunk) => chunk,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            };
+            if chunk.is_empty() {
+                break;
+            }
+            read_any = true;
+            let newline = chunk.iter().position(|&b| b == b'\n');
+            let content = &chunk[..newline.unwrap_or(chunk.len())];
+            if !too_long && content.len() > limit - buf.len() {
+                too_long = true;
+                buf = Vec::new();
+            }
+            if !too_long {
+                buf.extend_from_slice(content);
+            }
+            let used = newline.map_or(chunk.len(), |i| i + 1);
+            r.consume(used);
+            if newline.is_some() {
+                break;
+            }
+        }
+        if !read_any {
             return Ok(None);
         }
-        let trimmed = buf.trim();
+        if too_long {
+            return Ok(Some(Line::TooLong));
+        }
+        let text = std::str::from_utf8(&buf).map_err(|e| {
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!("line is not UTF-8: {e}"),
+            )
+        })?;
+        let trimmed = text.trim();
         if !trimmed.is_empty() {
-            return Ok(Some(trimmed.to_string()));
+            return Ok(Some(Line::Text(trimmed.to_string())));
         }
     }
 }
@@ -1835,6 +1906,23 @@ mod tests {
         let mut input = std::io::Cursor::new(b"\n\n{\"a\":1}\n".to_vec());
         assert_eq!(read_line(&mut input).unwrap().as_deref(), Some("{\"a\":1}"));
         assert_eq!(read_line(&mut input).unwrap(), None);
+    }
+
+    /// An over-long line is drained to its newline and reported, not kept;
+    /// the lines around it read normally, at the limit exactly too.
+    #[test]
+    fn bounded_read_drains_an_overlong_line_and_keeps_framing() {
+        let long = "x".repeat(10_000);
+        let input = format!("{{\"a\":1}}\n{long}\n\n  {}  \n{long}", "y".repeat(60));
+        let mut r = std::io::BufReader::with_capacity(16, input.as_bytes());
+        let mut next = || read_line_bounded(&mut r, 64).unwrap();
+        assert_eq!(next(), Some(Line::Text("{\"a\":1}".to_string())));
+        assert_eq!(next(), Some(Line::TooLong));
+        assert_eq!(next(), Some(Line::Text("y".repeat(60))));
+        // An unterminated over-long tail is still one line, then EOF.
+        assert_eq!(next(), Some(Line::TooLong));
+        assert_eq!(next(), None);
+        assert!(line_too_long().contains(&MAX_LINE_BYTES.to_string()));
     }
 
     // -- Seeded no-panic fuzz (satellite): byte-level mutations of valid

@@ -72,8 +72,9 @@ use crate::faults::FaultPlan;
 use crate::json;
 use crate::plan::SweepPlan;
 use crate::proto::{
-    self, encode_error, fnv1a64, read_line, write_line, ClientMsg, FromWorker, ResultEnvelope,
-    ShardList, ToWorker, WorkerStat, PROTO_VERSION,
+    self, encode_error, fnv1a64, line_too_long, read_line, read_line_bounded, write_line,
+    ClientMsg, FromWorker, Line, ResultEnvelope, ShardList, ToWorker, WorkerStat, MAX_LINE_BYTES,
+    PROTO_VERSION,
 };
 use crate::sweep::{SweepConfig, SweepOutput};
 use rh_core::KernelChoice;
@@ -1298,8 +1299,8 @@ fn worker_handler<R: BufRead, W: Write>(
     local: bool,
 ) {
     // Hello first — a connection that says anything else is not a worker.
-    match read_line(&mut reader) {
-        Ok(Some(line)) => match FromWorker::decode(&line) {
+    match read_line_bounded(&mut reader, MAX_LINE_BYTES) {
+        Ok(Some(Line::Text(line))) => match FromWorker::decode(&line) {
             Ok(FromWorker::Hello {
                 proto_version,
                 config_epoch,
@@ -1325,6 +1326,10 @@ fn worker_handler<R: BufRead, W: Write>(
                 return;
             }
         },
+        Ok(Some(Line::TooLong)) => {
+            register_spawn_failure(inner, name, "first line exceeds the line limit", local);
+            return;
+        }
         _ => {
             register_spawn_failure(inner, name, "connection closed before hello", local);
             return;
@@ -1487,8 +1492,13 @@ fn worker_session<R: BufRead, W: Write>(
         // we already closed as complete) and are merged under their own
         // lease's list, never confused with the current lease's lifecycle.
         loop {
-            let line = match read_line(reader) {
-                Ok(Some(line)) => line,
+            let line = match read_line_bounded(reader, MAX_LINE_BYTES) {
+                Ok(Some(Line::Text(line))) => line,
+                // Lost like a garbled line (below), without buffering it.
+                Ok(Some(Line::TooLong)) => {
+                    eprintln!("rh-serve: dropping over-long line from {name}");
+                    continue;
+                }
                 // Died mid-shard: requeue whatever it didn't deliver.
                 Ok(None) | Err(_) => {
                     let mut st = inner.state.lock().expect("coordinator lock");
@@ -1833,8 +1843,13 @@ fn accept_loop(inner: &Arc<Inner>, listener: &TcpListener) {
             };
             let mut reader = BufReader::new(read_half);
             let mut writer = stream;
-            let first = match read_line(&mut reader) {
-                Ok(Some(first)) => first,
+            let first = match read_line_bounded(&mut reader, MAX_LINE_BYTES) {
+                Ok(Some(Line::Text(first))) => first,
+                // Nothing is vetted yet: answer and close.
+                Ok(Some(Line::TooLong)) => {
+                    reject_connection(&inner, &peer, &mut writer, &line_too_long());
+                    return;
+                }
                 Ok(None) => return, // silent hangup: nothing to log
                 Err(_) => {
                     reject_connection(&inner, &peer, &mut writer, "no first line before timeout");
@@ -1991,10 +2006,17 @@ fn client_session<R: BufRead, W: Write>(
         if write_line(writer, &reply).is_err() || hangup {
             return;
         }
-        match read_line(reader) {
-            Ok(Some(next)) => line = next,
-            _ => return,
-        }
+        line = loop {
+            match read_line_bounded(reader, MAX_LINE_BYTES) {
+                Ok(Some(Line::Text(next))) => break next,
+                Ok(Some(Line::TooLong)) => {
+                    if write_line(writer, &encode_error("", &line_too_long())).is_err() {
+                        return;
+                    }
+                }
+                _ => return,
+            }
+        };
     }
 }
 
@@ -2055,7 +2077,14 @@ pub fn run_serve(opts: ServeOptions) -> Result<(), String> {
     let stdin = std::io::stdin();
     let mut stdout = std::io::stdout().lock();
     let mut reader = stdin.lock();
-    while let Some(line) = read_line(&mut reader).map_err(|e| format!("stdin: {e}"))? {
+    while let Some(line) =
+        read_line_bounded(&mut reader, MAX_LINE_BYTES).map_err(|e| format!("stdin: {e}"))?
+    {
+        let Line::Text(line) = line else {
+            let reply = encode_error("", &line_too_long());
+            write_line(&mut stdout, &reply).map_err(|e| format!("stdout: {e}"))?;
+            continue;
+        };
         let reply = match ClientMsg::decode(&line) {
             Ok(ClientMsg::Submit {
                 id,

@@ -351,3 +351,86 @@ fn oversized_geometry_gets_an_error_reply_and_the_next_job_is_served() {
     let env = rh_cli::ResultEnvelope::decode(&replies[2]).expect("an envelope");
     assert_eq!(env.document, small_reference());
 }
+
+/// One peer streaming bytes with no newline must not grow the coordinator
+/// until it dies: over the stdin protocol, a line one byte over the limit
+/// is drained and answered with an error naming the limit, and the next
+/// submit on the same stream is served byte-identical to the in-process
+/// sweep.
+#[test]
+fn overlong_line_gets_an_error_and_the_next_job_is_served() {
+    use rh_cli::proto::{config_to_json, read_line, MAX_LINE_BYTES};
+    use std::io::{BufReader, Write};
+    use std::process::{Command, Stdio};
+    let mut serve = Command::new(worker_bin())
+        .args(["serve", "--workers", "1"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn rh-cli serve");
+    let mut stdin = serve.stdin.take().expect("piped stdin");
+    let mut stdout = BufReader::new(serve.stdout.take().expect("piped stdout"));
+    let mut overlong = vec![b'x'; MAX_LINE_BYTES + 1];
+    overlong.push(b'\n');
+    stdin
+        .write_all(&overlong)
+        .expect("the coordinator drains the line");
+    writeln!(stdin, "{}", config_to_json(&small_config())).expect("send config");
+    stdin.flush().expect("flush");
+    let mut replies = Vec::new();
+    for _ in 0..2 {
+        let reply = read_line(&mut stdout).expect("read reply");
+        replies.push(reply.expect("the coordinator is still up"));
+    }
+    drop(stdin);
+    assert!(serve.wait().expect("serve exits").success());
+    assert!(
+        replies[0].starts_with(r#"{"type":"error""#)
+            && replies[0].contains(&MAX_LINE_BYTES.to_string()),
+        "got '{}'",
+        replies[0]
+    );
+    let env = rh_cli::ResultEnvelope::decode(&replies[1]).expect("an envelope");
+    assert_eq!(env.document, small_reference());
+}
+
+/// Over TCP an over-long *first* line arrives before anything is vetted:
+/// the coordinator answers with the limit, closes that connection, and
+/// keeps serving other clients.
+#[test]
+fn overlong_first_tcp_line_closes_only_that_connection() {
+    use rh_cli::proto::{config_to_json, read_line, MAX_LINE_BYTES};
+    use std::io::{BufReader, Write};
+    let coordinator = Coordinator::start(ServeOptions {
+        listen: Some("127.0.0.1:0".to_string()),
+        ..opts_with_workers(1)
+    })
+    .expect("start");
+    let addr = coordinator.local_addr().expect("bound");
+    // Send one line on a fresh connection; return its reply and the reader.
+    let send = |line: &[u8]| {
+        let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(std::time::Duration::from_secs(60)))
+            .expect("read timeout");
+        stream.write_all(line).expect("send");
+        stream.write_all(b"\n").expect("send");
+        let mut reader = BufReader::new(stream);
+        let reply = read_line(&mut reader)
+            .expect("reply")
+            .expect("a reply line");
+        (reply, reader)
+    };
+    let (reply, mut reader) = send(&vec![b' '; MAX_LINE_BYTES + 1]);
+    assert!(
+        reply.starts_with(r#"{"type":"error""#) && reply.contains(&MAX_LINE_BYTES.to_string()),
+        "got '{reply}'"
+    );
+    assert!(matches!(read_line(&mut reader), Ok(None)), "must be closed");
+    let (reply, _) = send(config_to_json(&small_config()).as_bytes());
+    coordinator.shutdown();
+    let env = rh_cli::ResultEnvelope::decode(&reply).expect("an envelope");
+    assert_eq!(env.document, small_reference());
+    assert_eq!(coordinator.rejected_connections(), 1);
+}

@@ -377,12 +377,48 @@ fn sweep_is_deterministic() {
 /// `sweep-default` canary checks.
 #[test]
 fn default_sweep_document_is_pinned() {
-    let doc = json::render(&run_sweep(&SweepConfig::default(), 2).expect("default config"));
-    let digest = doc
-        .trim_end_matches('\n')
+    let digest = document_digest(&SweepConfig::default());
+    assert_eq!(digest, 0xf431_0dff_944c_9af6, "digest {digest:#018x}");
+}
+
+/// FNV-1a 64 of the rendered sweep document without its trailing newline.
+fn document_digest(cfg: &SweepConfig) -> u64 {
+    let doc = json::render(&run_sweep(cfg, 2).expect("valid config"));
+    doc.trim_end_matches('\n')
         .bytes()
         .fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
             (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        });
-    assert_eq!(digest, 0xf431_0dff_944c_9af6, "digest {digest:#018x}");
+        })
+}
+
+/// The Section-5 document on a DDR4-class device: 16 banks × 32K rows,
+/// `HC_first` down to 128, legacy and rowstripe patterns under 128-bit ECC.
+/// Where the default pin covers a cache-resident 16K-row device with the
+/// Section 5 axes off, this one covers what only the large geometry and
+/// those axes reach: each thread's one device reset across cells of seven
+/// table sets (every earlier cell's charges must read as stale), rowstripe
+/// coupling, and the ECC scan. The activation budget is cut to 40 000 per
+/// cell so a debug build runs it in seconds; the digest is the same in
+/// debug and release builds.
+#[test]
+fn ddr4_reference_document_is_pinned() {
+    let cfg = SweepConfig {
+        seed: 0xBE7C4,
+        activations: 40_000,
+        hc_firsts: vec![4096, 512, 128],
+        sides: vec![8],
+        para_probabilities: vec![0.004],
+        data_patterns: vec![DataPattern::Legacy, DataPattern::RowStripe],
+        ecc_codeword_bits: 128,
+        benign_fraction: 0.1,
+        auto_refresh_interval: 32_000,
+        geometry: Geometry {
+            channels: 1,
+            ranks: 1,
+            banks: 16,
+            rows_per_bank: 32 * 1024,
+        },
+    };
+    let digest = document_digest(&cfg);
+    assert_eq!(digest, 0x276a_2390_9bef_afa3, "digest {digest:#018x}");
 }

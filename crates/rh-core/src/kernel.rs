@@ -3,9 +3,10 @@
 //! One activation (or a coalesced run of `n` identical activations) touches
 //! a contiguous *blast window* of rows around the aggressor. With the row
 //! state split into parallel slabs ([`crate::DeviceState`] holds
-//! `charge`/`epoch`/`threshold`/`flips`/`meta` vectors), that window is a
-//! handful of contiguous lanes per field, and the per-lane update is the
-//! same short dataflow everywhere:
+//! `charge`/`epoch`/`flips` vectors and reads `threshold`/`meta` in place
+//! from its shared tables), that window is a handful of contiguous lanes
+//! per field, and the per-lane update is the same short dataflow
+//! everywhere:
 //!
 //! 1. **epoch-resolve** — a lane whose last-write epoch predates the device
 //!    epoch holds a stale (pre-refresh) charge that must read as zero;

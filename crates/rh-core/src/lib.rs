@@ -8,7 +8,7 @@
 //!
 //! * [`Geometry`] / [`RowAddr`] — channel/rank/bank/row addressing and
 //!   row-adjacency math (blast radius, clipped at bank edges);
-//! * [`DeviceState`] — per-row activation accounting and a charge-leakage
+//! * [`DeviceState`] — activation accounting and a charge-leakage
 //!   victim model parameterized by `HC_first` (the minimum hammer count that
 //!   induces the first bit flip) and a distance-attenuated blast radius,
 //!   with an allocation-free hot path: `Arc`-shared [`DeviceTables`]

@@ -38,7 +38,6 @@ pub struct EagerDeviceState {
     seed: u64,
     charge: Vec<f64>,
     threshold: Vec<f64>,
-    acts: Vec<u64>,
     flips: Vec<u32>,
     /// Per-row true-/anti-cell orientation (true = anti-cell, flips 0→1).
     anti: Vec<bool>,
@@ -83,7 +82,6 @@ impl EagerDeviceState {
             seed,
             charge: vec![0.0; n],
             threshold,
-            acts: vec![0; n],
             flips: vec![0; n],
             anti,
             vuln,
@@ -136,8 +134,6 @@ impl Device for EagerDeviceState {
     }
 
     fn activate(&mut self, addr: RowAddr) {
-        let idx = self.geom.flat_index(addr);
-        self.acts[idx] += 1;
         self.total_activations += 1;
         for (victim, dist) in addr.neighbors(&self.geom, self.params.blast_radius) {
             let vi = self.geom.flat_index(victim);

@@ -6,10 +6,11 @@
 //! `DeviceState` pinned to the scalar kernel, and (when the CPU has it) the
 //! SoA `DeviceState` pinned to the AVX2 kernel — and must agree on every
 //! trait-level observable at every checkpoint. The stream mixes single
-//! activations, coalesced runs (`activate_repeat`), targeted row refreshes,
-//! and full-device refreshes, with activations biased toward a small hot set
-//! of aggressor rows so disturbance actually accumulates past thresholds
-//! instead of diffusing uniformly.
+//! activations, coalesced runs (`activate_repeat`), row lists applied in
+//! one call (`activate_each`, which the SoA device walks with prefetching),
+//! targeted row refreshes, and full-device refreshes, with activations
+//! biased toward a small hot set of aggressor rows so disturbance actually
+//! accumulates past thresholds instead of diffusing uniformly.
 //!
 //! This is the paper-level exactness bar stated in the kernel module docs:
 //! the kernels are alternative *schedules* of identical f64 operations, so
@@ -21,10 +22,11 @@ use rh_core::{
 };
 
 /// One random operation drawn from the fuzz distribution.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 enum Op {
     Activate(RowAddr),
     ActivateRepeat(RowAddr, u64),
+    ActivateEach(Vec<RowAddr>),
     RefreshRow(RowAddr),
     RefreshAll,
 }
@@ -48,10 +50,40 @@ fn draw_addr(rng: &mut SplitMix64, geom: &Geometry) -> RowAddr {
     }
 }
 
+/// Draw a list of 0–64 rows for `activate_each`: fresh draws mixed with
+/// repeats of the previous row, rows 1–2 from it (their windows share
+/// lanes, so the list order matters), and both edge rows of a bank.
+fn draw_list(rng: &mut SplitMix64, geom: &Geometry) -> Vec<RowAddr> {
+    let len = (rng.next_u64() % 65) as usize;
+    let mut rows: Vec<RowAddr> = Vec::with_capacity(len);
+    while rows.len() < len {
+        let prev = rows.last().copied();
+        let next = match (rng.next_u64() % 8, prev) {
+            (0, Some(p)) => p,
+            (1, Some(p)) => {
+                let step = 1 + (rng.next_u64() % 2) as u32;
+                let row = if rng.next_u64() & 1 == 0 {
+                    p.row.saturating_sub(step)
+                } else {
+                    (p.row + step).min(geom.rows_per_bank - 1)
+                };
+                p.with_row(row)
+            }
+            (2, _) => draw_addr(rng, geom).with_row(0),
+            (3, _) => draw_addr(rng, geom).with_row(geom.rows_per_bank - 1),
+            _ => draw_addr(rng, geom),
+        };
+        rows.push(next);
+    }
+    rows
+}
+
 fn draw_op(rng: &mut SplitMix64, geom: &Geometry) -> Op {
     match rng.next_u64() % 100 {
         // Mostly activations: disturbance only accumulates between refreshes.
-        0..=69 => Op::Activate(draw_addr(rng, geom)),
+        0..=59 => Op::Activate(draw_addr(rng, geom)),
+        // Row lists exercise `activate_each` (and its prefetch) directly.
+        60..=69 => Op::ActivateEach(draw_list(rng, geom)),
         // Coalesced runs exercise `activate_repeat` with n > 1 directly.
         70..=84 => Op::ActivateRepeat(draw_addr(rng, geom), 1 + rng.next_u64() % 512),
         85..=96 => Op::RefreshRow(draw_addr(rng, geom)),
@@ -59,22 +91,25 @@ fn draw_op(rng: &mut SplitMix64, geom: &Geometry) -> Op {
     }
 }
 
-fn apply(device: &mut dyn Device, op: Op) {
+fn apply(device: &mut dyn Device, op: &Op) {
     match op {
-        Op::Activate(a) => device.activate(a),
-        Op::ActivateRepeat(a, n) => device.activate_repeat(a, n),
-        Op::RefreshRow(a) => device.refresh_row(a),
+        Op::Activate(a) => device.activate(*a),
+        Op::ActivateRepeat(a, n) => device.activate_repeat(*a, *n),
+        Op::ActivateEach(rows) => device.activate_each(rows),
+        Op::RefreshRow(a) => device.refresh_row(*a),
         Op::RefreshAll => device.refresh_all(),
     }
 }
 
 /// The full trait-observable state of a device.
-fn observe(device: &dyn Device) -> (u64, u64, u64, u64) {
+fn observe(device: &dyn Device) -> (u64, u64, u64, u64, u64, u64) {
     (
         device.total_flips(),
         device.flips_1to0(),
         device.flips_0to1(),
         device.refreshes_issued(),
+        device.total_activations(),
+        device.flipped_rows(),
     )
 }
 
@@ -104,10 +139,10 @@ fn fuzz_case(pattern: DataPattern, seed: u64) {
     let ops = 4_000;
     for i in 0..ops {
         let op = draw_op(&mut rng, &geom);
-        apply(&mut eager, op);
-        apply(&mut scalar, op);
+        apply(&mut eager, &op);
+        apply(&mut scalar, &op);
         if let Some(avx2) = avx2.as_mut() {
-            apply(avx2, op);
+            apply(avx2, &op);
         }
         // Checkpoint often enough to localize a divergence, cheaply enough
         // to keep the suite fast.
@@ -126,6 +161,17 @@ fn fuzz_case(pattern: DataPattern, seed: u64) {
                     "AVX2 kernel diverged from eager reference \
                      (pattern {pattern:?}, seed {seed:#x}, op {i}: {op:?})"
                 );
+            }
+        }
+    }
+    // Counters hide rounding drift; the final charges do not.
+    for bank in 0..geom.banks {
+        for row in 0..geom.rows_per_bank {
+            let addr = RowAddr::bank_row(bank, row);
+            let want = eager.charge_of(addr).to_bits();
+            assert_eq!(scalar.charge_of(addr).to_bits(), want, "scalar {addr:?}");
+            if let Some(avx2) = avx2.as_ref() {
+                assert_eq!(avx2.charge_of(addr).to_bits(), want, "AVX2 {addr:?}");
             }
         }
     }
