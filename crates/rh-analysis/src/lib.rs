@@ -35,8 +35,9 @@
 //!   Markov chain over states `0..mac` (trailing-miss-run length, `mac`
 //!   absorbing), evolved step by step. O(window · mac) time. Slower, but it
 //!   shares no algebra with the recurrence, so agreement within 1e-9 across
-//!   the parameter grid (asserted in this crate's tests and re-checked by
-//!   `rh-cli bench --analysis`) is a real cross-check, not a tautology.
+//!   the parameter grid (asserted in this crate's tests, and at the
+//!   recommendation on every `rh-cli configure` run) is a real
+//!   cross-check, not a tautology.
 //!
 //! On top of the model: [`wilson_interval`] (the score confidence interval
 //! for k-of-n trial outcomes, used by the crossval harness's CI band and by
@@ -248,15 +249,18 @@ mod tests {
         }
     }
 
-    /// The tentpole acceptance grid: direct and dual agree within 1e-9
-    /// across parameters spanning tiny and large `p`, short and long runs,
-    /// and windows from degenerate to thousands of trials.
+    /// The agreement contract: direct and dual agree within 1e-9 across
+    /// parameters spanning tiny and large `p` (the sweep's PARA axis
+    /// 0.001–0.016 among them), short and long runs, and windows from
+    /// degenerate to 16K trials.
     #[test]
     fn direct_and_dual_agree_within_1e9_across_the_grid() {
         let mut checked = 0u32;
-        for &mac in &[1u64, 2, 3, 5, 8, 13, 21, 64] {
-            for &window in &[0u64, 1, 7, 64, 257, 999, 4096] {
-                for &p in &[0.0, 1e-6, 1e-3, 0.01, 0.05, 0.2, 0.5, 0.9, 0.999, 1.0] {
+        for &mac in &[1u64, 2, 3, 4, 5, 8, 13, 16, 21, 32, 64] {
+            for &window in &[0u64, 1, 7, 64, 257, 999, 1000, 4096, 16384] {
+                for &p in &[
+                    0.0, 1e-6, 1e-3, 0.004, 0.01, 0.016, 0.05, 0.2, 0.5, 0.9, 0.999, 1.0,
+                ] {
                     let direct = p_fail_direct(p, mac, window);
                     let dual = p_fail_dual(p, mac, window);
                     assert!(
@@ -268,7 +272,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(checked, 8 * 7 * 10, "the whole grid must be exercised");
+        assert_eq!(checked, 11 * 9 * 12, "the whole grid must be exercised");
     }
 
     #[test]

@@ -4,7 +4,6 @@
 //! path is unit-testable. Parsing is purely syntactic; semantic validation
 //! is shared with programmatic callers via [`SweepConfig::validate`].
 
-use crate::bench::{AnalysisOptions, BenchOptions, SaturationOptions};
 use crate::configure::ConfigureOptions;
 use crate::faults::FaultPlan;
 use crate::serve::{CancelOptions, ServeOptions, SubmitOptions};
@@ -17,12 +16,6 @@ rh-cli — RowHammer mitigation sweep (Kim et al., ISCA 2020 reproduction)
 
 USAGE:
     rh-cli sweep [OPTIONS]
-    rh-cli bench [--quick] [--out <PATH>] [--repeat <N>] [--filter <SUBSTR>]
-                 [--min-acts-per-sec <RATE>] [--kernel <K>]
-    rh-cli bench --saturation [--quick] [--out <PATH>] [--workers <A,B,...>]
-                 [--kernel <K>] [--min-cells-per-sec <RATE>]
-    rh-cli bench --analysis [--quick] [--out <PATH>] [--repeat <N>]
-                 [--min-evals-per-sec <RATE>]
     rh-cli configure --hc <N> --window <N> --target-pfail <P>
                      [--validate] [--trials <N>] [--seed <N>]
     rh-cli serve [--workers <N>] [--listen <ADDR>] [--kernel <K>]
@@ -64,56 +57,10 @@ SWEEP OPTIONS:
                             every choice, for CI fallback coverage)
     -h, --help              print this help
 
-BENCH OPTIONS:
-    --quick                 shrink the reference sweep for CI smoke runs
-    --out <PATH>            report path (default BENCH_6.json)
-    --repeat <N>            timing runs per cell per path, min reported
-                            (default 3)
-    --filter <SUBSTR>       only run cells whose pattern/workload/mitigation
-                            label contains SUBSTR (e.g. 'rowstripe/' selects
-                            the Section 5 slice, 'graphene' one mitigation)
-    --min-acts-per-sec <R>  exit non-zero if aggregate optimized throughput
-                            falls below R (CI perf guard)
-    --kernel <K>            settle kernel for the optimized path: auto,
-                            scalar, avx2 (default auto; recorded in the
-                            report so runs are comparable)
-
-bench times the pinned reference sweep under the optimized hot path (flat
-counter tables, batched engine, epoch-based refresh) and the retained
-pre-optimization path (map-based counters, unbatched dyn dispatch, eager
-refresh), verifies both produce identical results, and writes a JSON report
-with before/after throughput plus a per-mitigation breakdown.
-
-SATURATION BENCH OPTIONS (bench --saturation):
-    --quick                 shrink the per-cell activation budget for CI
-    --out <PATH>            report path (default BENCH_7.json)
-    --workers <A,B,...>     worker-pool sizes to measure (default 1,2,4,8)
-    --kernel <K>            settle-kernel request propagated to every worker
-    --min-cells-per-sec <R> exit non-zero if peak throughput falls below R
-
-bench --saturation measures the distributed service end to end: for each
-pool size it starts a coordinator, spawns that many rh-cli worker
-processes, submits the default sweep, and records cells/sec from submit to
-merged envelope — byte-checking every merged document against the
-in-process sweep.
-
-ANALYSIS BENCH OPTIONS (bench --analysis):
-    --quick                 drop the largest window from the timed grid
-    --out <PATH>            report path (default BENCH_8.json)
-    --repeat <N>            timing runs per grid point, min reported
-                            (default 3)
-    --min-evals-per-sec <R> exit non-zero if the direct form's aggregate
-                            throughput falls below R evaluations/sec
-
-bench --analysis times the rh-analysis closed forms (the direct recurrence
-and the Markov-chain dual) and the required_p bisection solver over a
-pinned (mac, window, p) grid, re-checks the two forms agree within 1e-9 at
-every point, and writes a JSON report with per-point and aggregate
-evaluation throughput.
-
 CONFIGURE OPTIONS:
     --hc <N>                device HC_first in activations (required, >= 2)
-    --window <N>            attack window in activations (required)
+    --window <N>            attack window in activations (required,
+                            at most 16777216 = 2^24)
     --target-pfail <P>      failure-probability budget over the window,
                             in (0, 1] (required)
     --validate              run a seeded mini-sweep through the simulator
@@ -126,7 +73,9 @@ CONFIGURE OPTIONS:
 configure answers \"what PARA sampling rate do I need\" from the closed-form
 failure model (rh-analysis): it prints the smallest p whose analytical
 failure probability meets the target, as JSON in the same hand-rolled
-style as sweep. See docs/ARCHITECTURE.md, \"Analytical cross-validation\".
+style as sweep. Its Markov-dual cross-check takes O(window x HC_first)
+time, so a large window at a large HC_first is slow. See
+docs/ARCHITECTURE.md, \"Analytical cross-validation\".
 
 SERVE OPTIONS:
     --workers <N>           local worker processes to spawn (default 2)
@@ -241,152 +190,6 @@ pub enum Invocation {
     /// `-h`/`--help` appeared; print usage and exit successfully.
     Help,
     Sweep(CliArgs),
-}
-
-/// Outcome of parsing the arguments after `bench`.
-#[derive(Debug, Clone)]
-pub enum BenchInvocation {
-    Help,
-    Bench(BenchOptions),
-    /// `bench --saturation`: the distributed service throughput bench.
-    Saturation(SaturationOptions),
-    /// `bench --analysis`: closed-form evaluation throughput.
-    Analysis(AnalysisOptions),
-}
-
-/// Parse the arguments following the `bench` subcommand. `--saturation` or
-/// `--analysis` anywhere switches to that mode's flag set (the modes share
-/// `--quick`/`--out` but disagree about everything else).
-pub fn parse_bench_args(args: &[String]) -> Result<BenchInvocation, String> {
-    if args.iter().any(|a| a == "--saturation") {
-        return parse_saturation_args(args);
-    }
-    if args.iter().any(|a| a == "--analysis") {
-        return parse_analysis_args(args);
-    }
-    let mut opts = BenchOptions::default();
-    let mut i = 0;
-    let value = |i: &mut usize, flag: &str| -> Result<String, String> {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .ok_or_else(|| format!("{flag} requires a value"))
-    };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => opts.quick = true,
-            "--out" => opts.out_path = value(&mut i, "--out")?,
-            "--repeat" => {
-                let v = value(&mut i, "--repeat")?;
-                opts.repeat = v.parse().map_err(|_| format!("invalid --repeat '{v}'"))?;
-                if opts.repeat == 0 {
-                    return Err("--repeat must be at least 1".to_string());
-                }
-            }
-            "--filter" => opts.filter = Some(value(&mut i, "--filter")?),
-            "--kernel" => {
-                let v = value(&mut i, "--kernel")?;
-                opts.kernel = v.parse()?;
-            }
-            "--min-acts-per-sec" => {
-                let v = value(&mut i, "--min-acts-per-sec")?;
-                let rate: f64 = v
-                    .parse()
-                    .map_err(|_| format!("invalid --min-acts-per-sec '{v}'"))?;
-                if !rate.is_finite() || rate <= 0.0 {
-                    return Err(format!("--min-acts-per-sec must be positive, got '{v}'"));
-                }
-                opts.min_acts_per_sec = Some(rate);
-            }
-            "-h" | "--help" => return Ok(BenchInvocation::Help),
-            other => return Err(format!("unknown bench option '{other}'")),
-        }
-        i += 1;
-    }
-    Ok(BenchInvocation::Bench(opts))
-}
-
-/// Parse `bench --saturation` flags.
-fn parse_saturation_args(args: &[String]) -> Result<BenchInvocation, String> {
-    let mut opts = SaturationOptions::default();
-    let mut i = 0;
-    let value = |i: &mut usize, flag: &str| -> Result<String, String> {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .ok_or_else(|| format!("{flag} requires a value"))
-    };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--saturation" => {}
-            "--quick" => opts.quick = true,
-            "--out" => opts.out_path = value(&mut i, "--out")?,
-            "--workers" => {
-                opts.worker_counts = parse_list(&value(&mut i, "--workers")?, "--workers")?;
-                if opts.worker_counts.contains(&0) {
-                    return Err("--workers pool sizes must be at least 1".to_string());
-                }
-            }
-            "--kernel" => {
-                let v = value(&mut i, "--kernel")?;
-                opts.kernel = v.parse()?;
-            }
-            "--min-cells-per-sec" => {
-                let v = value(&mut i, "--min-cells-per-sec")?;
-                let rate: f64 = v
-                    .parse()
-                    .map_err(|_| format!("invalid --min-cells-per-sec '{v}'"))?;
-                if !rate.is_finite() || rate <= 0.0 {
-                    return Err(format!("--min-cells-per-sec must be positive, got '{v}'"));
-                }
-                opts.min_cells_per_sec = Some(rate);
-            }
-            "-h" | "--help" => return Ok(BenchInvocation::Help),
-            other => return Err(format!("unknown bench --saturation option '{other}'")),
-        }
-        i += 1;
-    }
-    Ok(BenchInvocation::Saturation(opts))
-}
-
-/// Parse `bench --analysis` flags.
-fn parse_analysis_args(args: &[String]) -> Result<BenchInvocation, String> {
-    let mut opts = AnalysisOptions::default();
-    let mut i = 0;
-    let value = |i: &mut usize, flag: &str| -> Result<String, String> {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .ok_or_else(|| format!("{flag} requires a value"))
-    };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--analysis" => {}
-            "--quick" => opts.quick = true,
-            "--out" => opts.out_path = value(&mut i, "--out")?,
-            "--repeat" => {
-                let v = value(&mut i, "--repeat")?;
-                opts.repeat = v.parse().map_err(|_| format!("invalid --repeat '{v}'"))?;
-                if opts.repeat == 0 {
-                    return Err("--repeat must be at least 1".to_string());
-                }
-            }
-            "--min-evals-per-sec" => {
-                let v = value(&mut i, "--min-evals-per-sec")?;
-                let rate: f64 = v
-                    .parse()
-                    .map_err(|_| format!("invalid --min-evals-per-sec '{v}'"))?;
-                if !rate.is_finite() || rate <= 0.0 {
-                    return Err(format!("--min-evals-per-sec must be positive, got '{v}'"));
-                }
-                opts.min_evals_per_sec = Some(rate);
-            }
-            "-h" | "--help" => return Ok(BenchInvocation::Help),
-            other => return Err(format!("unknown bench --analysis option '{other}'")),
-        }
-        i += 1;
-    }
-    Ok(BenchInvocation::Analysis(opts))
 }
 
 /// Outcome of parsing the arguments after `configure`.
@@ -1063,121 +866,6 @@ mod tests {
             assert!(
                 err.contains(needle),
                 "error for {args:?} was '{err}', expected to mention '{needle}'"
-            );
-        }
-    }
-
-    #[test]
-    fn bench_args_parse_and_reject() {
-        match parse_bench_args(&[]).unwrap() {
-            BenchInvocation::Bench(o) => {
-                assert!(!o.quick);
-                assert_eq!(o.out_path, "BENCH_6.json");
-                assert_eq!(o.repeat, 3);
-                assert_eq!(o.filter, None);
-                assert_eq!(o.min_acts_per_sec, None);
-                assert_eq!(o.kernel, KernelChoice::Auto);
-            }
-            other => panic!("unexpected invocation {other:?}"),
-        }
-        let owned: Vec<String> = [
-            "--quick",
-            "--out",
-            "x.json",
-            "--repeat",
-            "5",
-            "--filter",
-            "graphene",
-            "--min-acts-per-sec",
-            "1000000",
-            "--kernel",
-            "scalar",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        match parse_bench_args(&owned).unwrap() {
-            BenchInvocation::Bench(o) => {
-                assert!(o.quick);
-                assert_eq!(o.out_path, "x.json");
-                assert_eq!(o.repeat, 5);
-                assert_eq!(o.filter.as_deref(), Some("graphene"));
-                assert_eq!(o.min_acts_per_sec, Some(1_000_000.0));
-                assert_eq!(o.kernel, KernelChoice::Scalar);
-            }
-            other => panic!("unexpected invocation {other:?}"),
-        }
-        for bad in [
-            &["--out"][..],
-            &["--bogus"],
-            &["--repeat", "0"],
-            &["--repeat", "x"],
-            &["--filter"],
-            &["--min-acts-per-sec", "-5"],
-            &["--min-acts-per-sec", "NaN"],
-            &["--min-acts-per-sec", "nope"],
-            &["--kernel", "sse2"],
-            &["--kernel"],
-        ] {
-            let owned: Vec<String> = bad.iter().map(|s| s.to_string()).collect();
-            assert!(
-                parse_bench_args(&owned).is_err(),
-                "{bad:?} must be rejected"
-            );
-        }
-        assert!(matches!(
-            parse_bench_args(&["--help".to_string()]),
-            Ok(BenchInvocation::Help)
-        ));
-    }
-
-    #[test]
-    fn saturation_args_parse_and_reject() {
-        let owned: Vec<String> = [
-            "--saturation",
-            "--quick",
-            "--out",
-            "sat.json",
-            "--workers",
-            "1,2,4",
-            "--kernel",
-            "scalar",
-            "--min-cells-per-sec",
-            "10",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        match parse_bench_args(&owned).unwrap() {
-            BenchInvocation::Saturation(o) => {
-                assert!(o.quick);
-                assert_eq!(o.out_path, "sat.json");
-                assert_eq!(o.worker_counts, vec![1, 2, 4]);
-                assert_eq!(o.kernel, KernelChoice::Scalar);
-                assert_eq!(o.min_cells_per_sec, Some(10.0));
-            }
-            other => panic!("unexpected invocation {other:?}"),
-        }
-        // --saturation anywhere in the args switches flag sets, and the
-        // defaults ask for the BENCH_7 shape.
-        match parse_bench_args(&["--saturation".to_string()]).unwrap() {
-            BenchInvocation::Saturation(o) => {
-                assert_eq!(o.out_path, "BENCH_7.json");
-                assert_eq!(o.worker_counts, vec![1, 2, 4, 8]);
-            }
-            other => panic!("unexpected invocation {other:?}"),
-        }
-        for bad in [
-            &["--saturation", "--workers", "0"][..],
-            &["--saturation", "--workers", "2,0"],
-            &["--saturation", "--workers", "x"],
-            &["--saturation", "--min-cells-per-sec", "-1"],
-            &["--saturation", "--repeat", "3"], // bench-only flag
-        ] {
-            let owned: Vec<String> = bad.iter().map(|s| s.to_string()).collect();
-            assert!(
-                parse_bench_args(&owned).is_err(),
-                "{bad:?} must be rejected"
             );
         }
     }

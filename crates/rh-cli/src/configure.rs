@@ -38,8 +38,9 @@
 //! exactly `hc_first`), a single-sided aggressor at distance-1 coupling 1.0,
 //! auto-refresh off, and PARA's one-RNG-draw-per-activation sampling.
 
-use crate::bench::{fnum, jstr};
 use crate::engine::{run_experiment, EngineScratch};
+use crate::json::num;
+use crate::proto::jstr;
 use rh_analysis::{p_fail_direct, p_fail_dual, required_p, wilson_interval};
 use rh_core::{
     derive_seed, DeviceState, DeviceTables, Geometry, Kernel, RowAddr, VictimModelParams,
@@ -54,6 +55,13 @@ use std::fmt::Write as _;
 /// deterministic in practice), tight enough that a wrong model or a broken
 /// engine-to-analytic mapping still fails loudly.
 pub const CROSSVAL_Z: f64 = 4.417;
+
+/// Largest `--window` `configure` accepts: 2^24 activations, about twelve
+/// 64 ms tREFW windows at tRC ≈ 46 ns. Both closed forms keep one f64 per
+/// activation of the failure run whenever the window fits a run (`HC_first`
+/// ≤ window), so this bounds each buffer at 128 MiB; the Markov dual's
+/// time stays O(window × `HC_first`).
+pub const MAX_WINDOW: u64 = 1 << 24;
 
 /// Options for one `configure` invocation.
 #[derive(Debug, Clone)]
@@ -215,6 +223,12 @@ pub fn run_configure(opts: &ConfigureOptions) -> Result<ConfigureReport, String>
     if opts.window == 0 {
         return Err("--window must be at least 1 activation".to_string());
     }
+    if opts.window > MAX_WINDOW {
+        return Err(format!(
+            "--window must be at most {MAX_WINDOW} activations (2^24), got {}",
+            opts.window
+        ));
+    }
     if !(opts.target_pfail > 0.0 && opts.target_pfail <= 1.0) {
         return Err(format!(
             "--target-pfail must be in (0, 1], got {}",
@@ -258,19 +272,9 @@ pub fn run_configure(opts: &ConfigureOptions) -> Result<ConfigureReport, String>
     })
 }
 
-/// Probabilities need full shortest-round-trip precision (a recommendation
-/// rounded to 3 decimals is a different recommendation); `fnum`'s fixed
-/// format is for wall-clock seconds.
-fn fprob(x: f64) -> String {
-    if x.is_finite() {
-        x.to_string()
-    } else {
-        "null".to_string()
-    }
-}
-
 /// Render the report as a JSON document, in the same hand-rolled style as
-/// the sweep and bench emitters.
+/// the sweep emitter. Every float is written in shortest round-trip form (a
+/// recommendation rounded to a few decimals is a different recommendation).
 pub fn render_configure(report: &ConfigureReport) -> String {
     let mut validation = "null".to_string();
     if let Some(v) = &report.validation {
@@ -281,10 +285,10 @@ pub fn render_configure(report: &ConfigureReport) -> String {
             v.trials,
             v.failures,
             v.seed,
-            fprob(v.empirical_rate),
-            fnum(CROSSVAL_Z),
-            fprob(v.band_lo),
-            fprob(v.band_hi),
+            num(v.empirical_rate),
+            num(CROSSVAL_Z),
+            num(v.band_lo),
+            num(v.band_hi),
             v.pass,
         );
     }
@@ -303,11 +307,11 @@ pub fn render_configure(report: &ConfigureReport) -> String {
         jstr("PARA sampling rate from the closed-form failure model"),
         report.hc_first,
         report.window,
-        fprob(report.target_pfail),
-        fprob(report.recommended_p),
-        fprob(report.analytic_pfail),
-        fprob(report.analytic_pfail_dual),
-        fprob(report.divergence),
+        num(report.target_pfail),
+        num(report.recommended_p),
+        num(report.analytic_pfail),
+        num(report.analytic_pfail_dual),
+        num(report.divergence),
     );
     out
 }
@@ -398,6 +402,33 @@ mod tests {
             let err = run_configure(&opts).unwrap_err();
             assert!(err.contains(needle), "got '{err}'");
         }
+    }
+
+    /// A window past `MAX_WINDOW` is refused before either closed form
+    /// allocates its run buffer; at the limit, an `HC_first` the window
+    /// cannot fit needs no sampling at all.
+    #[test]
+    fn windows_past_the_limit_are_refused_naming_it() {
+        let err = run_configure(&ConfigureOptions {
+            hc_first: u64::MAX,
+            window: u64::MAX,
+            target_pfail: 0.5,
+            ..ConfigureOptions::default()
+        })
+        .unwrap_err();
+        assert!(
+            err.contains("--window") && err.contains(&MAX_WINDOW.to_string()),
+            "got '{err}'"
+        );
+        let report = run_configure(&ConfigureOptions {
+            hc_first: MAX_WINDOW + 1,
+            window: MAX_WINDOW,
+            target_pfail: 0.5,
+            ..ConfigureOptions::default()
+        })
+        .unwrap();
+        assert_eq!(report.recommended_p, 0.0);
+        assert!(report.healthy());
     }
 
     /// A tiny validated run end to end: deterministic seed, must pass.

@@ -21,8 +21,8 @@
 //! per-activation mitigation dispatch is a match on a variant tag that
 //! inlines each `on_activate` body into the loop. Chunks are clipped to the
 //! next tREFW boundary, so batching is byte-identical to the unbatched
-//! step-at-a-time loop (which the benchmark harness retains as its legacy
-//! path).
+//! step-at-a-time loop (which `tests/legacy_equivalence.rs` retains as its
+//! legacy path).
 //!
 //! On top of batching, the inner loop **coalesces the aggressors' activation
 //! runs**. The workload declares the rows it hammers
@@ -285,8 +285,8 @@ pub struct RunResult {
 /// mitigations and for byte-identical sharded sweeps. Chunking never
 /// crosses a tREFW boundary, and run coalescing is exact (see the module
 /// docs), so results are identical for any chunk size — including the
-/// unbatched step-at-a-time loop the benchmark harness retains as its
-/// legacy path.
+/// unbatched step-at-a-time loop `tests/legacy_equivalence.rs` retains as
+/// its legacy path.
 pub fn run_experiment<D, W, M>(
     device: &mut D,
     workload: &mut W,

@@ -52,10 +52,10 @@ pub(crate) type TableCache = BTreeMap<(u64, DataPattern, u64), Arc<DeviceTables>
 
 /// The victim-model parameters one cell simulates: the sweep's `HC_first`
 /// point plus the cell's Section 5 axes (data pattern from the cell, ECC
-/// from the sweep-wide config). The one place specs become device
-/// parameters — the sharded executor and the benchmark's legacy path both
-/// build from here, so the two can never disagree on what a cell means.
-pub(crate) fn cell_params(plan: &SweepPlan, cell: &CellSpec) -> VictimModelParams {
+/// from the sweep-wide config). The one place the executor turns specs
+/// into device parameters: every table set in the cache, and so every
+/// worker's device, is built from here.
+fn cell_params(plan: &SweepPlan, cell: &CellSpec) -> VictimModelParams {
     VictimModelParams {
         data_pattern: cell.data_pattern,
         ecc_codeword_bits: plan.config.ecc_codeword_bits,

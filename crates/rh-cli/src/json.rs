@@ -14,30 +14,13 @@
 //! [`crate::proto::config_from_value`].
 
 use crate::engine::RunResult;
+use crate::proto::jstr;
 use crate::sweep::SweepOutput;
 use std::fmt::Write;
 
-/// Escape a string for inclusion in a JSON string literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Render a finite float; JSON has no NaN/Inf so those become null.
-fn num(x: f64) -> String {
+/// Render a finite float in shortest round-trip form; JSON has no NaN/Inf
+/// so those become null. The workspace's one float writer.
+pub(crate) fn num(x: f64) -> String {
     if x.is_finite() {
         format!("{x}")
     } else {
@@ -51,11 +34,11 @@ fn num(x: f64) -> String {
 /// pre-Section-5 reporter.
 fn run_result(r: &RunResult, indent: &str, extended: bool) -> String {
     let mut row = format!(
-        "{indent}{{\"workload\": \"{}\", \"mitigation\": \"{}\", \"hc_first\": {}, \
+        "{indent}{{\"workload\": {}, \"mitigation\": {}, \"hc_first\": {}, \
          \"activations\": {}, \"total_flips\": {}, \"flipped_rows\": {}, \
          \"flips_per_mact\": {}, \"refreshes_issued\": {}",
-        escape(&r.workload),
-        escape(&r.mitigation),
+        jstr(&r.workload),
+        jstr(&r.mitigation),
         r.hc_first,
         r.activations,
         r.total_flips,
@@ -66,8 +49,8 @@ fn run_result(r: &RunResult, indent: &str, extended: bool) -> String {
     if extended {
         let _ = write!(
             row,
-            ", \"data_pattern\": \"{}\", \"flips_1to0\": {}, \"flips_0to1\": {}",
-            escape(&r.data_pattern),
+            ", \"data_pattern\": {}, \"flips_1to0\": {}, \"flips_0to1\": {}",
+            jstr(&r.data_pattern),
             r.flips_1to0,
             r.flips_0to1,
         );
@@ -103,11 +86,7 @@ pub fn render(out: &SweepOutput) -> String {
     // The Section 5 axes appear in the config section only when they are in
     // play, so default-axes documents keep their pre-Section-5 bytes.
     let victim_model = if extended {
-        let patterns: Vec<String> = cfg
-            .data_patterns
-            .iter()
-            .map(|p| format!("\"{}\"", p.name()))
-            .collect();
+        let patterns: Vec<String> = cfg.data_patterns.iter().map(|p| jstr(p.name())).collect();
         format!(
             ", \"data_patterns\": [{}], \"ecc_codeword_bits\": {}",
             patterns.join(", "),
@@ -145,12 +124,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn escape_handles_specials() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
-    }
-
-    #[test]
     fn non_finite_floats_become_null() {
         assert_eq!(num(f64::NAN), "null");
         assert_eq!(num(f64::INFINITY), "null");
@@ -186,6 +159,21 @@ mod tests {
         let s = run_result(&r, "", false);
         assert!(s.contains("\"flips_per_mact\": null"));
         assert!(!s.contains("NaN") && !s.contains("inf"));
+    }
+
+    /// Every string field of a result row goes through the shared quoter,
+    /// so quotes, backslashes and control characters come out escaped.
+    #[test]
+    fn escape_handles_specials() {
+        let mut r = sample_result();
+        r.workload = "a\"b\\c\nd".into();
+        r.mitigation = "\u{1}".into();
+        r.data_pattern = "x\ty".into();
+        let s = run_result(&r, "", true);
+        assert!(s.contains("\"workload\": \"a\\\"b\\\\c\\nd\""), "{s}");
+        assert!(s.contains("\"mitigation\": \"\\u0001\""), "{s}");
+        assert!(s.contains("\"data_pattern\": \"x\\ty\""), "{s}");
+        assert_eq!(crate::proto::parse(&s).map(|_| ()), Ok(()));
     }
 
     #[test]

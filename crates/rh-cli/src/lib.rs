@@ -11,11 +11,14 @@
 //! the device model — batched (`Workload::fill_batch` chunks) and fully
 //! monomorphized (`MitigationKind` enum dispatch, concrete workload type);
 //! [`json`] renders results as a JSON table (the shape of the paper's
-//! Figures 7–9: bit-flip rate vs. hammer count per mitigation); [`mod@bench`]
-//! is the benchmark harness (`rh-cli bench`) that times the optimized hot
-//! path against the retained pre-optimization path (eager device, map-based
-//! counter mitigations, unbatched dyn dispatch) over a pinned reference
-//! sweep and emits `BENCH_6.json`.
+//! Figures 7–9: bit-flip rate vs. hammer count per mitigation); [`configure`]
+//! inverts `rh-analysis`' closed-form PARA failure model into a sampling
+//! rate.
+//!
+//! Timing lives outside the crate, in the `perfbench/` harness. The
+//! shipping path's agreement with the retained pre-optimization path (eager
+//! device, map-based counter mitigations, unbatched dyn dispatch) is the
+//! `legacy_equivalence` integration test.
 //!
 //! The distributed layer ([`serve`], [`worker`], [`proto`], [`cache`]) runs
 //! the same pipeline across processes and hosts, hardened by [`faults`] — a
@@ -25,7 +28,6 @@
 //! checkpoint journal ([`serve`], `--checkpoint-dir`) is the service's one
 //! durable store; damage at rest costs one re-executed cell per bad record.
 
-pub mod bench;
 pub mod cache;
 pub mod cli;
 pub mod configure;
@@ -39,7 +41,6 @@ pub mod serve;
 pub mod sweep;
 pub mod worker;
 
-pub use bench::{run_bench, BenchOptions, BenchReport};
 pub use cache::ResultCache;
 pub use configure::{
     analytic_pfail, empirical_failure_rate, recommended_p, run_configure, ConfigureOptions,

@@ -4,136 +4,14 @@
 //! the library so both are unit-testable. See `rh-cli --help` for options.
 
 use rh_cli::cli::{
-    parse_args, parse_bench_args, parse_cancel_args, parse_configure_args, parse_serve_args,
-    parse_submit_args, parse_worker_args, BenchInvocation, CancelInvocation, ConfigureInvocation,
-    Invocation, ServeInvocation, SubmitInvocation, WorkerInvocation, USAGE,
+    parse_args, parse_cancel_args, parse_configure_args, parse_serve_args, parse_submit_args,
+    parse_worker_args, CancelInvocation, ConfigureInvocation, Invocation, ServeInvocation,
+    SubmitInvocation, WorkerInvocation, USAGE,
 };
 use rh_cli::{
-    bench, configure, json, run_cancel, run_serve, run_submit, run_sweep_with_kernel, run_worker,
+    configure, json, run_cancel, run_serve, run_submit, run_sweep_with_kernel, run_worker,
 };
 use std::process::ExitCode;
-
-fn run_bench_command(opts: &bench::BenchOptions) -> ExitCode {
-    match bench::run_bench(opts) {
-        Ok(report) => {
-            let doc = bench::render(&report);
-            if let Err(e) = std::fs::write(&opts.out_path, format!("{doc}\n")) {
-                eprintln!("error: cannot write {}: {e}", opts.out_path);
-                return ExitCode::FAILURE;
-            }
-            println!("{doc}");
-            eprintln!(
-                "bench: {:.2}x speedup ({:.0} -> {:.0} acts/sec), report at {}",
-                report.speedup,
-                report.legacy_acts_per_sec,
-                report.optimized_acts_per_sec,
-                opts.out_path
-            );
-            if !report.equivalent {
-                eprintln!("error: optimized and legacy paths diverged (determinism regression)");
-                return ExitCode::FAILURE;
-            }
-            if let Some(min) = opts.min_acts_per_sec {
-                if report.optimized_acts_per_sec < min {
-                    eprintln!(
-                        "error: optimized throughput {:.0} acts/sec below the \
-                         --min-acts-per-sec floor of {min:.0} (perf regression)",
-                        report.optimized_acts_per_sec
-                    );
-                    return ExitCode::FAILURE;
-                }
-            }
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn run_saturation_command(opts: &bench::SaturationOptions) -> ExitCode {
-    match bench::run_saturation(opts) {
-        Ok(report) => {
-            let doc = bench::render_saturation(&report);
-            if let Err(e) = std::fs::write(&opts.out_path, format!("{doc}\n")) {
-                eprintln!("error: cannot write {}: {e}", opts.out_path);
-                return ExitCode::FAILURE;
-            }
-            println!("{doc}");
-            eprintln!(
-                "saturation: peak {:.1} cells/sec over pools {:?}, report at {}",
-                report.peak_cells_per_sec, opts.worker_counts, opts.out_path
-            );
-            if !report.identical_bytes {
-                eprintln!(
-                    "error: distributed documents diverged from the in-process sweep \
-                     (determinism regression)"
-                );
-                return ExitCode::FAILURE;
-            }
-            if let Some(min) = opts.min_cells_per_sec {
-                if report.peak_cells_per_sec < min {
-                    eprintln!(
-                        "error: peak throughput {:.1} cells/sec below the \
-                         --min-cells-per-sec floor of {min:.1} (perf regression)",
-                        report.peak_cells_per_sec
-                    );
-                    return ExitCode::FAILURE;
-                }
-            }
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn run_analysis_command(opts: &bench::AnalysisOptions) -> ExitCode {
-    match bench::run_analysis(opts) {
-        Ok(report) => {
-            let doc = bench::render_analysis(&report);
-            if let Err(e) = std::fs::write(&opts.out_path, format!("{doc}\n")) {
-                eprintln!("error: cannot write {}: {e}", opts.out_path);
-                return ExitCode::FAILURE;
-            }
-            println!("{doc}");
-            eprintln!(
-                "analysis: direct {:.0} evals/sec, dual {:.0} evals/sec, \
-                 solver {:.0} solves/sec, report at {}",
-                report.direct_evals_per_sec,
-                report.dual_evals_per_sec,
-                report.solves_per_sec,
-                opts.out_path
-            );
-            if !report.agreement {
-                eprintln!(
-                    "error: direct and dual closed forms diverged by {:e} (over the 1e-9 \
-                     agreement contract)",
-                    report.max_divergence
-                );
-                return ExitCode::FAILURE;
-            }
-            if let Some(min) = opts.min_evals_per_sec {
-                if report.direct_evals_per_sec < min {
-                    eprintln!(
-                        "error: direct-form throughput {:.0} evals/sec below the \
-                         --min-evals-per-sec floor of {min:.0} (perf regression)",
-                        report.direct_evals_per_sec
-                    );
-                    return ExitCode::FAILURE;
-                }
-            }
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
 
 fn run_configure_command(opts: &configure::ConfigureOptions) -> ExitCode {
     match configure::run_configure(opts) {
@@ -178,19 +56,6 @@ fn run_configure_command(opts: &configure::ConfigureOptions) -> ExitCode {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("bench") => match parse_bench_args(&args[1..]) {
-            Ok(BenchInvocation::Help) => {
-                print!("{USAGE}");
-                ExitCode::SUCCESS
-            }
-            Ok(BenchInvocation::Bench(opts)) => run_bench_command(&opts),
-            Ok(BenchInvocation::Saturation(opts)) => run_saturation_command(&opts),
-            Ok(BenchInvocation::Analysis(opts)) => run_analysis_command(&opts),
-            Err(e) => {
-                eprintln!("error: {e}\n\n{USAGE}");
-                ExitCode::FAILURE
-            }
-        },
         Some("configure") => match parse_configure_args(&args[1..]) {
             Ok(ConfigureInvocation::Help) => {
                 print!("{USAGE}");

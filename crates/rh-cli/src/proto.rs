@@ -1456,6 +1456,7 @@ mod tests {
     #[test]
     fn jstr_escapes_specials() {
         assert_eq!(jstr("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
+        assert_eq!(jstr("\u{1}"), "\"\\u0001\"");
         assert_eq!(
             parse(&jstr("tab\there")).unwrap().as_str(),
             Some("tab\there")

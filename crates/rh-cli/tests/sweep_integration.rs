@@ -55,25 +55,6 @@ fn threads_do_not_change_the_bytes() {
     }
 }
 
-/// The benchmark harness's two engine paths (optimized epoch-based device
-/// with shared tables vs. retained eager reference) must agree end-to-end
-/// on a reduced reference sweep — the same equivalence check `rh-cli bench`
-/// enforces at full scale.
-#[test]
-fn bench_quick_paths_are_equivalent() {
-    let report = rh_cli::run_bench(&rh_cli::BenchOptions {
-        quick: true,
-        out_path: String::new(), // not written by run_bench; render-only
-        repeat: 1,               // timing precision is irrelevant here
-        ..rh_cli::BenchOptions::default()
-    })
-    .expect("quick bench must run");
-    assert!(report.equivalent, "optimized and eager paths diverged");
-    assert_eq!(report.cells.len(), 90);
-    let doc = rh_cli::bench::render(&report);
-    assert!(doc.contains("\"equivalent\": true"));
-}
-
 #[test]
 fn para_flips_monotone_and_actually_decreasing() {
     let out = small_sweep();

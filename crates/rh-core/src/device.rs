@@ -176,8 +176,8 @@ impl VictimModelParams {
 /// The common device interface the engine drives: the optimized
 /// [`DeviceState`] and the retained eager reference implementation
 /// ([`crate::reference::EagerDeviceState`]) are interchangeable behind it,
-/// which is what lets the benchmark harness and the differential tests run
-/// the identical experiment loop over both.
+/// which is what lets the differential and legacy-equivalence tests run the
+/// identical experiment loop over both.
 pub trait Device {
     fn geometry(&self) -> &Geometry;
     fn params(&self) -> &VictimModelParams;
@@ -555,13 +555,6 @@ impl DeviceState {
     /// The settle kernel this device runs.
     pub fn kernel(&self) -> Kernel {
         self.kernel
-    }
-
-    /// Swap the settle kernel (the benchmark harness re-times cells under
-    /// both kernels on one reused device). Takes effect on the next
-    /// activation; results are kernel-independent by construction.
-    pub fn set_kernel(&mut self, kernel: Kernel) {
-        self.kernel = kernel;
     }
 
     pub fn geometry(&self) -> &Geometry {

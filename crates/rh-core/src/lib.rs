@@ -16,8 +16,8 @@
 //!   incrementally-maintained flipped-row counter (see `device` module docs);
 //! * [`Device`] — the trait the engine drives, implemented by both the
 //!   optimized [`DeviceState`] and the retained eager reference
-//!   ([`reference::EagerDeviceState`]) that differential tests and the
-//!   benchmark harness compare against;
+//!   ([`reference::EagerDeviceState`]) that the differential and
+//!   legacy-equivalence tests compare against;
 //! * [`Kernel`] / [`KernelChoice`] — the swappable leak-and-settle kernels
 //!   over the structure-of-arrays row state (autovectorization-friendly
 //!   scalar, runtime-detected AVX2 intrinsics), selectable via
@@ -32,7 +32,7 @@
 //!   in the workspace is exactly reproducible.
 //!
 //! Upper layers: `rh-mitigations` (policy), `rh-workloads` (access-pattern
-//! generators), `rh-cli` (sweep driver, benchmark harness, JSON reporting).
+//! generators), `rh-cli` (sweep driver, service, JSON reporting).
 
 pub mod device;
 pub mod ecc;

@@ -12,10 +12,10 @@
 //!   through both implementations must produce identical flip counts,
 //!   charges, and refresh tallies — the proof that epoch-based lazy refresh
 //!   is an observational no-op.
-//! * **The benchmark harness** (`rh-cli bench`): the "before" side of the
-//!   before/after throughput comparison runs the real experiment loop over
-//!   this device, so the reported speedup measures exactly the hot-path
-//!   changes and the equivalence check re-runs on every benchmark.
+//! * **The legacy-equivalence test** (`rh-cli`'s
+//!   `tests/legacy_equivalence.rs`): a fresh device of this kind per cell,
+//!   under the map-based mitigations and an unbatched loop, must reproduce
+//!   every result of the shipping sweep path on two reference grids.
 //!
 //! The Section 5 victim model (data patterns, true-/anti-cells, on-die
 //! ECC) is implemented here in the same eager, straight-line style —

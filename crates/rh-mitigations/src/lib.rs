@@ -43,8 +43,8 @@
 //! receives the geometry precisely so tables can be pre-sized) and reuse
 //! them for the whole run. The retained map-based forms
 //! ([`reference::MapGraphene`], [`reference::MapTrr`]) are exempt — they
-//! exist only as differential-test references and the benchmark's "before"
-//! side.
+//! exist only as references for the differential tests and `rh-cli`'s
+//! legacy-equivalence test.
 
 pub mod graphene;
 pub mod para;

@@ -11,10 +11,10 @@
 //!   identical action sequences and refresh decisions — the proof that the
 //!   flat [`crate::table::FlatCounterTable`] rewrite is an observational
 //!   no-op.
-//! * **The benchmark harness** (`rh-cli bench`): the "before" side of the
-//!   before/after comparison runs the real engine loop over these, so the
-//!   reported speedup isolates exactly the counter-structure and dispatch
-//!   changes.
+//! * **The legacy-equivalence test** (`rh-cli`'s
+//!   `tests/legacy_equivalence.rs`): the unbatched engine loop over these,
+//!   on the eager reference device, must reproduce every result of the
+//!   shipping sweep path on two reference grids.
 //!
 //! [`build_reference`] is the map-based twin of `MitigationSpec::build`.
 
@@ -111,7 +111,8 @@ impl MapGraphene {
 impl Mitigation for MapGraphene {
     fn name(&self) -> String {
         // Same display name as the flat implementation: the two are
-        // interchangeable in result tables and bench cell matching.
+        // interchangeable in result tables and in the equivalence test's
+        // field-by-field comparison.
         format!(
             "graphene(k={},t={})",
             self.table_size, self.refresh_threshold
