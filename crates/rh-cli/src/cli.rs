@@ -67,15 +67,17 @@ CONFIGURE OPTIONS:
                             and check the recommendation's failure rate
                             lands inside the analytical confidence band
                             (exit non-zero when it does not)
-    --trials <N>            windows the mini-sweep simulates (default 400)
+    --trials <N>            windows the mini-sweep simulates (default 400;
+                            trials x window at most 268435456 = 2^28)
     --seed <N>              mini-sweep root seed (default 0xC0FFEE)
 
 configure answers \"what PARA sampling rate do I need\" from the closed-form
 failure model (rh-analysis): it prints the smallest p whose analytical
 failure probability meets the target, as JSON in the same hand-rolled
-style as sweep. Its Markov-dual cross-check takes O(window x HC_first)
-time, so a large window at a large HC_first is slow. See
-docs/ARCHITECTURE.md, \"Analytical cross-validation\".
+style as sweep. Its Markov-dual cross-check takes (HC_first - 1) x
+(window - 1) steps once the window fits a run; inputs needing more than
+2147483648 = 2^31 are refused before any work. See docs/ARCHITECTURE.md,
+\"Analytical cross-validation\".
 
 SERVE OPTIONS:
     --workers <N>           local worker processes to spawn (default 2)
@@ -88,11 +90,13 @@ SERVE OPTIONS:
                             journal: a resubmit, even to a restarted
                             coordinator, runs only the cells not on disk;
                             damaged records are skipped and re-executed
-    --shard-cells <N>       max cells per shard lease (default 16); each
-                            cell list is cut into contiguous leases of
-                            ceil(missing cells / live workers) cells, at
-                            most N, so every worker gets a share of every
-                            job; merged output is byte-identical at any N
+    --shard-cells <N>       max simulations per shard lease (default 16):
+                            each cell list's missing cells fold into
+                            simulations (cells that differ only in HC_first
+                            under none/PARA/TRR run as one), cut into leases
+                            of ceil(simulations / live workers), at most N,
+                            so every worker gets a share of every job;
+                            merged output is byte-identical at any N
     --config-epoch <N>      config generation; worker hellos announcing a
                             different epoch are rejected (default 0)
     --fallback-after-ms <MS> graceful degradation: a job stranded this long

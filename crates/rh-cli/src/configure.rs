@@ -59,9 +59,32 @@ pub const CROSSVAL_Z: f64 = 4.417;
 /// Largest `--window` `configure` accepts: 2^24 activations, about twelve
 /// 64 ms tREFW windows at tRC ≈ 46 ns. Both closed forms keep one f64 per
 /// activation of the failure run whenever the window fits a run (`HC_first`
-/// ≤ window), so this bounds each buffer at 128 MiB; the Markov dual's
-/// time stays O(window × `HC_first`).
+/// ≤ window), so this bounds each buffer at 128 MiB. Time is bounded
+/// separately, by [`MAX_DUAL_STEPS`].
 pub const MAX_WINDOW: u64 = 1 << 24;
+
+/// Most state updates the Markov-dual cross-check may take: it costs
+/// `(HC_first − 1) × (window − 1)` of them whenever the window fits a run
+/// (and none otherwise). 2^31 keeps it to about 4 s on a 2-vCPU x86-64
+/// host in a release build, where `--hc 256` at the largest window took
+/// 7.3 s all told and `--hc 65536` ran past a minute before this limit.
+pub const MAX_DUAL_STEPS: u64 = 1 << 31;
+
+/// Most activations the `--validate` mini-sweep may simulate, `trials ×
+/// window`: 2^28, about ten seconds on the same host at the high sampling
+/// rates small windows need (4000 trials of 64000 activations took 10 s).
+pub const MAX_VALIDATE_ACTIVATIONS: u64 = 1 << 28;
+
+/// The dual cross-check's state updates for `--hc` and `--window` (both at
+/// least 1): `(hc_first − 1) × (window − 1)` when the window fits a run,
+/// else 0 (the dual returns at once).
+fn dual_steps(hc_first: u64, window: u64) -> u128 {
+    let (mac, trials) = (hc_first - 1, window - 1);
+    if trials < mac {
+        return 0;
+    }
+    u128::from(mac) * u128::from(trials)
+}
 
 /// Options for one `configure` invocation.
 #[derive(Debug, Clone)]
@@ -237,6 +260,22 @@ pub fn run_configure(opts: &ConfigureOptions) -> Result<ConfigureReport, String>
     }
     if opts.validate && opts.trials == 0 {
         return Err("--trials must be at least 1".to_string());
+    }
+    let steps = dual_steps(opts.hc_first, opts.window);
+    if steps > u128::from(MAX_DUAL_STEPS) {
+        return Err(format!(
+            "--hc {} at --window {} needs {steps} steps of the dual cross-check, \
+             (hc - 1) x (window - 1); the limit is {MAX_DUAL_STEPS} (2^31)",
+            opts.hc_first, opts.window
+        ));
+    }
+    let simulated = u128::from(opts.trials) * u128::from(opts.window);
+    if opts.validate && simulated > u128::from(MAX_VALIDATE_ACTIVATIONS) {
+        return Err(format!(
+            "--validate with --trials {} at --window {} simulates {simulated} \
+             activations, trials x window; the limit is {MAX_VALIDATE_ACTIVATIONS} (2^28)",
+            opts.trials, opts.window
+        ));
     }
     let p = recommended_p(opts.hc_first, opts.window, opts.target_pfail);
     let direct = analytic_pfail(p, opts.hc_first, opts.window);
@@ -429,6 +468,102 @@ mod tests {
         .unwrap();
         assert_eq!(report.recommended_p, 0.0);
         assert!(report.healthy());
+    }
+
+    /// The dual cross-check's work and the mini-sweep's are bounded: each
+    /// input past its limit is refused before any evaluation (the first
+    /// used to run for minutes), naming the limit, and the inputs at the
+    /// limits are accepted.
+    #[test]
+    fn work_past_the_limits_is_refused_naming_it() {
+        let refused = [
+            (65_536, MAX_WINDOW, false, 1, MAX_DUAL_STEPS),
+            (2, 64_000, true, 4_195, MAX_VALIDATE_ACTIVATIONS),
+        ];
+        for (hc_first, window, validate, trials, limit) in refused {
+            let err = run_configure(&ConfigureOptions {
+                hc_first,
+                window,
+                target_pfail: 0.5,
+                validate,
+                trials,
+                ..ConfigureOptions::default()
+            })
+            .unwrap_err();
+            assert!(err.contains(&limit.to_string()), "got '{err}'");
+        }
+        assert_eq!(dual_steps(2, 1 << 31), u128::from(MAX_DUAL_STEPS) - 1);
+        assert!(dual_steps(3, 1 << 30) < u128::from(MAX_DUAL_STEPS));
+        assert!(dual_steps(3, (1 << 30) + 2) > u128::from(MAX_DUAL_STEPS));
+        assert_eq!(dual_steps(MAX_WINDOW + 1, MAX_WINDOW), 0);
+        assert!(run_configure(&ConfigureOptions {
+            hc_first: 2,
+            window: 1_024,
+            target_pfail: 0.5,
+            validate: true,
+            trials: 2,
+            ..ConfigureOptions::default()
+        })
+        .is_ok());
+    }
+
+    /// The README's example and CI's `analysis-gate` point print the same
+    /// documents as before the work limits.
+    #[test]
+    fn documented_points_render_their_pinned_documents() {
+        let readme = run_configure(&ConfigureOptions {
+            hc_first: 8192,
+            window: 64_000,
+            target_pfail: 0.001,
+            ..ConfigureOptions::default()
+        })
+        .unwrap();
+        assert_eq!(
+            render_configure(&readme),
+            r#"{
+  "configure": "PARA sampling rate from the closed-form failure model",
+  "hc_first": 8192,
+  "window_activations": 64000,
+  "target_pfail": 0.001,
+  "recommended_p": 0.0013737083049817807,
+  "analytic_pfail": 0.0009999999999999996,
+  "analytic_pfail_dual": 0.0010000000000003858,
+  "divergence": 0.0000000000000003861928138393367,
+  "validation": null
+}"#
+        );
+        let gate = run_configure(&ConfigureOptions {
+            hc_first: 10,
+            window: 2_000,
+            target_pfail: 0.5,
+            validate: true,
+            trials: 150,
+            ..ConfigureOptions::default()
+        })
+        .unwrap();
+        assert_eq!(
+            render_configure(&gate),
+            r#"{
+  "configure": "PARA sampling rate from the closed-form failure model",
+  "hc_first": 10,
+  "window_activations": 2000,
+  "target_pfail": 0.5,
+  "recommended_p": 0.5598904314659466,
+  "analytic_pfail": 0.49999999999999944,
+  "analytic_pfail_dual": 0.49999999999999967,
+  "divergence": 0.0000000000000002220446049250313,
+  "validation": {
+    "trials": 150,
+    "failures": 62,
+    "seed": 12648430,
+    "empirical_rate": 0.41333333333333333,
+    "band_z": 4.417,
+    "band_lo": 0.2559495000382068,
+    "band_hi": 0.5906671182996177,
+    "pass": true
+  }
+}"#
+        );
     }
 
     /// A tiny validated run end to end: deterministic seed, must pass.

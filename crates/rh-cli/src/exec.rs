@@ -1,43 +1,67 @@
-//! Cell execution: shard a plan's cells across worker threads and merge
-//! results back into plan order.
+//! Cell execution: fold a plan's cells into simulations, run them across
+//! worker threads, and merge results back into plan order.
 //!
 //! Cells are embarrassingly parallel — each one materializes its own
-//! workload and mitigation from plain specs and seeds — so the executor
-//! deals cells round-robin into per-thread shards up front: each shard
-//! carries exclusive `&mut` references to its cells' result slots, so
-//! every slot is written exactly once by exactly one thread with no lock
-//! and no post-join unwrapping hazard (the type system rules out both
-//! double-writes and cross-thread contention). Results land in plan order
-//! regardless of scheduling, so `--threads 1` and `--threads N` produce
-//! identical results, which the integration tests and the CI determinism
-//! job assert byte-for-byte on the JSON. Round-robin (not contiguous
-//! chunks) because the plan's grid cycles mitigations fastest: dealing
-//! spreads the expensive mitigation families evenly across threads.
+//! workload and mitigation from plain specs and seeds — but many of them
+//! share a trajectory. Cells that differ only in `hc_first`, under a
+//! mitigation that does not read it
+//! ([`reads_hc_first`](rh_mitigations::MitigationSpec::reads_hc_first):
+//! no mitigation, PARA, TRR), drive the identical activation and refresh
+//! stream into devices that differ only in their thresholds: the workload
+//! and mitigation seeds and the device seed do not depend on `HC_first`
+//! (see [`crate::plan`]). `units` groups each such set into one **unit**,
+//! and the unit runner simulates it once, at its lowest `HC_first`, then
+//! derives every other member's flips from the device's per-row peak
+//! charges ([`DeviceState::flips_under`], whose docs carry the exactness
+//! argument); the other result fields do not depend on `HC_first`.
+//! Graphene and increased-refresh cells read it, so each is a unit of its
+//! own. On the default job the fold turns 124 cells into 69 simulations,
+//! and on the DDR4 reference grid 91 into 54. `units` finds a cell's unit
+//! through a hash of what the fold compares, so folding is linear in the
+//! list, whatever its length.
 //!
-//! The same per-cell machinery (the crate-internal `Worker::run_cell` over
-//! a `build_table_cache` table set) is the execution core of the
-//! distributed service's worker process ([`crate::worker`]): a shard lease
-//! there is just this module's shard concept serialized across a process
-//! boundary.
+//! Units are the executor's work items. Each thread claims the next unit
+//! from a shared cursor until none is left, so the threads stay busy to
+//! the end whatever the units cost, and returns its `(position, result)`
+//! pairs when it joins; the merge then places every result in its cell's
+//! slot. Results land in plan order regardless of scheduling, so
+//! `--threads 1` and `--threads N` produce identical results, which the
+//! integration tests and the CI determinism job assert byte-for-byte on
+//! the JSON.
+//!
+//! The same unit runner (the crate-internal `Worker::run_unit` over a
+//! `build_table_cache` table set) is the execution core of the distributed
+//! service's worker process ([`crate::worker`]) and of the coordinator's
+//! in-process fallback: a shard lease there is a list of whole units
+//! serialized across a process boundary.
 //!
 //! Hot-path amortization across cells:
 //!
 //! * **Shared device tables**: the immutable seed-derived tables
-//!   ([`DeviceTables`]) are built once per distinct `(hc_first, device
-//!   seed)` pair up front and `Arc`-shared with every worker — the sweep's
-//!   common-random-number structure means all cells at one `HC_first` share
-//!   one table set instead of re-deriving O(total_rows) thresholds per cell.
+//!   ([`DeviceTables`]) are built once per distinct `(hc_first, data
+//!   pattern, device seed)` up front and `Arc`-shared with every worker —
+//!   the sweep's common-random-number structure means all cells at one
+//!   `HC_first` and pattern share one table set instead of re-deriving
+//!   O(total_rows) thresholds per cell. Only a unit's simulated member
+//!   needs tables: the derived members' thresholds are recomputed from
+//!   their rows' draws, for the few rows that settled, so a list of units
+//!   spanning the `HC_first` axis builds no table set for the values it
+//!   only derives.
 //! * **Per-worker device reuse**: each worker owns one [`DeviceState`] and
-//!   one [`EngineScratch`] for its whole shard. Between cells the device is
-//!   reset, not rebuilt: `reset_for_cell` bumps its epoch, which retires
-//!   every charge the previous cell wrote, and clears its per-row flip
-//!   counters; its charge/epoch slabs are reallocated only when the row
-//!   count changes.
+//!   one [`EngineScratch`] for every unit it runs. Between simulations the
+//!   device is reset, not rebuilt: `reset_for_cell` bumps its epoch, which
+//!   retires every charge the previous cell wrote, and clears its per-row
+//!   flip counters and its peak record; its charge/epoch slabs are
+//!   reallocated only when the row count changes.
 
 use crate::engine::{run_experiment, EngineScratch, RunResult};
-use crate::plan::{CellSpec, SweepPlan, BLAST_RADIUS};
+use crate::plan::{CellSeeds, CellSpec, SweepPlan, BLAST_RADIUS};
 use rh_core::{DataPattern, DeviceState, DeviceTables, Kernel, VictimModelParams};
-use std::collections::BTreeMap;
+use rh_mitigations::MitigationSpec;
+use rh_workloads::WorkloadSpec;
+use std::collections::{BTreeMap, HashMap};
+use std::mem::Discriminant;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Shared immutable tables per distinct `(hc_first, data_pattern,
@@ -49,6 +73,10 @@ use std::sync::Arc;
 /// execution) to keep `DeviceTables` a single self-contained `Arc` rather
 /// than a two-level sharing structure.
 pub(crate) type TableCache = BTreeMap<(u64, DataPattern, u64), Arc<DeviceTables>>;
+
+fn table_key(cell: &CellSpec) -> (u64, DataPattern, u64) {
+    (cell.hc_first, cell.data_pattern, cell.seeds.device)
+}
 
 /// The victim-model parameters one cell simulates: the sweep's `HC_first`
 /// point plus the cell's Section 5 axes (data pattern from the cell, ECC
@@ -63,26 +91,115 @@ fn cell_params(plan: &SweepPlan, cell: &CellSpec) -> VictimModelParams {
     }
 }
 
-/// Derive the tables every cell in the shard will need, exactly once each.
-pub(crate) fn build_table_cache(plan: &SweepPlan, cells: &[CellSpec]) -> TableCache {
+/// Derive the tables the simulations of `units` (of `cells`) read, exactly
+/// once each: each unit's first member's. A unit's other members are
+/// derived from that run and read no tables, so a list of units that
+/// spans the `HC_first` axis builds only the table sets its simulations
+/// use.
+pub(crate) fn build_table_cache(
+    plan: &SweepPlan,
+    cells: &[CellSpec],
+    units: &[Vec<usize>],
+) -> TableCache {
     let mut cache = TableCache::new();
-    for cell in cells {
-        cache
-            .entry((cell.hc_first, cell.data_pattern, cell.seeds.device))
-            .or_insert_with(|| {
-                DeviceTables::shared(
-                    plan.config.geometry,
-                    cell_params(plan, cell),
-                    cell.seeds.device,
-                )
-                .expect("geometry and victim params are validated at plan time")
-            });
+    for cell in units.iter().map(|unit| &cells[unit[0]]) {
+        cache.entry(table_key(cell)).or_insert_with(|| {
+            DeviceTables::shared(
+                plan.config.geometry,
+                cell_params(plan, cell),
+                cell.seeds.device,
+            )
+            .expect("geometry and victim params are validated at plan time")
+        });
     }
     cache
 }
 
+/// Whether two cells of one plan run the identical activation and refresh
+/// stream into devices that differ only in `hc_first`: everything but
+/// `hc_first` (and the list position) is equal, and the mitigation does
+/// not read `hc_first`.
+fn same_but_hc_first(a: &CellSpec, b: &CellSpec) -> bool {
+    !a.mitigation.reads_hc_first()
+        && a.mitigation == b.mitigation
+        && a.data_pattern == b.data_pattern
+        && a.workload == b.workload
+        && a.activations == b.activations
+        && a.auto_refresh_interval == b.auto_refresh_interval
+        && a.seeds == b.seeds
+}
+
+/// What [`same_but_hc_first`] compares, as a hash key: the mitigation by
+/// its variant and PARA's probability by its bits (the one float a spec
+/// carries). `units` folds only cells that `same_but_hc_first` accepts, so
+/// the key decides how fast a unit is found, never what it holds.
+#[derive(PartialEq, Eq, Hash)]
+struct FoldKey {
+    mitigation: Discriminant<MitigationSpec>,
+    para_probability_bits: u64,
+    data_pattern: DataPattern,
+    workload: WorkloadSpec,
+    activations: u64,
+    auto_refresh_interval: u64,
+    seeds: CellSeeds,
+}
+
+impl FoldKey {
+    fn of(cell: &CellSpec) -> Self {
+        let para_probability_bits = match cell.mitigation {
+            MitigationSpec::Para { probability } => probability.to_bits(),
+            _ => 0,
+        };
+        Self {
+            mitigation: std::mem::discriminant(&cell.mitigation),
+            para_probability_bits,
+            data_pattern: cell.data_pattern,
+            workload: cell.workload,
+            activations: cell.activations,
+            auto_refresh_interval: cell.auto_refresh_interval,
+            seeds: cell.seeds,
+        }
+    }
+}
+
+/// Fold `cells` (all of one plan) into units, each one simulation: lists of
+/// positions in `cells`, ordered by the unit's first cell in the list. A
+/// unit holds every cell that differs from the others only in `hc_first`
+/// under a mitigation that does not read it, lowest `hc_first` first (ties
+/// in list order); every other cell is a unit of its own. Linear in the
+/// list: a cell's unit is found through a hash of what the fold compares,
+/// so a list of a million distinct PARA probabilities (none of which
+/// fold) costs a million lookups, not a comparison per pair.
+pub(crate) fn units<'a>(cells: impl IntoIterator<Item = &'a CellSpec>) -> Vec<Vec<usize>> {
+    let cells: Vec<&CellSpec> = cells.into_iter().collect();
+    let mut units: Vec<Vec<usize>> = Vec::new();
+    // Per key, the units whose first cell has it (almost always one).
+    let mut by_key: HashMap<FoldKey, Vec<usize>> = HashMap::new();
+    for (pos, &cell) in cells.iter().enumerate() {
+        if cell.mitigation.reads_hc_first() {
+            units.push(vec![pos]);
+            continue;
+        }
+        let candidates = by_key.entry(FoldKey::of(cell)).or_default();
+        match candidates
+            .iter()
+            .find(|&&unit| same_but_hc_first(cells[units[unit][0]], cell))
+        {
+            Some(&unit) => units[unit].push(pos),
+            None => {
+                candidates.push(units.len());
+                units.push(vec![pos]);
+            }
+        }
+    }
+    for unit in &mut units {
+        unit.sort_by_key(|&pos| cells[pos].hc_first);
+    }
+    units
+}
+
 /// One worker's reusable simulation state: a device whose buffers persist
-/// across the cells this worker executes, and the engine scratch (action
+/// across the units this worker executes, and the engine scratch (action
 /// sink, workload chunk buffer, run slots).
 pub(crate) struct Worker {
     device: Option<DeviceState>,
@@ -102,17 +219,13 @@ impl Worker {
         }
     }
 
-    /// Run one cell: build workload + mitigation from specs and seeds, reuse
-    /// the worker's device. The result is a pure function of `(plan, cell)`
-    /// — reuse never leaks state between cells (`reset_for_cell` is asserted
-    /// equivalent to fresh construction in rh-core's tests).
-    pub(crate) fn run_cell(
-        &mut self,
-        plan: &SweepPlan,
-        cell: &CellSpec,
-        tables: &TableCache,
-    ) -> RunResult {
-        let cell_tables = tables[&(cell.hc_first, cell.data_pattern, cell.seeds.device)].clone();
+    /// Simulate one cell: build workload + mitigation from specs and seeds,
+    /// reuse the worker's device. The result is a pure function of `(plan,
+    /// cell)` — reuse never leaks state between cells (`reset_for_cell` is
+    /// asserted equivalent to fresh construction in rh-core's tests) — and
+    /// the device is left holding the run's peak record.
+    fn run_cell(&mut self, plan: &SweepPlan, cell: &CellSpec, tables: &TableCache) -> RunResult {
+        let cell_tables = tables[&table_key(cell)].clone();
         let device = match self.device.as_mut() {
             Some(device) => {
                 device.reset_for_cell(cell_tables);
@@ -148,6 +261,45 @@ impl Worker {
             &mut self.scratch,
         )
     }
+
+    /// Run one unit of `units(cells)`: simulate its first cell, then
+    /// derive each other member's flips from the device's peak record at
+    /// that member's `HC_first`. `tables` needs only the first member's
+    /// set ([`build_table_cache`]). Returns one result per member, in
+    /// `unit` order — each equal, field for field, to the member simulated
+    /// alone.
+    pub(crate) fn run_unit(
+        &mut self,
+        plan: &SweepPlan,
+        cells: &[CellSpec],
+        unit: &[usize],
+        tables: &TableCache,
+    ) -> Vec<RunResult> {
+        let first = &cells[unit[0]];
+        let simulated = self.run_cell(plan, first, tables);
+        let device = self.device.as_ref().expect("run_cell leaves a device");
+        unit.iter()
+            .map(|&pos| {
+                let cell = &cells[pos];
+                if cell.hc_first == first.hc_first {
+                    return simulated.clone();
+                }
+                let flips = device
+                    .flips_under(cell.hc_first)
+                    .expect("a unit's first member has its lowest HC_first");
+                RunResult {
+                    hc_first: cell.hc_first,
+                    total_flips: flips.total_flips,
+                    flipped_rows: flips.flipped_rows,
+                    flips_per_mact: flips.flips_per_mact,
+                    flips_1to0: flips.flips_1to0,
+                    flips_0to1: flips.flips_0to1,
+                    post_ecc_flips: flips.post_ecc_flips,
+                    ..simulated.clone()
+                }
+            })
+            .collect()
+    }
 }
 
 /// Execute `cells` on up to `threads` workers; results come back merged in
@@ -165,36 +317,36 @@ pub fn execute_cells_with_kernel(
     threads: usize,
     kernel: Kernel,
 ) -> Vec<RunResult> {
-    let threads = threads.max(1).min(cells.len().max(1));
-    let tables = build_table_cache(plan, cells);
-    if threads == 1 {
+    let units = units(cells);
+    let tables = build_table_cache(plan, cells, &units);
+    let threads = threads.max(1).min(units.len().max(1));
+    // Each thread claims units from the cursor and keeps its results with
+    // their positions; the merge below fills every slot exactly once.
+    let next = AtomicUsize::new(0);
+    let run = || {
         let mut worker = Worker::with_kernel(kernel);
-        return cells
-            .iter()
-            .map(|cell| worker.run_cell(plan, cell, &tables))
-            .collect();
-    }
-
-    // Write-once result slots: deal (cell, &mut slot) pairs round-robin
-    // into per-thread shards, so each thread owns exclusive mutable access
-    // to exactly the slots it will fill (see the module docs).
-    let mut results: Vec<Option<RunResult>> = (0..cells.len()).map(|_| None).collect();
-    let mut shards: Vec<Vec<(&CellSpec, &mut Option<RunResult>)>> =
-        (0..threads).map(|_| Vec::new()).collect();
-    for (i, (cell, slot)) in cells.iter().zip(results.iter_mut()).enumerate() {
-        shards[i % threads].push((cell, slot));
-    }
-    std::thread::scope(|scope| {
-        for shard in shards {
-            let tables = &tables;
-            scope.spawn(move || {
-                let mut worker = Worker::with_kernel(kernel);
-                for (cell, slot) in shard {
-                    *slot = Some(worker.run_cell(plan, cell, tables));
-                }
-            });
+        let mut done = Vec::new();
+        while let Some(unit) = units.get(next.fetch_add(1, Ordering::Relaxed)) {
+            let results = worker.run_unit(plan, cells, unit, &tables);
+            done.extend(unit.iter().copied().zip(results));
         }
-    });
+        done
+    };
+    let done: Vec<Vec<(usize, RunResult)>> = if threads == 1 {
+        vec![run()]
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads).map(|_| scope.spawn(run)).collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("executor thread panicked"))
+                .collect()
+        })
+    };
+    let mut results: Vec<Option<RunResult>> = vec![None; cells.len()];
+    for (pos, result) in done.into_iter().flatten() {
+        results[pos] = Some(result);
+    }
     results
         .into_iter()
         .map(|slot| slot.expect("every cell executed exactly once"))
@@ -204,7 +356,9 @@ pub fn execute_cells_with_kernel(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::SweepConfig;
+    use crate::plan::GRID_PARA_P;
+    use crate::sweep::{sweep_cells, SweepConfig};
+    use rh_core::Geometry;
 
     fn tiny_plan() -> SweepPlan {
         let cfg = SweepConfig {
@@ -253,10 +407,16 @@ mod tests {
         }
     }
 
+    /// Each cell of `cells` as a unit of its own: the tables to simulate
+    /// every cell alone.
+    fn alone(cells: &[CellSpec]) -> Vec<Vec<usize>> {
+        (0..cells.len()).map(|pos| vec![pos]).collect()
+    }
+
     #[test]
     fn table_cache_is_shared_per_device_not_per_cell() {
         let plan = tiny_plan();
-        let tables = build_table_cache(&plan, &plan.grid);
+        let tables = build_table_cache(&plan, &plan.grid, &units(&plan.grid));
         // 2 hc_first values × 1 pattern × 1 shared device seed — far fewer
         // than cells.
         assert_eq!(tables.len(), 2);
@@ -277,7 +437,7 @@ mod tests {
             ..SweepConfig::default()
         };
         let plan = SweepPlan::from_config(&cfg).unwrap();
-        let tables = build_table_cache(&plan, &plan.grid);
+        let tables = build_table_cache(&plan, &plan.grid, &alone(&plan.grid));
         // 1 hc × 2 patterns: pattern-scaled attenuation/budgets must not be
         // shared across patterns.
         assert_eq!(tables.len(), 2);
@@ -290,7 +450,7 @@ mod tests {
         // Serial path reuses ONE worker for every cell; per-cell fresh
         // workers must agree, proving reset_for_cell leaks nothing.
         let plan = tiny_plan();
-        let tables = build_table_cache(&plan, &plan.grid);
+        let tables = build_table_cache(&plan, &plan.grid, &alone(&plan.grid));
         let reused = execute_cells(&plan, &plan.grid, 1);
         let fresh: Vec<RunResult> = plan
             .grid
@@ -298,6 +458,200 @@ mod tests {
             .map(|cell| Worker::with_kernel(Kernel::auto()).run_cell(&plan, cell, &tables))
             .collect();
         assert_eq!(flat(&reused), flat(&fresh));
+    }
+
+    /// Every field of two results, `flips_per_mact` by its bits.
+    fn assert_same_result(a: &RunResult, b: &RunResult, what: &str) {
+        let RunResult {
+            workload,
+            mitigation,
+            hc_first,
+            data_pattern,
+            activations,
+            total_flips,
+            flipped_rows,
+            flips_per_mact,
+            refreshes_issued,
+            flips_1to0,
+            flips_0to1,
+            post_ecc_flips,
+        } = a;
+        assert_eq!(workload, &b.workload, "{what}");
+        assert_eq!(mitigation, &b.mitigation, "{what}");
+        assert_eq!(*hc_first, b.hc_first, "{what}");
+        assert_eq!(data_pattern, &b.data_pattern, "{what}");
+        assert_eq!(*activations, b.activations, "{what}");
+        assert_eq!(*total_flips, b.total_flips, "{what}");
+        assert_eq!(*flipped_rows, b.flipped_rows, "{what}");
+        assert_eq!(
+            flips_per_mact.to_bits(),
+            b.flips_per_mact.to_bits(),
+            "{what}"
+        );
+        assert_eq!(*refreshes_issued, b.refreshes_issued, "{what}");
+        assert_eq!(*flips_1to0, b.flips_1to0, "{what}");
+        assert_eq!(*flips_0to1, b.flips_0to1, "{what}");
+        assert_eq!(*post_ecc_flips, b.post_ecc_flips, "{what}");
+    }
+
+    /// The fold's exactness bar: every cell's folded result equals the
+    /// same cell simulated alone on a fresh device, field for field — at
+    /// benign fractions 0.25 and 1.0, with ECC off and on, over two data
+    /// patterns and an unsorted `HC_first` axis whose lowest value flips
+    /// rows the next one does not.
+    #[test]
+    fn folded_units_match_each_cell_simulated_alone() {
+        for benign_fraction in [0.25, 1.0] {
+            for ecc_codeword_bits in [0, 128] {
+                let cfg = SweepConfig {
+                    activations: 6_000,
+                    hc_firsts: vec![60, 40, 90, 2_000],
+                    sides: vec![4],
+                    para_probabilities: vec![0.0, GRID_PARA_P],
+                    data_patterns: vec![DataPattern::Legacy, DataPattern::RowStripe],
+                    ecc_codeword_bits,
+                    benign_fraction,
+                    auto_refresh_interval: 2_500,
+                    geometry: Geometry {
+                        banks: 2,
+                        ..Geometry::tiny(64)
+                    },
+                    ..SweepConfig::default()
+                };
+                let what = format!("benign {benign_fraction} ecc {ecc_codeword_bits}");
+                let plan = SweepPlan::from_config(&cfg).unwrap();
+                let cells = sweep_cells(&plan);
+                let tables = build_table_cache(&plan, &cells, &alone(&cells));
+                let folded = execute_cells(&plan, &cells, 2);
+                for (i, (cell, got)) in cells.iter().zip(&folded).enumerate() {
+                    let alone = Worker::with_kernel(Kernel::auto()).run_cell(&plan, cell, &tables);
+                    assert_same_result(got, &alone, &format!("{what}, cell {i}"));
+                }
+                let units = units(&cells);
+                assert!(units.len() < cells.len(), "{what}: nothing folded");
+                assert!(
+                    units.iter().any(|u| u.len() > 1
+                        && folded[u[0]].total_flips > folded[u[1]].total_flips
+                        && folded[u[1]].total_flips > 0),
+                    "{what}: no unit flips rows only at its lowest HC_first"
+                );
+            }
+        }
+    }
+
+    /// The DDR4 reference grid (the one `ddr4_reference_document_is_pinned`
+    /// pins, at perfbench's 1M activations per cell).
+    fn ddr4_reference() -> SweepConfig {
+        SweepConfig {
+            seed: 0xBE7C4,
+            activations: 1_000_000,
+            hc_firsts: vec![4096, 512, 128],
+            sides: vec![8],
+            para_probabilities: vec![0.004],
+            data_patterns: vec![DataPattern::Legacy, DataPattern::RowStripe],
+            ecc_codeword_bits: 128,
+            benign_fraction: 0.1,
+            auto_refresh_interval: 32_000,
+            geometry: Geometry {
+                channels: 1,
+                ranks: 1,
+                banks: 16,
+                rows_per_bank: 32 * 1024,
+            },
+        }
+    }
+
+    /// The fold's work, pinned: the default job's 124 cells run as 69
+    /// simulations (the none, PARA and TRR cells of each workload fold
+    /// their four `HC_first` values into one, and the PARA sweep's
+    /// 0.004 cell joins its grid twin), the DDR4 grid's 91 as 54.
+    #[test]
+    fn the_fold_pins_the_simulation_count() {
+        for (cfg, cells, simulations) in [
+            (SweepConfig::default(), 124, 69),
+            (ddr4_reference(), 91, 54),
+        ] {
+            let plan = SweepPlan::from_config(&cfg).unwrap();
+            let list = sweep_cells(&plan);
+            assert_eq!(list.len(), cells);
+            assert_eq!(units(&list).len(), simulations, "{cells}-cell job");
+        }
+    }
+
+    /// One executor pass per sweep builds each distinct `(HC_first,
+    /// pattern, device seed)` table set its simulations read once, the
+    /// PARA sweep's included: 4 on the default grid, 6 on the DDR4
+    /// reference grid. A unit's derived members read none, so the cells
+    /// that fold (none, PARA, TRR) build only their lowest `HC_first`'s
+    /// set per pattern: 1 and 2.
+    #[test]
+    fn one_sweep_pass_builds_each_table_set_once() {
+        for (cfg, distinct, folding_sets) in
+            [(SweepConfig::default(), 4, 1), (ddr4_reference(), 6, 2)]
+        {
+            let plan = SweepPlan::from_config(&cfg).unwrap();
+            let cells = sweep_cells(&plan);
+            let tables = build_table_cache(&plan, &cells, &units(&cells));
+            assert_eq!(tables.len(), distinct);
+            let folding: Vec<CellSpec> = cells
+                .into_iter()
+                .filter(|cell| !cell.mitigation.reads_hc_first())
+                .collect();
+            let tables = build_table_cache(&plan, &folding, &units(&folding));
+            assert_eq!(tables.len(), folding_sets);
+        }
+    }
+
+    /// What a served lease builds: every 16 consecutive units (a full
+    /// lease) simulate cells of at most two `(HC_first, pattern)` table
+    /// sets on the default grid, and of at most three on the DDR4
+    /// reference grid, whose two patterns and high-to-low `HC_first` axis
+    /// put a lowest-`HC_first` unit among each value's blocks.
+    #[test]
+    fn a_full_lease_of_units_builds_few_table_sets() {
+        for (cfg, most) in [(SweepConfig::default(), 2), (ddr4_reference(), 3)] {
+            let plan = SweepPlan::from_config(&cfg).unwrap();
+            let units = units(&plan.grid);
+            for lease in units.chunks(16) {
+                let tables = build_table_cache(&plan, &plan.grid, lease);
+                assert!(tables.len() <= most, "{} table sets", tables.len());
+            }
+        }
+    }
+
+    /// `units` is linear in its list: 100,000 PARA cells of distinct
+    /// probabilities (none folds with another), each at two `HC_first`
+    /// values, fold into 100,000 units of two in well under the 10 s
+    /// bound even unoptimized, where a comparison per pair of units (5·10⁹)
+    /// would take minutes.
+    #[test]
+    fn units_folds_a_long_para_axis_in_linear_time() {
+        let plan = tiny_plan();
+        let base = &plan.para_sweep[0];
+        let n = 100_000;
+        let cells: Vec<CellSpec> = (0..2 * n)
+            .map(|i| CellSpec {
+                index: i,
+                hc_first: if i < n { 900 } else { 300 },
+                mitigation: MitigationSpec::Para {
+                    probability: (i % n) as f64 / n as f64,
+                },
+                ..base.clone()
+            })
+            .collect();
+        let start = std::time::Instant::now();
+        let folded = units(&cells);
+        let elapsed = start.elapsed();
+        assert_eq!(folded.len(), n);
+        assert!(folded
+            .iter()
+            .enumerate()
+            .all(|(i, unit)| unit == &vec![i + n, i]));
+        assert!(
+            elapsed < std::time::Duration::from_secs(10),
+            "folding {} cells took {elapsed:?}",
+            cells.len()
+        );
     }
 
     #[test]

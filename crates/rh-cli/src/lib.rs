@@ -1,12 +1,14 @@
 //! # rh-cli — sweep driver and reporting layer
 //!
 //! Top of the workspace: couples the three lower layers and reproduces the
-//! paper's core experiment loop as a **plan → shard → execute → merge**
+//! paper's core experiment loop as a **plan → fold → execute → merge**
 //! pipeline. [`plan`] expands a declarative [`SweepConfig`] into a flat list
 //! of order-independent cells (serializable workload/mitigation specs plus
 //! seeds derived in `rh-core` from the root seed and cell coordinates);
-//! [`exec`] shards the cells across scoped worker threads and merges results
-//! back into plan order, so any `--threads` value emits byte-identical JSON;
+//! [`exec`] folds the cells that differ only in `HC_first` under a
+//! mitigation that does not read it into one simulation, runs the
+//! simulations across scoped worker threads and merges results back into
+//! plan order, so any `--threads` value emits byte-identical JSON;
 //! [`engine`] drives one cell's activation stream through a mitigation into
 //! the device model — batched (`Workload::fill_batch` chunks) and fully
 //! monomorphized (`MitigationKind` enum dispatch, concrete workload type);

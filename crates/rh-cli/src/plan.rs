@@ -9,10 +9,12 @@
 //!    serializable specs of its workload and mitigation and a [`CellSeeds`]
 //!    bundle derived in `rh-core` via SplitMix64 over the root seed and the
 //!    cell's coordinates.
-//! 2. *Shard / execute* ([`crate::exec::execute_cells`]): the executor
-//!    deals cells round-robin into one shard per worker thread up front (no
-//!    atomic cursor), and each thread materializes its cells' device,
-//!    workload, and mitigation locally from their specs and seeds.
+//! 2. *Fold / execute* ([`crate::exec::execute_cells`]): the executor
+//!    folds the cells that differ only in `HC_first` under a mitigation
+//!    that does not read it into one simulation each, worker threads claim
+//!    those simulations from a shared cursor, and each thread materializes
+//!    its cells' device, workload, and mitigation locally from their specs
+//!    and seeds.
 //! 3. *Merge*: results land back in plan order, so the output is a pure
 //!    function of the config — `--threads 1` and `--threads 8` emit
 //!    byte-identical JSON.
@@ -60,7 +62,7 @@ const MITIGATION_STREAM: u64 = 0x30;
 
 /// Seeds for the stochastic components of one cell. See the module docs for
 /// which coordinates each seed may depend on (CRN structure).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CellSeeds {
     /// Per-row threshold jitter of the simulated device.
     pub device: u64,

@@ -53,12 +53,18 @@
 //!   *mid-shard* (a `cancel` lease message, acknowledged with
 //!   `cancel_ack`, never requeued) instead of burning the rest of the
 //!   lease.
-//! * **Pool split**: at submit time each cell list's missing slots are cut
-//!   into contiguous leases of `missing / live workers` cells (rounded up,
-//!   at most `--shard-cells`), so every live worker pulls at least one
-//!   lease of every list that has a cell per worker. Contiguous chunks keep
-//!   a lease on one or two `(hc_first, pattern)` device tables; the merge
-//!   is slot-addressed, so any width yields byte-identical output.
+//! * **Pool split**: at submit time each cell list's missing slots are
+//!   folded into units, one simulation each (the cells that differ only in
+//!   `HC_first` under no mitigation, PARA or TRR; see [`crate::exec`]), and
+//!   the units are cut into leases of `units / live workers` simulations
+//!   (rounded up, at most `--shard-cells`), so every live worker pulls at
+//!   least one lease of every list that has a simulation per worker. A
+//!   lease never splits a unit, so the worker simulates each once. Units
+//!   follow their first cell's plan order and only a unit's simulated
+//!   cell needs device tables, so a full lease builds one or two
+//!   `(hc_first, pattern)` table sets on the default grid and at most
+//!   three on the two-pattern DDR4 reference grid; the merge is
+//!   slot-addressed, so any width yields byte-identical output.
 //! * **Authentication**: with `--auth-token-file`, worker hellos and
 //!   client sessions must carry a proof derived from the shared token and
 //!   a caller-chosen nonce ([`proto::auth_proof`], compared in constant
@@ -119,8 +125,9 @@ pub struct ServeOptions {
     /// Directory for per-shard checkpoint files; `None` disables
     /// checkpointing.
     pub checkpoint_dir: Option<PathBuf>,
-    /// Maximum cells per shard lease; below this cap each cell list is
-    /// split into one contiguous lease per live worker.
+    /// Maximum simulations per shard lease (one per unit of cells folded
+    /// along `HC_first`); below this cap each cell list is split into one
+    /// lease of whole units per live worker.
     pub shard_cells: usize,
     /// Worker executable to spawn; defaults to the current executable
     /// (tests point it at the real `rh-cli` binary).
@@ -809,24 +816,30 @@ impl Inner {
             ));
         }
 
-        // Queue shard leases for the missing cells, each list split across
-        // the workers live right now.
+        // Queue shard leases for the missing cells: each list's missing
+        // cells folded into units (one simulation each), and the units
+        // split across the workers live right now.
         let mut leases = Vec::new();
-        for (list, slots) in [(ShardList::Grid, &job.grid), (ShardList::Para, &job.para)] {
+        for (list, slots, cells) in [
+            (ShardList::Grid, &job.grid, &plan.grid),
+            (ShardList::Para, &job.para, &plan.para_sweep),
+        ] {
             let missing: Vec<usize> = slots
                 .iter()
                 .enumerate()
                 .filter_map(|(i, s)| s.is_none().then_some(i))
                 .collect();
-            let width = lease_width(missing.len(), st.live_workers, inner.shard_cells);
-            for chunk in missing.chunks(width) {
+            let units = crate::exec::units(missing.iter().map(|&i| &cells[i]));
+            let width = lease_width(units.len(), st.live_workers, inner.shard_cells);
+            for chunk in units.chunks(width) {
+                let indices = chunk.iter().flatten().map(|&p| missing[p]).collect();
                 let shard = st.next_shard;
                 st.next_shard += 1;
                 leases.push(Lease {
                     job: job_id,
                     shard,
                     list,
-                    indices: chunk.to_vec(),
+                    indices,
                 });
             }
         }
@@ -980,13 +993,16 @@ fn envelope(
     }
 }
 
-/// Cells per lease when a list with `missing` unfilled slots is split
-/// across `live_workers`: one contiguous chunk per worker, capped at
-/// `shard_cells`. A list with at least one missing cell per worker thus
-/// gives every worker a lease; contiguous chunks (not a strided deal) keep
-/// each lease on one or two `(hc_first, pattern)` device tables. With no
-/// worker attached yet (a TCP listener before the first hello) the list is
-/// cut as for one worker.
+/// Simulations per lease when a list whose missing cells fold into
+/// `missing` units (`crate::exec::units`, one simulation each) is split
+/// across `live_workers`: one chunk of whole units per worker, capped at
+/// `shard_cells` simulations. A list with at least one missing simulation
+/// per worker thus gives every worker a lease, and no unit is ever cut in
+/// two (its members would each be simulated). Only a unit's first,
+/// lowest-`HC_first` member reads tables, so a chunk of consecutive units
+/// builds few table sets (see the module docs). With no worker attached
+/// yet (a TCP listener before the first hello) the list is cut as for one
+/// worker.
 fn lease_width(missing: usize, live_workers: usize, shard_cells: usize) -> usize {
     missing.div_ceil(live_workers.max(1)).clamp(1, shard_cells)
 }
@@ -1028,22 +1044,25 @@ fn run_leases_in_process(inner: &Arc<Inner>, leases: &[Lease]) {
             ShardList::Para => &sweep_plan.para_sweep,
         };
         let leased: Vec<_> = lease.indices.iter().map(|&i| cells[i].clone()).collect();
-        let tables = crate::exec::build_table_cache(&sweep_plan, &leased);
+        let units = crate::exec::units(&leased);
+        let tables = crate::exec::build_table_cache(&sweep_plan, &leased, &units);
         let mut runner = crate::exec::Worker::with_kernel(resolved);
-        for (&index, cell) in lease.indices.iter().zip(&leased) {
-            let result = runner.run_cell(&sweep_plan, cell, &tables);
+        for unit in units {
+            let results = runner.run_unit(&sweep_plan, &leased, &unit, &tables);
             let mut st = inner.state.lock().expect("coordinator lock");
-            record_cell(
-                inner,
-                &mut st,
-                "in-process",
-                resolved.name(),
-                lease.job,
-                lease.shard,
-                lease.list,
-                index,
-                result,
-            );
+            for (pos, result) in unit.into_iter().zip(results) {
+                record_cell(
+                    inner,
+                    &mut st,
+                    "in-process",
+                    resolved.name(),
+                    lease.job,
+                    lease.shard,
+                    lease.list,
+                    lease.indices[pos],
+                    result,
+                );
+            }
         }
     }
 }
@@ -2849,7 +2868,7 @@ mod tests {
 
     #[test]
     fn lease_width_splits_each_list_across_the_pool() {
-        // (missing, live_workers, shard_cells) -> cells per lease.
+        // (missing, live_workers, shard_cells) -> simulations per lease.
         for (missing, live, cap, width) in [
             // No worker attached yet (TCP listen): cut as for one worker.
             (10, 0, 16, 10),
@@ -2857,7 +2876,8 @@ mod tests {
             // Fewer missing cells than workers: single-cell leases.
             (1, 2, 16, 1),
             (2, 3, 16, 1),
-            // The default job on two workers: 8 grid leases, 2 PARA ones.
+            // Two workers: 120 simulations go 16 to a lease; the default
+            // job's 4 PARA cells (4 simulations) go 2 and 2.
             (120, 2, 16, 16),
             (4, 2, 16, 2),
             // One chunk per worker below the cap, rounded up.
@@ -2919,6 +2939,74 @@ mod tests {
             assert_eq!(covered, (0..len).collect::<Vec<_>>(), "{list:?}");
         }
         assert!(cancel_by_name(&inner, "split"));
+        assert!(submitter.join().unwrap().is_err());
+    }
+
+    /// Across the `HC_first` axis, leases are cut from whole units sized in
+    /// simulations: the 45 grid cells of a three-value axis fold into 27
+    /// simulations, queued under the test coordinator's cap of 4 as six
+    /// leases of 4 and one of 3 (some holding 10 cells), and every unit's
+    /// cells land in one lease, so each is simulated once. A worker builds
+    /// the tables of a lease's simulated cells only, which stay on one or
+    /// two `HC_first` values however many a lease's units span.
+    #[test]
+    fn submit_cuts_leases_from_whole_units() {
+        let inner = test_inner();
+        inner.state.lock().unwrap().live_workers = 2;
+        let cfg = SweepConfig {
+            hc_firsts: vec![500, 700, 900],
+            ..small_config()
+        };
+        let plan = SweepPlan::from_config(&cfg).unwrap();
+        let submitter = {
+            let inner = Arc::clone(&inner);
+            let cfg = cfg.clone();
+            std::thread::spawn(move || Inner::submit(&inner, Some("units".into()), &cfg, "t", None))
+        };
+        let queued: Vec<Lease> = {
+            let mut st = inner.state.lock().unwrap();
+            while st.queue.is_empty() {
+                st = inner.work.wait(st).unwrap();
+            }
+            st.queue.iter().cloned().collect()
+        };
+        let grid: Vec<&Lease> = queued
+            .iter()
+            .filter(|l| l.list == ShardList::Grid)
+            .collect();
+        let units = crate::exec::units(&plan.grid);
+        assert_eq!((plan.grid.len(), units.len()), (45, 27));
+        let simulations = |lease: &Lease| {
+            units
+                .iter()
+                .filter(|u| u.iter().all(|i| lease.indices.contains(i)))
+                .count()
+        };
+        let sizes: Vec<usize> = grid.iter().map(|l| simulations(l)).collect();
+        assert_eq!(sizes, vec![4, 4, 4, 4, 4, 4, 3]);
+        let mut covered: Vec<usize> = grid.iter().flat_map(|l| l.indices.clone()).collect();
+        covered.sort_unstable();
+        assert_eq!(covered, (0..plan.grid.len()).collect::<Vec<_>>());
+        let mut spans_axis = false;
+        for lease in &grid {
+            let leased: Vec<_> = lease
+                .indices
+                .iter()
+                .map(|&i| plan.grid[i].clone())
+                .collect();
+            let hcs: std::collections::BTreeSet<u64> = leased.iter().map(|c| c.hc_first).collect();
+            spans_axis |= hcs.len() == 3;
+            let lease_units = crate::exec::units(&leased);
+            let tables = crate::exec::build_table_cache(&plan, &leased, &lease_units);
+            assert!(
+                tables.len() <= 2,
+                "shard {} builds {}",
+                lease.shard,
+                tables.len()
+            );
+        }
+        assert!(spans_axis, "no lease holds a unit across the whole axis");
+        assert!(cancel_by_name(&inner, "units"));
         assert!(submitter.join().unwrap().is_err());
     }
 

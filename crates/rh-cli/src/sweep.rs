@@ -6,7 +6,7 @@
 
 use crate::engine::RunResult;
 use crate::exec::execute_cells_with_kernel;
-use crate::plan::SweepPlan;
+use crate::plan::{CellSpec, SweepPlan};
 use rh_core::{DataPattern, Geometry, KernelChoice, VictimModelParams};
 
 /// Configuration of one full sweep.
@@ -165,6 +165,15 @@ pub struct SweepOutput {
     pub para_monotone: bool,
 }
 
+/// The cells one sweep executes, as one list: the grid, then the PARA
+/// sweep. One list means one table cache, one set of workers and one fold
+/// (the PARA cell at the grid's own probability joins its grid twin's
+/// unit), where two executor passes would build the PARA sweep's tables
+/// twice and leave threads idle on its few cells.
+pub(crate) fn sweep_cells(plan: &SweepPlan) -> Vec<CellSpec> {
+    plan.grid.iter().chain(&plan.para_sweep).cloned().collect()
+}
+
 /// Plan the full grid plus the PARA sweep, execute the cells on up to
 /// `threads` workers, and merge results in plan order.
 pub fn run_sweep(cfg: &SweepConfig, threads: usize) -> Result<SweepOutput, String> {
@@ -182,8 +191,8 @@ pub fn run_sweep_with_kernel(
 ) -> Result<SweepOutput, String> {
     let kernel = kernel.resolve()?;
     let plan = SweepPlan::from_config(cfg)?;
-    let grid = execute_cells_with_kernel(&plan, &plan.grid, threads, kernel);
-    let para_sweep = execute_cells_with_kernel(&plan, &plan.para_sweep, threads, kernel);
+    let mut grid = execute_cells_with_kernel(&plan, &sweep_cells(&plan), threads, kernel);
+    let para_sweep = grid.split_off(plan.grid.len());
     // Monotone because all PARA cells share device, workload stream, and
     // sampling RNG (common random numbers): the activations sampled at a
     // lower p are a subset of those sampled at any higher p.

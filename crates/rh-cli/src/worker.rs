@@ -52,7 +52,7 @@
 //! is reported back in the `shard_done` line, so the merged report can
 //! record what each worker actually ran.
 
-use crate::exec::{build_table_cache, Worker as CellRunner};
+use crate::exec::{build_table_cache, units, Worker as CellRunner};
 use crate::faults::{CellFate, FaultPlan, LineFate};
 use crate::plan::SweepPlan;
 use crate::proto::{
@@ -524,30 +524,33 @@ fn run_shard<W: Write>(
     }
 
     let leased: Vec<_> = indices.iter().map(|&i| cells[i].clone()).collect();
-    let tables = build_table_cache(&sweep_plan, &leased);
+    let units = units(&leased);
+    let tables = build_table_cache(&sweep_plan, &leased, &units);
     let mut runner = CellRunner::with_kernel(resolved);
-    for (&index, cell) in indices.iter().zip(&leased) {
-        // Cancellation is checked at cell boundaries: a `cancel` queued by
-        // the reader thread abandons the rest of the lease immediately,
+    for unit in units {
+        // Cancellation is checked between simulations: a `cancel` queued
+        // by the reader thread abandons the rest of the lease immediately,
         // and the ack tells the coordinator not to requeue it.
         if take_cancel(inbox, job) {
             let ack = FromWorker::CancelAck { job, shard };
             send(writer, plan, &ack.encode()).map_err(|e| format!("worker: write: {e}"))?;
             return Ok(true);
         }
-        let result = runner.run_cell(&sweep_plan, cell, &tables);
-        let msg = FromWorker::Cell {
-            job,
-            shard,
-            index,
-            kernel: resolved.name().to_string(),
-            result,
-        };
-        send(writer, plan, &msg.encode()).map_err(|e| format!("worker: write: {e}"))?;
-        match plan.on_cell() {
-            CellFate::Continue => {}
-            CellFate::Stall(pause) => std::thread::sleep(pause),
-            CellFate::Crash => return Ok(false),
+        let results = runner.run_unit(&sweep_plan, &leased, &unit, &tables);
+        for (pos, result) in unit.into_iter().zip(results) {
+            let msg = FromWorker::Cell {
+                job,
+                shard,
+                index: indices[pos],
+                kernel: resolved.name().to_string(),
+                result,
+            };
+            send(writer, plan, &msg.encode()).map_err(|e| format!("worker: write: {e}"))?;
+            match plan.on_cell() {
+                CellFate::Continue => {}
+                CellFate::Stall(pause) => std::thread::sleep(pause),
+                CellFate::Crash => return Ok(false),
+            }
         }
     }
     let done = FromWorker::ShardDone {

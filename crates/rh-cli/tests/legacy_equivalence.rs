@@ -3,10 +3,13 @@
 //!
 //! The optimized side is exactly what `rh-cli sweep --threads 1` runs: the
 //! plan's cells through [`execute_cells_with_kernel`] on one worker, so one
-//! [`rh_core::DeviceState`] is reset and reused across every cell over
-//! `Arc`-shared tables, with flat counter tables, batched workload pulls,
-//! slot-addressed run coalescing, deferred benign rows and the settle kernel
-//! `Kernel::auto()` picks (the scalar one under `RH_FORCE_SCALAR`).
+//! [`rh_core::DeviceState`] is reset and reused across every simulation
+//! over `Arc`-shared tables, the none/PARA/TRR cells of each workload and
+//! pattern are simulated once at the lowest `HC_first` and derived at the
+//! other two from the device's peak record, with flat counter tables,
+//! batched workload pulls, slot-addressed run coalescing, deferred benign
+//! rows and the settle kernel `Kernel::auto()` picks (the scalar one under
+//! `RH_FORCE_SCALAR`).
 //!
 //! The legacy side shares none of that machinery: per cell, a fresh
 //! [`EagerDeviceState`] (thresholds re-derived, eager `refresh_all`), the

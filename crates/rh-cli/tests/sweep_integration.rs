@@ -376,9 +376,10 @@ fn document_digest(cfg: &SweepConfig) -> u64 {
 /// `HC_first` down to 128, legacy and rowstripe patterns under 128-bit ECC.
 /// Where the default pin covers a cache-resident 16K-row device with the
 /// Section 5 axes off, this one covers what only the large geometry and
-/// those axes reach: each thread's one device reset across cells of seven
+/// those axes reach: each thread's one device reset across cells of six
 /// table sets (every earlier cell's charges must read as stale), rowstripe
-/// coupling, and the ECC scan. The activation budget is cut to 40 000 per
+/// coupling, the ECC scan, and post-ECC counts derived along the
+/// `HC_first` axis from each unit's peak record. The activation budget is cut to 40 000 per
 /// cell so a debug build runs it in seconds; the digest is the same in
 /// debug and release builds.
 #[test]

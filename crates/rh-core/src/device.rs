@@ -73,6 +73,19 @@
 //!   lines of the row `PREFETCH_AHEAD` (8) places later are prefetched, so
 //!   the cache misses of rows scattered over a large device overlap
 //!   instead of stalling one activation at a time.
+//! * **One run, every `HC_first`** ([`DeviceState::flips_under`]): after
+//!   each settle sweep the device keeps each settled row's highest charge
+//!   in a sparse peak record — one hashed update per settled lane, nothing
+//!   per row that never crosses its threshold, capacity kept across
+//!   cells. Since a row's threshold is `hc_first · (1 + jitter · u)` with
+//!   the same draw `u` at every `HC_first`, and its flips are a monotone
+//!   function of the highest charge it settled at, that record and each
+//!   recorded row's threshold recomputed from its draw give exactly the
+//!   flips the same activation and refresh stream would have recorded at
+//!   any higher `HC_first` — no table set of that `HC_first` is needed.
+//!   The sweep executor simulates each group of cells that differ only in
+//!   `HC_first` (under a mitigation that never reads it) once, at the
+//!   lowest value, and derives the rest.
 //!
 //! ## Section 5 victim model
 //!
@@ -108,7 +121,9 @@
 
 use crate::ecc;
 use crate::geometry::{Geometry, RowAddr};
-use crate::kernel::{leak_window, Kernel, VictimTally, Window};
+use crate::kernel::{
+    expected_flips, leak_window, settles, Kernel, PeakRecord, VictimTally, Window,
+};
 use crate::pattern::DataPattern;
 use crate::rng::{derive_seed, SplitMix64};
 use std::sync::Arc;
@@ -123,6 +138,15 @@ pub(crate) const CELL_ORIENTATION_STREAM: u64 = 0xCE11;
 pub(crate) const ANTI_CELL_BIT: u32 = 1 << 31;
 /// Low 31 bits of a row's `meta` word: the row's charged (flippable) cells.
 pub(crate) const VULN_MASK: u32 = ANTI_CELL_BIT - 1;
+
+/// A row's flip threshold, `hc_first · (1 + jitter · u)`, for its draw `u`
+/// of the device seed's threshold stream (draw `i` for flat row `i`). The
+/// table build evaluates it for every row and
+/// [`DeviceState::flips_under`] for the rows it reads, so the two agree bit
+/// for bit; for a fixed `u` it is monotone in `hc_first`.
+fn row_threshold(hc_first: u64, jitter: f64, u: f64) -> f64 {
+    hc_first as f64 * (1.0 + jitter * u)
+}
 
 /// Parameters of the victim model.
 #[derive(Debug, Clone, Copy)]
@@ -332,7 +356,7 @@ impl DeviceTables {
         let n = geom.total_rows() as usize;
         let mut rng = SplitMix64::new(seed);
         let threshold: Vec<f64> = (0..n)
-            .map(|_| params.hc_first as f64 * (1.0 + params.threshold_jitter * rng.next_f64()))
+            .map(|_| row_threshold(params.hc_first, params.threshold_jitter, rng.next_f64()))
             .collect();
         let threshold_floor = threshold.iter().copied().fold(f64::INFINITY, f64::min);
         let atten: Vec<f64> = (1..=params.blast_radius)
@@ -441,6 +465,27 @@ impl DeviceTables {
     }
 }
 
+/// A cell's flip observables — everything a run reports that depends on
+/// `HC_first` — as [`DeviceState::flips_under`] derives them for a higher
+/// `HC_first` than the run's own.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct FlipCounts {
+    pub total_flips: u64,
+    pub flipped_rows: u64,
+    pub flips_1to0: u64,
+    pub flips_0to1: u64,
+    pub flips_per_mact: f64,
+    pub post_ecc_flips: Option<u64>,
+}
+
+/// Bit flips per million activations (0 for a run with no activations).
+fn per_mact(flips: u64, activations: u64) -> f64 {
+    if activations == 0 {
+        return 0.0;
+    }
+    flips as f64 * 1e6 / activations as f64
+}
+
 /// How many rows ahead of the one it applies [`DeviceState::activate_each`]
 /// prefetches. A benign row costs a few tens of nanoseconds once its lines
 /// are cached and a trip to L3 or DRAM when they are not, so a handful of
@@ -467,6 +512,9 @@ pub struct DeviceState {
     epochs: Vec<u64>,
     /// Per-row recorded bit flips (cumulative, monotone).
     flips: Vec<u32>,
+    /// Highest charge each row settled at in this cell, for the rows that
+    /// settled at all (see [`DeviceState::flips_under`]).
+    peaks: PeakRecord,
     /// Settle kernel, selected once at construction (see [`Kernel`]).
     kernel: Kernel,
     /// Global refresh epoch; bumped O(1) by `refresh_all`.
@@ -508,6 +556,7 @@ impl DeviceState {
             charge: Vec::new(),
             epochs: Vec::new(),
             flips: Vec::new(),
+            peaks: PeakRecord::default(),
             kernel,
             epoch: 0,
             total_flips: 0,
@@ -524,8 +573,9 @@ impl DeviceState {
     /// Reuse this device's buffers for a new experiment cell: swap in the
     /// cell's tables, bump the epoch so every charge an earlier cell wrote
     /// reads as stale (exactly as after `refresh_all`), and zero the flip
-    /// counters. `charge`/`epochs` are reallocated (zeroed, and epoch 0 is
-    /// stale too) only when the row count changes. Equivalent to
+    /// counters and the peak record. `charge`/`epochs` are reallocated
+    /// (zeroed, and epoch 0 is stale too) only when the row count changes,
+    /// and the peak record keeps its capacity. Equivalent to
     /// `DeviceState::with_tables` minus the allocations — executor threads
     /// call this once per cell. The `flips` clear is the one O(total_rows)
     /// step left (4 bytes per row); the selected kernel is retained.
@@ -539,6 +589,7 @@ impl DeviceState {
         }
         self.flips.clear();
         self.flips.resize(n, 0);
+        self.peaks.clear();
         self.total_flips = 0;
         self.total_activations = 0;
         self.refreshes_issued = 0;
@@ -613,7 +664,7 @@ impl DeviceState {
             quanta: &self.tables.window_quanta[r - below..=r + above],
             floor: self.tables.threshold_floor,
         };
-        leak_window(
+        let swept = leak_window(
             self.kernel,
             window,
             n,
@@ -626,6 +677,26 @@ impl DeviceState {
         self.flipped_row_count += tally.rows_flipped;
         self.flips_1to0 += tally.flips_1to0;
         self.flips_0to1 += tally.flips_0to1;
+        if swept {
+            self.note_peaks(lo, hi);
+        }
+    }
+
+    /// After a settle sweep over the window `lo..=hi`, keep each lane that
+    /// settled in the peak record at its highest settled charge. Every lane
+    /// of the window holds this epoch's charge, the one the sweep read.
+    /// It runs only after a sweep, which is rare, so it is kept out of
+    /// line: the common activation pays one untaken branch for it.
+    #[inline(never)]
+    fn note_peaks(&mut self, lo: usize, hi: usize) {
+        let t = &self.tables;
+        for (idx, &c) in (lo..=hi).zip(&self.charge[lo..=hi]) {
+            if settles(c, t.threshold[idx], t.meta[idx]) {
+                // Flat indices stay below `MAX_TOTAL_ROWS` = 2^24.
+                let peak = self.peaks.entry(idx as u32).or_insert(c);
+                *peak = peak.max(c);
+            }
+        }
     }
 
     /// Activate each row of `rows` once, in order — bit-identical to one
@@ -762,10 +833,77 @@ impl DeviceState {
 
     /// Bit flips per million activations — the sweep's headline metric.
     pub fn flips_per_mact(&self) -> f64 {
-        if self.total_activations == 0 {
-            return 0.0;
+        per_mact(self.total_flips, self.total_activations)
+    }
+
+    /// The flip observables this cell's run would have recorded at
+    /// `hc_first` — on a device that differs from this one in nothing but
+    /// an equal or higher `HC_first` — derived from the peak record without
+    /// re-running the cell and without that device's tables. Exact, not
+    /// estimated:
+    ///
+    /// * nothing in the run reads a threshold except the settle tail, so
+    ///   the same activation and refresh stream leaves every row with the
+    ///   same charge history at either `HC_first`;
+    /// * a row's threshold there is the same jitter draw `u` times a base
+    ///   no lower (`row_threshold`, in f64, whose multiplication is
+    ///   monotone), so every charge that crosses it crossed this run's
+    ///   threshold too and was settled here;
+    /// * a row's flips are `expected_flips` of the highest charge it
+    ///   settled at (monotone in charge), which the record holds; its
+    ///   orientation and charged cells do not depend on `HC_first`.
+    ///
+    /// So each recorded row whose peak reaches its threshold at `hc_first`
+    /// contributes that formula evaluated there, and no other row flips.
+    /// The threshold is recomputed from the row's draw (`SplitMix64::skip`
+    /// to it), bit-identical to the one a table build at `hc_first` holds.
+    /// Costs one pass over the record (the rows that settled here), plus
+    /// the ECC placement of the rows that flip there.
+    ///
+    /// Refuses a lower `HC_first`: its thresholds may sit below this run's,
+    /// where nothing was recorded.
+    pub fn flips_under(&self, hc_first: u64) -> Result<FlipCounts, String> {
+        let t = &self.tables;
+        let p = &t.params;
+        if hc_first < p.hc_first {
+            return Err(format!(
+                "cannot derive flips at HC_first {hc_first} from a run at HC_first {}: \
+                 only an equal or higher HC_first can be derived",
+                p.hc_first
+            ));
         }
-        self.total_flips as f64 * 1e6 / self.total_activations as f64
+        let mut counts = FlipCounts::default();
+        let mut flipped = Vec::new();
+        for (&row, &peak) in &self.peaks {
+            let idx = row as usize;
+            let mut draw = SplitMix64::new(t.seed);
+            draw.skip(u64::from(row));
+            let threshold = row_threshold(hc_first, p.threshold_jitter, draw.next_f64());
+            let meta = t.meta[idx];
+            let vuln = meta & VULN_MASK;
+            if peak < threshold || vuln == 0 {
+                continue;
+            }
+            let flips = expected_flips(peak, threshold, vuln, hc_first, p.flip_slope);
+            counts.total_flips += u64::from(flips);
+            counts.flipped_rows += 1;
+            if meta & ANTI_CELL_BIT != 0 {
+                counts.flips_0to1 += u64::from(flips);
+            } else {
+                counts.flips_1to0 += u64::from(flips);
+            }
+            flipped.push((idx, flips));
+        }
+        counts.flips_per_mact = per_mact(counts.total_flips, self.total_activations);
+        if p.ecc_codeword_bits != 0 {
+            counts.post_ecc_flips = Some(ecc::post_ecc_rows(
+                flipped.into_iter(),
+                p.cells_per_row,
+                p.ecc_codeword_bits,
+                t.seed,
+            ));
+        }
+        Ok(counts)
     }
 
     pub fn total_activations(&self) -> u64 {
@@ -1268,6 +1406,121 @@ mod tests {
             }
             assert!(fresh.total_flips() > 0, "{what} must exercise flips");
             assert_same_device(reused, &fresh, &what);
+        }
+    }
+
+    /// A device's flip observables, as recorded.
+    fn flip_counts(d: &DeviceState) -> FlipCounts {
+        FlipCounts {
+            total_flips: d.total_flips(),
+            flipped_rows: d.flipped_rows(),
+            flips_1to0: d.flips_1to0(),
+            flips_0to1: d.flips_0to1(),
+            flips_per_mact: d.flips_per_mact(),
+            post_ecc_flips: d.post_ecc_flips(),
+        }
+    }
+
+    /// Drive `device` through a seeded mix of single, repeated and batched
+    /// activations (half of them on one hot row, so thresholds are
+    /// crossed) with targeted and full refreshes.
+    fn drive(device: &mut DeviceState, seed: u64, steps: usize) {
+        let rows = u64::from(device.geometry().rows_per_bank);
+        let mut rng = SplitMix64::new(seed);
+        for _ in 0..steps {
+            let row = if rng.chance(0.5) {
+                rows as u32 / 2
+            } else {
+                rng.gen_range(rows) as u32
+            };
+            let addr = RowAddr::bank_row(0, row);
+            match rng.gen_range(8) {
+                0 => device.activate_repeat(addr, 1 + rng.gen_range(40)),
+                1 => device.activate_each(&[addr, addr.with_row(row ^ 2), addr]),
+                2 if rng.chance(0.1) => device.refresh_row(addr),
+                3 if rng.chance(0.01) => device.refresh_all(),
+                _ => device.activate(addr),
+            }
+        }
+    }
+
+    /// The fold's exactness bar at the device level: a run at the lowest
+    /// `HC_first` derives, from its peak record, exactly the flip
+    /// observables a fresh run of the same stream records at each higher
+    /// value — under every kernel, with and without ECC, across data
+    /// patterns — including a value where some rows flip only at the
+    /// lowest one. Its own tables derive its own counts.
+    #[test]
+    fn flips_under_matches_a_fresh_run_at_each_higher_hc_first() {
+        let g = Geometry::tiny(96);
+        let hcs = [300u64, 340, 600, 1_500, 1_000_000];
+        for kernel in available_kernels() {
+            for (pattern, ecc) in [
+                (DataPattern::Legacy, 0),
+                (DataPattern::RowStripe, 128),
+                (DataPattern::Checkerboard, 64),
+            ] {
+                let tables = |hc| {
+                    let p = VictimModelParams {
+                        data_pattern: pattern,
+                        ecc_codeword_bits: ecc,
+                        ..VictimModelParams::with_hc_first(hc)
+                    };
+                    DeviceTables::shared(g, p, 17).unwrap()
+                };
+                let mut low = DeviceState::with_tables_and_kernel(tables(hcs[0]), kernel);
+                drive(&mut low, 23, 6_000);
+                assert_eq!(low.flips_under(hcs[0]), Ok(flip_counts(&low)));
+                let mut totals = Vec::new();
+                for &hc in &hcs {
+                    let mut fresh = DeviceState::with_tables_and_kernel(tables(hc), kernel);
+                    drive(&mut fresh, 23, 6_000);
+                    let derived = low.flips_under(hc).unwrap();
+                    let direct = flip_counts(&fresh);
+                    let what = format!("{kernel} {pattern:?} ecc {ecc} hc {hc}");
+                    assert_eq!(derived, direct, "{what}");
+                    assert_eq!(
+                        derived.flips_per_mact.to_bits(),
+                        direct.flips_per_mact.to_bits(),
+                        "{what}"
+                    );
+                    totals.push(direct.total_flips);
+                }
+                assert!(totals[0] > totals[1], "the lowest value must flip more");
+                assert!(totals[1] > 0 && totals[4] == 0, "{totals:?}");
+            }
+        }
+    }
+
+    /// A lower `HC_first` is refused (its thresholds sit below what was
+    /// recorded); the run's own and any higher one are derived.
+    #[test]
+    fn flips_under_refuses_a_lower_hc_first() {
+        let mut d = DeviceState::new(Geometry::tiny(64), VictimModelParams::with_hc_first(500), 5);
+        drive(&mut d, 1, 2_000);
+        let err = d.flips_under(499).unwrap_err();
+        assert!(err.contains("HC_first 499"), "got '{err}'");
+        assert!(d.flips_under(500).is_ok() && d.flips_under(800).is_ok());
+    }
+
+    /// `flips_under` recomputes a row's threshold from its draw of the
+    /// seed's stream; that must be the very value a table build at that
+    /// `HC_first` stores, for every row.
+    #[test]
+    fn a_row_threshold_recomputed_from_its_draw_matches_the_table() {
+        let g = Geometry::tiny(300);
+        for hc in [1u64, 777, 139_000] {
+            let tables = DeviceTables::new(g, VictimModelParams::with_hc_first(hc), 31).unwrap();
+            for idx in 0..g.total_rows() {
+                let mut draw = SplitMix64::new(31);
+                draw.skip(idx);
+                let recomputed = row_threshold(hc, tables.params.threshold_jitter, draw.next_f64());
+                assert_eq!(
+                    recomputed.to_bits(),
+                    tables.threshold[idx as usize].to_bits(),
+                    "hc {hc} row {idx}"
+                );
+            }
         }
     }
 

@@ -92,10 +92,28 @@ pub fn post_ecc_total(
     codeword_bits: u32,
     device_seed: u64,
 ) -> u64 {
+    post_ecc_rows(
+        rows.enumerate().filter(|&(_, raw)| raw > 0),
+        cells_per_row,
+        codeword_bits,
+        device_seed,
+    )
+}
+
+/// [`post_ecc_total`] over `(flat index, raw flips)` pairs, in any order:
+/// each row's placement stream depends only on its index, and the total is
+/// a sum. Rows left out count as unflipped, so a caller that knows which
+/// rows flipped (`DeviceState::flips_under`) pays for those rows only.
+pub fn post_ecc_rows(
+    rows: impl Iterator<Item = (usize, u32)>,
+    cells_per_row: u32,
+    codeword_bits: u32,
+    device_seed: u64,
+) -> u64 {
     let ncw = codeword_count(cells_per_row, codeword_bits) as usize;
     let mut scratch = vec![0u32; ncw];
     let mut visible = 0u64;
-    for (idx, raw) in rows.enumerate() {
+    for (idx, raw) in rows {
         if raw == 0 {
             continue;
         }

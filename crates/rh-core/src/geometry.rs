@@ -7,9 +7,9 @@
 //! bank edges: row 0 has no lower neighbor, the last row no upper neighbor.
 
 /// Largest device [`Geometry::validate`] accepts, in rows: 32 times the
-/// 16-bank × 32K-row DDR4 reference grid. The device model keeps 52 bytes
-/// of dense state per row (40 in `DeviceState`, 12 in its shared
-/// `DeviceTables`), so one device at the cap needs about 870 MB.
+/// 16-bank × 32K-row DDR4 reference grid. The device model keeps 32 bytes
+/// of dense state per row (20 in `DeviceState`, 12 in its shared
+/// `DeviceTables`), so one device at the cap needs about 537 MB.
 pub const MAX_TOTAL_ROWS: u64 = 1 << 24;
 
 /// Static shape of the simulated DRAM device.

@@ -15,7 +15,9 @@
 //!    order per lane is exactly the order `n` separate activations would
 //!    have used, which is what keeps coalescing bit-exact);
 //! 3. **settle** — the rare branch: once charge crosses the lane's
-//!    threshold, deterministically reconcile its recorded flips.
+//!    threshold, deterministically reconcile its recorded flips. The
+//!    kernel reports whether it swept, so the device can note the settled
+//!    lanes' charges in its sparse peak record.
 //!
 //! Two interchangeable implementations sit behind the [`Kernel`] dispatch,
 //! selected once per device:
@@ -41,8 +43,28 @@
 //! fallback-coverage hook. The choice can never affect results — the
 //! differential fuzz tests assert scalar ≡ AVX2 ≡ the eager reference bit
 //! for bit — only throughput.
+//!
+//! ## The peak record
+//!
+//! The settle sweep is also where a device learns what its run would have
+//! flipped at a higher `HC_first`. A lane's recorded flips are the
+//! `expected_flips` of the highest charge it settled at, because
+//! `expected_flips` is monotone in charge and charge only falls at a
+//! refresh. So after every sweep the device keeps each lane that
+//! `settles` in a sparse map from flat row index to its highest settled
+//! charge (`PeakRecord`): one hashed update per settled lane, and only
+//! lanes that crossed their threshold ever get an entry. The kernels do
+//! not touch the map: they only return whether they swept. That keeps the
+//! map out of `Window`, which every activation passes to a kernel by
+//! value; carrying it there measurably slowed every activation, settling
+//! or not. A lane's threshold at a higher
+//! `HC_first` is the same jitter draw times a larger base, so every charge
+//! that would settle there settles in this run too, and
+//! [`crate::DeviceState::flips_under`] reads that `HC_first`'s flips off the
+//! record exactly.
 
 use crate::device::{ANTI_CELL_BIT, VULN_MASK};
+use std::collections::HashMap;
 
 /// A resolved settle kernel. Selected once per device ([`KernelChoice`]
 /// does the policy); the per-activation dispatch is a two-way match on this
@@ -181,6 +203,12 @@ pub(crate) struct VictimTally {
     pub rows_flipped: u64,
 }
 
+/// Highest charge each settled row reached in the current cell, keyed by
+/// flat row index (see the module docs). Sparse: a row gets an entry the
+/// first time it settles, so its size is the number of rows that crossed
+/// their threshold, not the device's row count.
+pub(crate) type PeakRecord = HashMap<u32, f64>;
+
 /// One blast window viewed through the SoA slabs: the same contiguous lane
 /// range sliced out of every per-row vector, plus the matching slice of the
 /// precomputed quanta template (the aggressor lane carries quantum `0.0`,
@@ -217,12 +245,28 @@ impl Window<'_> {
     }
 }
 
+/// Flips a lane with `vuln` charged cells holds once settled at charge
+/// `c >= t`, its threshold `t`: one at the crossing, plus `flip_slope` of
+/// its cells per `HC_first` of overshoot, capped at `vuln`. Monotone
+/// nondecreasing in `c` (every step rounds monotonically), which is what
+/// makes settling once at a run's final charge, and deriving another
+/// `HC_first` from a lane's peak, exact. The one formula both the settle
+/// tail and [`crate::DeviceState::flips_under`] evaluate.
+#[inline]
+pub(crate) fn expected_flips(c: f64, t: f64, vuln: u32, hc_first: u64, flip_slope: f64) -> u32 {
+    let overshoot = (c - t) / hc_first as f64;
+    let expected = 1 + (overshoot * flip_slope * vuln as f64) as u32;
+    expected.min(vuln)
+}
+
 /// The settle tail: deterministically reconcile a lane's recorded flips
 /// with its (threshold-crossing) charge. Shared verbatim by both kernels —
 /// and semantically identical to the eager reference's `settle_flips` — so
 /// the kernels can only disagree about *when* it runs, never about what it
 /// does; since expected flips are a monotone function of charge, running it
 /// once at a run's final charge equals running it after every activation.
+/// `vuln` (the lane's charged cells) is nonzero: a lane with nothing to
+/// flip never settles.
 #[inline]
 fn settle_lane(
     c: f64,
@@ -233,14 +277,7 @@ fn settle_lane(
     flip_slope: f64,
     tally: &mut VictimTally,
 ) {
-    let vuln = meta & VULN_MASK;
-    if vuln == 0 {
-        // No charged cells under this pattern/orientation: nothing to flip.
-        return;
-    }
-    let overshoot = (c - t) / hc_first as f64;
-    let expected = 1 + (overshoot * flip_slope * vuln as f64) as u32;
-    let expected = expected.min(vuln);
+    let expected = expected_flips(c, t, meta & VULN_MASK, hc_first, flip_slope);
     if expected > *flips {
         if *flips == 0 {
             tally.rows_flipped += 1;
@@ -256,8 +293,17 @@ fn settle_lane(
     }
 }
 
+/// Whether a lane with charge `c`, threshold `t` and metadata word `meta`
+/// settles: its charge has reached its threshold and it has charged cells
+/// to flip. The settle sweep reconciles exactly these lanes, and the device
+/// records exactly their charges in its peak record.
+#[inline(always)]
+pub(crate) fn settles(c: f64, t: f64, meta: u32) -> bool {
+    c >= t && meta & VULN_MASK != 0
+}
+
 /// The settle sweep both kernels share after their accumulate pass: walk
-/// the window once more and reconcile the (rare) threshold-crossing lanes.
+/// the window once more and reconcile the (rare) lanes that [`settles`].
 /// Lanes are independent, so splitting accumulate and settle into two
 /// passes cannot change any value — it only keeps the branch out of the
 /// accumulate loop so that loop stays a straight-line vector body.
@@ -270,7 +316,7 @@ fn settle_window(w: &mut Window<'_>, hc_first: u64, flip_slope: f64, tally: &mut
         .zip(w.meta.iter())
         .zip(w.flips.iter_mut())
     {
-        if c >= t {
+        if settles(c, t, meta) {
             settle_lane(c, t, meta, flips, hc_first, flip_slope, tally);
         }
     }
@@ -280,7 +326,8 @@ fn settle_window(w: &mut Window<'_>, hc_first: u64, flip_slope: f64, tally: &mut
 /// autovectorizer is free to widen (the floor check folds into a running
 /// max, a clean fp reduction), then the shared settle sweep, entered only
 /// when some lane plausibly crossed. The single-activation case (`n == 1`,
-/// every non-coalesced workload) skips the repeat loop entirely.
+/// every non-coalesced workload) skips the repeat loop entirely. Returns
+/// whether the settle sweep ran.
 pub(crate) fn leak_window_scalar(
     mut w: Window<'_>,
     n: u64,
@@ -288,7 +335,7 @@ pub(crate) fn leak_window_scalar(
     hc_first: u64,
     flip_slope: f64,
     tally: &mut VictimTally,
-) {
+) -> bool {
     debug_assert!(w.len() > 0);
     let mut peak = f64::NEG_INFINITY;
     if n == 1 {
@@ -312,13 +359,15 @@ pub(crate) fn leak_window_scalar(
             peak = peak.max(acc);
         }
     }
-    if peak >= w.floor {
+    let swept = peak >= w.floor;
+    if swept {
         settle_window(&mut w, hc_first, flip_slope, tally);
     }
+    swept
 }
 
 /// AVX2 kernel: four `f64` lanes per step, scalar remainder and settle
-/// tail.
+/// tail. Returns whether the settle sweep ran.
 ///
 /// # Safety
 /// The caller must have verified the CPU supports AVX2
@@ -333,7 +382,7 @@ pub(crate) unsafe fn leak_window_avx2(
     hc_first: u64,
     flip_slope: f64,
     tally: &mut VictimTally,
-) {
+) -> bool {
     use std::arch::x86_64::*;
     let len = w.len();
     let now_v = _mm256_set1_epi64x(now as i64);
@@ -383,12 +432,15 @@ pub(crate) unsafe fn leak_window_avx2(
         crossed_any |= u32::from(acc >= w.floor);
         i += 1;
     }
-    if crossed_any != 0 {
+    let swept = crossed_any != 0;
+    if swept {
         settle_window(&mut w, hc_first, flip_slope, tally);
     }
+    swept
 }
 
-/// Dispatch a window through the selected kernel.
+/// Dispatch a window through the selected kernel; returns whether the
+/// settle sweep ran.
 #[inline]
 pub(crate) fn leak_window(
     kernel: Kernel,
@@ -398,7 +450,7 @@ pub(crate) fn leak_window(
     hc_first: u64,
     flip_slope: f64,
     tally: &mut VictimTally,
-) {
+) -> bool {
     match kernel {
         Kernel::Scalar => leak_window_scalar(w, n, now, hc_first, flip_slope, tally),
         #[cfg(target_arch = "x86_64")]

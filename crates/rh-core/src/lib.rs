@@ -42,7 +42,7 @@ pub mod pattern;
 pub mod reference;
 pub mod rng;
 
-pub use device::{Device, DeviceState, DeviceTables, VictimModelParams};
+pub use device::{Device, DeviceState, DeviceTables, FlipCounts, VictimModelParams};
 pub use geometry::{Geometry, RowAddr, MAX_TOTAL_ROWS};
 pub use kernel::{avx2_available, Kernel, KernelChoice};
 pub use pattern::DataPattern;

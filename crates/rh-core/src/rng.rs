@@ -6,6 +6,9 @@
 //! generator. SplitMix64 passes BigCrush for the output sizes we use and is
 //! the canonical seeder for larger PRNGs.
 
+/// SplitMix64's state increment (the golden-ratio constant).
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
 /// SplitMix64 pseudo-random generator (Steele, Lea & Flood, OOPSLA 2014).
 #[derive(Debug, Clone)]
 pub struct SplitMix64 {
@@ -19,9 +22,16 @@ impl SplitMix64 {
         Self { state: seed }
     }
 
+    /// Skip the next `n` outputs in O(1): the state advances by the same
+    /// constant at every draw, so `skip(n)` followed by a draw yields the
+    /// stream's draw `n` (counting from 0) without computing the others.
+    pub fn skip(&mut self, n: u64) {
+        self.state = self.state.wrapping_add(n.wrapping_mul(GAMMA));
+    }
+
     /// Next raw 64-bit output.
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        self.state = self.state.wrapping_add(GAMMA);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -66,7 +76,7 @@ impl SplitMix64 {
 pub fn derive_seed(root: u64, coords: &[u64]) -> u64 {
     let mut out = SplitMix64::new(root).next_u64();
     for &c in coords {
-        out = SplitMix64::new(out ^ c.wrapping_mul(0x9E37_79B9_7F4A_7C15)).next_u64();
+        out = SplitMix64::new(out ^ c.wrapping_mul(GAMMA)).next_u64();
     }
     out
 }
@@ -90,6 +100,17 @@ mod tests {
         let mut b = SplitMix64::new(2);
         let same = (0..64).filter(|_| a.next_u64() == b.next_u64()).count();
         assert_eq!(same, 0);
+    }
+
+    #[test]
+    fn skip_lands_on_the_same_draw_as_stepping() {
+        let mut stepped = SplitMix64::new(11);
+        let draws: Vec<u64> = (0..300).map(|_| stepped.next_u64()).collect();
+        for n in [0usize, 1, 2, 17, 299] {
+            let mut skipped = SplitMix64::new(11);
+            skipped.skip(n as u64);
+            assert_eq!(skipped.next_u64(), draws[n], "draw {n}");
+        }
     }
 
     #[test]

@@ -20,6 +20,12 @@
 //! (e.g. `threshold_divisor: 8` → trigger at `hc_first / 8`) because the
 //! paper configures every mechanism relative to the chip's vulnerability:
 //! the same spec is reused across the whole `HC_first` axis.
+//!
+//! Only those two arms read `HC_first` at all
+//! ([`MitigationSpec::reads_hc_first`]). The others — no mitigation, PARA
+//! and TRR — build the same instance at every `HC_first`, so a sweep's
+//! cells that differ only in `HC_first` under them drive one identical
+//! activation and refresh stream, which the executor simulates once.
 
 use crate::{ActionBuf, Graphene, IncreasedRefresh, Mitigation, NoMitigation, Para, Trr};
 use rh_core::{Geometry, RowAddr};
@@ -50,6 +56,19 @@ pub enum MitigationSpec {
 }
 
 impl MitigationSpec {
+    /// Whether [`MitigationSpec::build`] reads its `hc_first` argument: true
+    /// for Graphene (its trigger threshold) and increased refresh (its
+    /// interval). A spec that does not read it emits the identical action
+    /// stream at every `HC_first` — the premise of the executor's
+    /// `HC_first` fold, checked by
+    /// `hc_invariant_specs_emit_identical_actions_at_every_hc_first`.
+    pub fn reads_hc_first(&self) -> bool {
+        match self {
+            Self::None | Self::Para { .. } | Self::Trr { .. } => false,
+            Self::Graphene { .. } | Self::IncreasedRefresh { .. } => true,
+        }
+    }
+
     /// Materialize a fresh mitigation for a device with geometry `geom`,
     /// the given `hc_first`, neighbor-refresh `radius`, and RNG `seed`
     /// (only PARA is stochastic; the seed is ignored by deterministic
@@ -165,6 +184,74 @@ mod tests {
         assert_eq!(names.len(), specs.len());
         assert!(names.contains("trr(k=16,slots=2,w=1000)"));
         assert!(names.contains("graphene(k=64,t=250)"));
+    }
+
+    /// The fold's premise, as a property: over one seeded address stream
+    /// with periodic tREFW resets, every spec declared `HC_first`-invariant
+    /// emits the identical action stream built at two `HC_first` values,
+    /// and the two that read it (Graphene, increased refresh) do not.
+    #[test]
+    fn hc_invariant_specs_emit_identical_actions_at_every_hc_first() {
+        let geom = Geometry {
+            banks: 2,
+            ..Geometry::tiny(1024)
+        };
+        let specs = [
+            MitigationSpec::None,
+            MitigationSpec::Para { probability: 0.004 },
+            MitigationSpec::Para { probability: 0.1 },
+            MitigationSpec::Graphene {
+                table_size: 64,
+                threshold_divisor: 8,
+            },
+            MitigationSpec::IncreasedRefresh {
+                interval_divisor: 2,
+            },
+            MitigationSpec::Trr {
+                table_size: 16,
+                refresh_slots: 2,
+                sample_interval: 1000,
+            },
+            MitigationSpec::Trr {
+                table_size: 4,
+                refresh_slots: 1,
+                sample_interval: 37,
+            },
+        ];
+        let actions = |spec: &MitigationSpec, hc_first: u64| {
+            let mut m = spec.build(&geom, hc_first, 2, 0x5EED);
+            let mut rng = rh_core::SplitMix64::new(0xA11);
+            let mut buf = ActionBuf::new();
+            let mut log = Vec::new();
+            for step in 0..40_000u32 {
+                // Eight hot rows two apart, the rest uniform over the device.
+                let addr = if rng.chance(0.7) {
+                    RowAddr::bank_row(1, 500 + 2 * rng.gen_range(8) as u32)
+                } else {
+                    RowAddr::bank_row(rng.gen_range(2) as u32, rng.gen_range(1024) as u32)
+                };
+                buf.clear();
+                m.on_activate(addr, &geom, &mut buf);
+                log.extend(buf.actions().iter().map(|&a| (step, a)));
+                if step % 8_000 == 7_999 {
+                    m.reset();
+                }
+            }
+            log
+        };
+        for spec in &specs {
+            let (low, high) = (actions(spec, 512), actions(spec, 4096));
+            assert_eq!(
+                low == high,
+                !spec.reads_hc_first(),
+                "{spec:?}: {} vs {} actions",
+                low.len(),
+                high.len()
+            );
+            if *spec != MitigationSpec::None {
+                assert!(!low.is_empty(), "{spec:?} must act on this stream");
+            }
+        }
     }
 
     #[test]
