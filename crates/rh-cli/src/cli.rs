@@ -9,7 +9,7 @@ use crate::faults::FaultPlan;
 use crate::serve::{CancelOptions, ServeOptions, SubmitOptions};
 use crate::sweep::SweepConfig;
 use crate::worker::WorkerOptions;
-use rh_core::{DataPattern, KernelChoice};
+use rh_core::DataPattern;
 
 pub const USAGE: &str = "\
 rh-cli — RowHammer mitigation sweep (Kim et al., ISCA 2020 reproduction)
@@ -18,9 +18,8 @@ USAGE:
     rh-cli sweep [OPTIONS]
     rh-cli configure --hc <N> --window <N> --target-pfail <P>
                      [--validate] [--trials <N>] [--seed <N>]
-    rh-cli serve [--workers <N>] [--listen <ADDR>] [--kernel <K>]
-                 [--cache-capacity <N>] [--checkpoint-dir <DIR>]
-                 [--shard-cells <N>] [--config-epoch <N>]
+    rh-cli serve [--workers <N>] [--listen <ADDR>] [--cache-capacity <N>]
+                 [--checkpoint-dir <DIR>] [--shard-cells <N>] [--config-epoch <N>]
                  [--fallback-after-ms <MS>] [--speculate-after-ms <MS>]
                  [--fault-plan <PLAN>] [--max-pending-jobs <N>]
                  [--max-jobs-per-client <N>] [--max-cells-per-client <N>]
@@ -51,11 +50,11 @@ SWEEP OPTIONS:
                             0 disables (default 32000)
     --threads <N>           worker threads for cell execution; output is
                             byte-identical for any value (default: all cores)
-    --kernel <K>            victim-settle kernel: auto, scalar, avx2
-                            (default auto; output is byte-identical for any
-                            kernel — the RH_FORCE_SCALAR env var overrides
-                            every choice, for CI fallback coverage)
     -h, --help              print this help
+
+The victim-settle kernel is AVX2 where the CPU has it, else scalar; setting
+RH_FORCE_SCALAR (to anything but empty or 0) forces scalar. Output is
+byte-identical under either.
 
 CONFIGURE OPTIONS:
     --hc <N>                device HC_first in activations (required, >= 2)
@@ -84,15 +83,14 @@ SERVE OPTIONS:
     --listen <ADDR>         also accept clients and workers over TCP
                             (e.g. 127.0.0.1:4242; port 0 for ephemeral);
                             without it, configs are read as jsonl on stdin
-    --kernel <K>            settle-kernel request sent with every shard
     --cache-capacity <N>    result-cache size in documents (default 128)
     --checkpoint-dir <DIR>  the one durable store, a checksummed per-cell
                             journal: a resubmit, even to a restarted
                             coordinator, runs only the cells not on disk;
                             damaged records are skipped and re-executed
     --shard-cells <N>       max simulations per shard lease (default 16):
-                            each cell list's missing cells fold into
-                            simulations (cells that differ only in HC_first
+                            a job's missing cells fold into simulations as
+                            in sweep (cells that differ only in HC_first
                             under none/PARA/TRR run as one), cut into leases
                             of ceil(simulations / live workers), at most N,
                             so every worker gets a share of every job;
@@ -177,15 +175,12 @@ waiting submit fails with the cancellation message. Exits nonzero when the
 job is unknown or already finished.
 ";
 
-/// Fully parsed invocation: the sweep config plus execution options that
-/// must not influence results (and are therefore kept out of the config).
+/// Fully parsed invocation: the sweep config plus the thread count, which
+/// must not influence results (and is therefore kept out of the config).
 #[derive(Debug, Clone)]
 pub struct CliArgs {
     pub config: SweepConfig,
     pub threads: usize,
-    /// Settle-kernel request; like `threads`, it can never influence
-    /// results, so it stays out of the config.
-    pub kernel: KernelChoice,
 }
 
 /// Outcome of parsing the arguments after `sweep`.
@@ -294,10 +289,6 @@ pub fn parse_serve_args(args: &[String]) -> Result<ServeInvocation, String> {
                 opts.workers = v.parse().map_err(|_| format!("invalid --workers '{v}'"))?;
             }
             "--listen" => opts.listen = Some(value(&mut i, "--listen")?),
-            "--kernel" => {
-                let v = value(&mut i, "--kernel")?;
-                opts.kernel = v.parse()?;
-            }
             "--cache-capacity" => {
                 let v = value(&mut i, "--cache-capacity")?;
                 opts.cache_capacity = v
@@ -605,7 +596,6 @@ pub fn parse_u64_maybe_hex(s: &str) -> Option<u64> {
 pub fn parse_args(args: &[String]) -> Result<Invocation, String> {
     let mut cfg = SweepConfig::default();
     let mut threads = default_threads();
-    let mut kernel = KernelChoice::default();
     let mut i = 0;
     let value = |i: &mut usize, flag: &str| -> Result<String, String> {
         *i += 1;
@@ -676,10 +666,6 @@ pub fn parse_args(args: &[String]) -> Result<Invocation, String> {
                     return Err("--threads must be at least 1".to_string());
                 }
             }
-            "--kernel" => {
-                let v = value(&mut i, "--kernel")?;
-                kernel = v.parse()?;
-            }
             "-h" | "--help" => return Ok(Invocation::Help),
             other => return Err(format!("unknown option '{other}'")),
         }
@@ -689,7 +675,6 @@ pub fn parse_args(args: &[String]) -> Result<Invocation, String> {
     Ok(Invocation::Sweep(CliArgs {
         config: cfg,
         threads,
-        kernel,
     }))
 }
 
@@ -720,21 +705,6 @@ mod tests {
         assert_eq!(a.config.ecc_codeword_bits, 0);
         assert!(!a.config.extended_victim_model());
         assert!(a.threads >= 1);
-        assert_eq!(a.kernel, KernelChoice::Auto);
-    }
-
-    #[test]
-    fn kernel_flag_parses_and_rejects() {
-        for (flag, want) in [
-            ("auto", KernelChoice::Auto),
-            ("scalar", KernelChoice::Scalar),
-            ("avx2", KernelChoice::Avx2),
-        ] {
-            assert_eq!(parse(&["--kernel", flag]).unwrap().kernel, want);
-        }
-        let err = parse(&["--kernel", "sse2"]).unwrap_err();
-        assert!(err.contains("unknown kernel 'sse2'"), "got '{err}'");
-        assert!(parse(&["--kernel"]).is_err());
     }
 
     #[test]
@@ -865,6 +835,8 @@ mod tests {
             (&["--threads", "0"], "--threads"),
             (&["--threads", "many"], "--threads"),
             (&["--frobnicate"], "unknown option"),
+            // The settle kernel follows the CPU; there is no flag for it.
+            (&["--kernel", "scalar"], "unknown option '--kernel'"),
         ] {
             let err = parse(args).expect_err(&format!("{args:?} must be rejected"));
             assert!(
@@ -890,8 +862,6 @@ mod tests {
             "0",
             "--listen",
             "127.0.0.1:0",
-            "--kernel",
-            "scalar",
             "--cache-capacity",
             "7",
             "--checkpoint-dir",
@@ -906,7 +876,6 @@ mod tests {
             ServeInvocation::Serve(o) => {
                 assert_eq!(o.workers, 0);
                 assert_eq!(o.listen.as_deref(), Some("127.0.0.1:0"));
-                assert_eq!(o.kernel, KernelChoice::Scalar);
                 assert_eq!(o.cache_capacity, 7);
                 assert_eq!(
                     o.checkpoint_dir.as_deref(),
@@ -933,6 +902,12 @@ mod tests {
                 "{bad:?} must be rejected"
             );
         }
+        // Each worker runs the settle kernel its own CPU picks.
+        let owned: Vec<String> = ["--kernel", "auto"].iter().map(|s| s.to_string()).collect();
+        assert_eq!(
+            parse_serve_args(&owned).unwrap_err(),
+            "unknown serve option '--kernel'"
+        );
     }
 
     #[test]

@@ -29,11 +29,13 @@
 //! integration tests and the CI determinism job assert byte-for-byte on
 //! the JSON.
 //!
-//! The same unit runner (the crate-internal `Worker::run_unit` over a
-//! `build_table_cache` table set) is the execution core of the distributed
-//! service's worker process ([`crate::worker`]) and of the coordinator's
-//! in-process fallback: a shard lease there is a list of whole units
-//! serialized across a process boundary.
+//! A served job runs the same code a lease at a time: `run_lease` re-plans
+//! the job's config, checks the leased positions against the sweep's one
+//! cell list (`sweep::sweep_cells`), folds the leased cells, builds their
+//! tables and hands back each unit's `(position, result)` pairs as it
+//! finishes. The worker process ([`crate::worker`]) streams them over the
+//! wire, checking for a `cancel` between units, and the coordinator's
+//! in-process fallback merges them directly.
 //!
 //! Hot-path amortization across cells:
 //!
@@ -56,6 +58,7 @@
 
 use crate::engine::{run_experiment, EngineScratch, RunResult};
 use crate::plan::{CellSeeds, CellSpec, SweepPlan, BLAST_RADIUS};
+use crate::sweep::{sweep_cells, SweepConfig};
 use rh_core::{DataPattern, DeviceState, DeviceTables, Kernel, VictimModelParams};
 use rh_mitigations::MitigationSpec;
 use rh_workloads::WorkloadSpec;
@@ -209,8 +212,7 @@ pub(crate) struct Worker {
 }
 
 impl Worker {
-    /// A worker pinned to `kernel` (the `--kernel` flag, resolved once per
-    /// invocation).
+    /// A worker whose devices run under `kernel`.
     pub(crate) fn with_kernel(kernel: Kernel) -> Self {
         Self {
             device: None,
@@ -308,9 +310,9 @@ pub fn execute_cells(plan: &SweepPlan, cells: &[CellSpec], threads: usize) -> Ve
     execute_cells_with_kernel(plan, cells, threads, Kernel::auto())
 }
 
-/// [`execute_cells`] with the settle kernel pinned (the `--kernel` flag,
-/// resolved by the caller). The kernel can never affect results — only
-/// throughput — so every kernel produces the identical result vector.
+/// [`execute_cells`] with the settle kernel pinned. The kernel can never
+/// affect results — only throughput — so every kernel produces the
+/// identical result vector.
 pub fn execute_cells_with_kernel(
     plan: &SweepPlan,
     cells: &[CellSpec],
@@ -353,11 +355,44 @@ pub fn execute_cells_with_kernel(
         .collect()
 }
 
+/// Run one lease of a served job: the cells at `positions` of
+/// [`sweep_cells`] of `config`'s plan, folded into units. Re-plans the
+/// config, refuses a position past the end of the list, and builds the
+/// tables of the leased units' simulated cells before returning; each
+/// `next` then simulates one unit and yields its members' positions with
+/// their results. The caller decides between units whether to go on, so a
+/// lease can be abandoned mid-way.
+pub(crate) fn run_lease(
+    config: &SweepConfig,
+    positions: &[usize],
+) -> Result<impl Iterator<Item = Vec<(usize, RunResult)>>, String> {
+    let plan = SweepPlan::from_config(config)?;
+    let list = sweep_cells(&plan);
+    if let Some(&bad) = positions.iter().find(|&&i| i >= list.len()) {
+        return Err(format!(
+            "shard index {bad} out of bounds for a job of {} cells",
+            list.len()
+        ));
+    }
+    let cells: Vec<CellSpec> = positions.iter().map(|&i| list[i].clone()).collect();
+    let units = units(&cells);
+    let tables = build_table_cache(&plan, &cells, &units);
+    let positions = positions.to_vec();
+    let mut worker = Worker::with_kernel(Kernel::auto());
+    Ok(units.into_iter().map(move |unit| {
+        let results = worker.run_unit(&plan, &cells, &unit, &tables);
+        unit.into_iter()
+            .map(|i| positions[i])
+            .zip(results)
+            .collect()
+    }))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::plan::GRID_PARA_P;
-    use crate::sweep::{sweep_cells, SweepConfig};
+    use crate::sweep::ddr4_reference;
     use rh_core::Geometry;
 
     fn tiny_plan() -> SweepPlan {
@@ -539,28 +574,6 @@ mod tests {
         }
     }
 
-    /// The DDR4 reference grid (the one `ddr4_reference_document_is_pinned`
-    /// pins, at perfbench's 1M activations per cell).
-    fn ddr4_reference() -> SweepConfig {
-        SweepConfig {
-            seed: 0xBE7C4,
-            activations: 1_000_000,
-            hc_firsts: vec![4096, 512, 128],
-            sides: vec![8],
-            para_probabilities: vec![0.004],
-            data_patterns: vec![DataPattern::Legacy, DataPattern::RowStripe],
-            ecc_codeword_bits: 128,
-            benign_fraction: 0.1,
-            auto_refresh_interval: 32_000,
-            geometry: Geometry {
-                channels: 1,
-                ranks: 1,
-                banks: 16,
-                rows_per_bank: 32 * 1024,
-            },
-        }
-    }
-
     /// The fold's work, pinned: the default job's 124 cells run as 69
     /// simulations (the none, PARA and TRR cells of each workload fold
     /// their four `HC_first` values into one, and the PARA sweep's
@@ -602,18 +615,20 @@ mod tests {
         }
     }
 
-    /// What a served lease builds: every 16 consecutive units (a full
-    /// lease) simulate cells of at most two `(HC_first, pattern)` table
-    /// sets on the default grid, and of at most three on the DDR4
-    /// reference grid, whose two patterns and high-to-low `HC_first` axis
-    /// put a lowest-`HC_first` unit among each value's blocks.
+    /// What a served lease builds: every 16 consecutive units of the
+    /// sweep's one cell list (a full lease) simulate cells of at most two
+    /// `(HC_first, pattern)` table sets on the default grid, and of at most
+    /// three on the DDR4 reference grid, whose two patterns and
+    /// high-to-low `HC_first` axis put a lowest-`HC_first` unit among each
+    /// value's blocks.
     #[test]
     fn a_full_lease_of_units_builds_few_table_sets() {
         for (cfg, most) in [(SweepConfig::default(), 2), (ddr4_reference(), 3)] {
             let plan = SweepPlan::from_config(&cfg).unwrap();
-            let units = units(&plan.grid);
+            let cells = sweep_cells(&plan);
+            let units = units(&cells);
             for lease in units.chunks(16) {
-                let tables = build_table_cache(&plan, &plan.grid, lease);
+                let tables = build_table_cache(&plan, &cells, lease);
                 assert!(tables.len() <= most, "{} table sets", tables.len());
             }
         }

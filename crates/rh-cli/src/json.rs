@@ -17,6 +17,7 @@ use crate::engine::RunResult;
 use crate::proto::jstr;
 use crate::sweep::SweepOutput;
 use std::fmt::Write;
+use std::io::Write as _;
 
 /// Render a finite float in shortest round-trip form; JSON has no NaN/Inf
 /// so those become null. The workspace's one float writer.
@@ -117,6 +118,19 @@ pub fn render(out: &SweepOutput) -> String {
         result_array(&out.para_sweep, extended),
         out.para_monotone,
     )
+}
+
+/// Print `document` and a newline on stdout and flush: the one writer for
+/// the documents the CLI prints (`sweep` and `configure` documents,
+/// `submit`'s served documents, the help). A closed or failing stdout is an
+/// error naming it, never a panic.
+pub fn print_document(document: &str) -> Result<(), String> {
+    let mut stdout = std::io::stdout().lock();
+    stdout
+        .write_all(document.as_bytes())
+        .and_then(|()| stdout.write_all(b"\n"))
+        .and_then(|()| stdout.flush())
+        .map_err(|e| format!("stdout: {e}"))
 }
 
 #[cfg(test)]

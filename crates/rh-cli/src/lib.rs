@@ -55,5 +55,5 @@ pub use proto::{config_hash, config_key, ResultEnvelope, PROTO_VERSION};
 pub use serve::{
     run_cancel, run_serve, run_submit, CancelOptions, Coordinator, ServeOptions, SubmitOptions,
 };
-pub use sweep::{run_sweep, run_sweep_with_kernel, SweepConfig, SweepOutput};
+pub use sweep::{run_sweep, SweepConfig, SweepOutput};
 pub use worker::{run_worker, WorkerOptions};

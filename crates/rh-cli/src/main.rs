@@ -2,22 +2,40 @@
 //!
 //! Thin binary shell: parsing lives in [`rh_cli::cli`] and the pipeline in
 //! the library so both are unit-testable. See `rh-cli --help` for options.
+//! Every document printed on stdout goes through [`json::print_document`],
+//! so a closed stdout (`rh-cli sweep | head -c 10`) is an `error:` line and
+//! exit 1, never a panic.
 
 use rh_cli::cli::{
     parse_args, parse_cancel_args, parse_configure_args, parse_serve_args, parse_submit_args,
     parse_worker_args, CancelInvocation, ConfigureInvocation, Invocation, ServeInvocation,
     SubmitInvocation, WorkerInvocation, USAGE,
 };
-use rh_cli::{
-    configure, json, run_cancel, run_serve, run_submit, run_sweep_with_kernel, run_worker,
-};
+use rh_cli::{configure, json, run_cancel, run_serve, run_submit, run_sweep, run_worker};
 use std::process::ExitCode;
+
+/// Print a document on stdout; on a write error, report it and fail.
+fn print_or_fail(document: &str) -> Result<(), ExitCode> {
+    json::print_document(document).map_err(|e| {
+        eprintln!("error: {e}");
+        ExitCode::FAILURE
+    })
+}
+
+/// `-h`/`--help` on any command: the usage text on stdout.
+fn help() -> ExitCode {
+    match print_or_fail(USAGE.trim_end()) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(code) => code,
+    }
+}
 
 fn run_configure_command(opts: &configure::ConfigureOptions) -> ExitCode {
     match configure::run_configure(opts) {
         Ok(report) => {
-            let doc = configure::render_configure(&report);
-            println!("{doc}");
+            if let Err(code) = print_or_fail(&configure::render_configure(&report)) {
+                return code;
+            }
             eprintln!(
                 "configure: p = {} gives P_fail = {} over {} activations at HC_first {}",
                 report.recommended_p, report.analytic_pfail, report.window, report.hc_first
@@ -57,10 +75,7 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("configure") => match parse_configure_args(&args[1..]) {
-            Ok(ConfigureInvocation::Help) => {
-                print!("{USAGE}");
-                ExitCode::SUCCESS
-            }
+            Ok(ConfigureInvocation::Help) => help(),
             Ok(ConfigureInvocation::Configure(opts)) => run_configure_command(&opts),
             Err(e) => {
                 eprintln!("error: {e}\n\n{USAGE}");
@@ -68,10 +83,7 @@ fn main() -> ExitCode {
             }
         },
         Some("serve") => match parse_serve_args(&args[1..]) {
-            Ok(ServeInvocation::Help) => {
-                print!("{USAGE}");
-                ExitCode::SUCCESS
-            }
+            Ok(ServeInvocation::Help) => help(),
             Ok(ServeInvocation::Serve(opts)) => match run_serve(*opts) {
                 Ok(()) => ExitCode::SUCCESS,
                 Err(e) => {
@@ -85,10 +97,7 @@ fn main() -> ExitCode {
             }
         },
         Some("worker") => match parse_worker_args(&args[1..]) {
-            Ok(WorkerInvocation::Help) => {
-                print!("{USAGE}");
-                ExitCode::SUCCESS
-            }
+            Ok(WorkerInvocation::Help) => help(),
             Ok(WorkerInvocation::Worker(opts)) => match run_worker(&opts) {
                 Ok(()) => ExitCode::SUCCESS,
                 Err(e) => {
@@ -102,10 +111,7 @@ fn main() -> ExitCode {
             }
         },
         Some("submit") => match parse_submit_args(&args[1..]) {
-            Ok(SubmitInvocation::Help) => {
-                print!("{USAGE}");
-                ExitCode::SUCCESS
-            }
+            Ok(SubmitInvocation::Help) => help(),
             Ok(SubmitInvocation::Submit(opts)) => match run_submit(&opts) {
                 Ok(()) => ExitCode::SUCCESS,
                 Err(e) => {
@@ -119,10 +125,7 @@ fn main() -> ExitCode {
             }
         },
         Some("cancel") => match parse_cancel_args(&args[1..]) {
-            Ok(CancelInvocation::Help) => {
-                print!("{USAGE}");
-                ExitCode::SUCCESS
-            }
+            Ok(CancelInvocation::Help) => help(),
             Ok(CancelInvocation::Cancel(opts)) => match run_cancel(&opts) {
                 Ok(()) => ExitCode::SUCCESS,
                 Err(e) => {
@@ -136,14 +139,12 @@ fn main() -> ExitCode {
             }
         },
         Some("sweep") => match parse_args(&args[1..]) {
-            Ok(Invocation::Help) => {
-                print!("{USAGE}");
-                ExitCode::SUCCESS
-            }
-            Ok(Invocation::Sweep(a)) => match run_sweep_with_kernel(&a.config, a.threads, a.kernel)
-            {
+            Ok(Invocation::Help) => help(),
+            Ok(Invocation::Sweep(a)) => match run_sweep(&a.config, a.threads) {
                 Ok(out) => {
-                    println!("{}", json::render(&out));
+                    if let Err(code) = print_or_fail(&json::render(&out)) {
+                        return code;
+                    }
                     if out.para_monotone {
                         ExitCode::SUCCESS
                     } else {
@@ -161,10 +162,7 @@ fn main() -> ExitCode {
                 ExitCode::FAILURE
             }
         },
-        Some("-h" | "--help") | None => {
-            print!("{USAGE}");
-            ExitCode::SUCCESS
-        }
+        Some("-h" | "--help") | None => help(),
         Some(other) => {
             eprintln!("error: unknown command '{other}'\n\n{USAGE}");
             ExitCode::FAILURE

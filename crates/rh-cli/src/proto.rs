@@ -11,13 +11,15 @@
 //! * **coordinator → worker**: [`ToWorker::Shard`] leases carry the
 //!   *normalized config plus cell indices*, not materialized cells — the
 //!   worker re-expands the plan locally ([`crate::plan::SweepPlan`] is a pure
-//!   function of the config), so the wire stays small and a version-skewed
-//!   worker can never execute a cell the coordinator didn't mean;
+//!   function of the config) and reads the indices as positions in the
+//!   sweep's one cell list (`sweep::sweep_cells`: the grid, then the PARA
+//!   sweep), so the wire stays small and a version-skewed worker can never
+//!   execute a cell the coordinator didn't mean;
 //! * **worker → coordinator**: a [`FromWorker::Hello`] announcing the
-//!   worker's resolved settle kernel, then per-cell [`FromWorker::Cell`]
-//!   results streamed as they complete (the coordinator merges them
-//!   incrementally and checkpoints them), closed by a
-//!   [`FromWorker::ShardDone`].
+//!   worker's settle kernel ([`rh_core::Kernel::auto`] on its own CPU and
+//!   environment), then per-cell [`FromWorker::Cell`] results streamed as
+//!   they complete (the coordinator merges them incrementally and
+//!   checkpoints them), closed by a [`FromWorker::ShardDone`].
 //!
 //! ## Exactness
 //!
@@ -43,7 +45,7 @@
 
 use crate::engine::RunResult;
 use crate::sweep::SweepConfig;
-use rh_core::{DataPattern, KernelChoice};
+use rh_core::DataPattern;
 use std::fmt::Write as _;
 use std::io::{BufRead, Write};
 
@@ -54,8 +56,10 @@ use std::io::{BufRead, Write};
 ///
 /// Version 2 added mid-shard cancellation ([`ToWorker::Cancel`] /
 /// [`FromWorker::CancelAck`]) and the auth fields on the hello — a v1
-/// worker would silently ignore a cancel, so the mix is rejected.
-pub const PROTO_VERSION: u64 = 2;
+/// worker would silently ignore a cancel, so the mix is rejected. Version 3
+/// dropped the lease's list tag and kernel request: indices address the
+/// sweep's one cell list, which a v2 worker would read as the grid alone.
+pub const PROTO_VERSION: u64 = 3;
 
 // ---------------------------------------------------------------------------
 // JSON value model + parser
@@ -676,48 +680,16 @@ pub fn result_from_value(v: &Value) -> Result<RunResult, String> {
 // Messages
 // ---------------------------------------------------------------------------
 
-/// Which of a plan's two cell lists a shard indexes into.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardList {
-    Grid,
-    Para,
-}
-
-impl ShardList {
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::Grid => "grid",
-            Self::Para => "para",
-        }
-    }
-}
-
-impl std::str::FromStr for ShardList {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "grid" => Ok(Self::Grid),
-            "para" => Ok(Self::Para),
-            other => Err(format!("unknown shard list '{other}'")),
-        }
-    }
-}
-
 /// Coordinator → worker messages.
 #[derive(Debug, Clone)]
 pub enum ToWorker {
-    /// Lease one shard: execute `indices` of the plan's `list`, streaming a
-    /// [`FromWorker::Cell`] per result, then a [`FromWorker::ShardDone`].
+    /// Lease one shard: execute the cells at `indices` of the sweep's cell
+    /// list, streaming a [`FromWorker::Cell`] per result, then a
+    /// [`FromWorker::ShardDone`].
     Shard {
         job: u64,
         shard: u64,
-        list: ShardList,
         indices: Vec<usize>,
-        /// Settle-kernel request, propagated from the coordinator's
-        /// `--kernel`; the worker resolves it locally (its own
-        /// `RH_FORCE_SCALAR` environment wins, as everywhere).
-        kernel: KernelChoice,
         config: SweepConfig,
     },
     /// The coordinator refuses this worker (protocol-version, config-epoch,
@@ -740,17 +712,13 @@ impl ToWorker {
             Self::Shard {
                 job,
                 shard,
-                list,
                 indices,
-                kernel,
                 config,
             } => {
                 let idx: Vec<String> = indices.iter().map(usize::to_string).collect();
                 format!(
                     "{{\"type\":\"shard\",\"job\":{job},\"shard\":{shard},\
-                     \"list\":{},\"kernel\":{},\"indices\":[{}],\"config\":{}}}",
-                    jstr(list.name()),
-                    jstr(kernel.name()),
+                     \"indices\":[{}],\"config\":{}}}",
                     idx.join(","),
                     config_to_json(config),
                 )
@@ -769,8 +737,6 @@ impl ToWorker {
             "shard" => Ok(Self::Shard {
                 job: field_u64(&v, "job")?,
                 shard: field_u64(&v, "shard")?,
-                list: field_str(&v, "list")?.parse()?,
-                kernel: field_str(&v, "kernel")?.parse()?,
                 indices: field(&v, "indices")?
                     .as_array()
                     .ok_or("'indices' must be an array")?
@@ -795,8 +761,9 @@ impl ToWorker {
 #[derive(Debug, Clone)]
 pub enum FromWorker {
     /// First line on every worker connection: identifies the role (so one
-    /// TCP listener serves clients and workers), reports the kernel the
-    /// worker's default choice resolves to on its CPU/environment, and
+    /// TCP listener serves clients and workers), reports the settle kernel
+    /// the worker runs ([`rh_core::Kernel::auto`] on its CPU and
+    /// environment, recorded per worker in the response envelope), and
     /// carries the handshake the coordinator vets before leasing —
     /// [`PROTO_VERSION`] plus the operator-assigned `config_epoch`
     /// (fleet-rollout generation; a worker started against yesterday's
@@ -823,26 +790,18 @@ pub enum FromWorker {
     /// when the current cell is long. Excluded from fault-plan line
     /// numbering and never advances lease progress.
     Heartbeat { job: u64, shard: u64 },
-    /// One completed cell, streamed as soon as it finishes. Carries the
-    /// kernel the lease's request resolved to on this worker so the
-    /// coordinator's per-worker report is correct even if the connection
-    /// (or the job) ends before the closing `shard_done`.
+    /// One completed cell (its position in the sweep's cell list), streamed
+    /// as soon as it finishes.
     Cell {
         job: u64,
         shard: u64,
         index: usize,
-        kernel: String,
         result: RunResult,
     },
-    /// Shard complete; `kernel` is what the lease's request resolved to on
-    /// this worker (recorded per worker in the response envelope).
-    ShardDone {
-        job: u64,
-        shard: u64,
-        kernel: String,
-    },
-    /// Shard failed permanently (bad config/kernel for this host); the
-    /// coordinator fails the job rather than retrying.
+    /// Shard complete.
+    ShardDone { job: u64, shard: u64 },
+    /// Shard failed permanently (a config or lease this worker cannot
+    /// run); the coordinator fails the job rather than retrying.
     Fail {
         job: u64,
         shard: u64,
@@ -885,18 +844,15 @@ impl FromWorker {
                 job,
                 shard,
                 index,
-                kernel,
                 result,
             } => format!(
                 "{{\"type\":\"cell\",\"job\":{job},\"shard\":{shard},\"index\":{index},\
-                 \"kernel\":{},\"result\":{}}}",
-                jstr(kernel),
+                 \"result\":{}}}",
                 result_to_json(result)
             ),
-            Self::ShardDone { job, shard, kernel } => format!(
-                "{{\"type\":\"shard_done\",\"job\":{job},\"shard\":{shard},\"kernel\":{}}}",
-                jstr(kernel)
-            ),
+            Self::ShardDone { job, shard } => {
+                format!("{{\"type\":\"shard_done\",\"job\":{job},\"shard\":{shard}}}")
+            }
             Self::Fail {
                 job,
                 shard,
@@ -938,13 +894,11 @@ impl FromWorker {
                 index: field(&v, "index")?
                     .as_usize()
                     .ok_or("'index' must be an integer")?,
-                kernel: field_str(&v, "kernel")?,
                 result: result_from_value(field(&v, "result")?)?,
             }),
             "shard_done" => Ok(Self::ShardDone {
                 job: field_u64(&v, "job")?,
                 shard: field_u64(&v, "shard")?,
-                kernel: field_str(&v, "kernel")?,
             }),
             "fail" => Ok(Self::Fail {
                 job: field_u64(&v, "job")?,
@@ -1047,7 +1001,7 @@ impl ClientMsg {
 pub struct WorkerStat {
     /// Coordinator-assigned worker name (`local-0`, `tcp-127.0.0.1:4242`).
     pub worker: String,
-    /// The settle kernel the worker's shard requests resolved to.
+    /// The settle kernel the worker announced in its hello.
     pub kernel: String,
     /// Cells this worker contributed to the job.
     pub cells: u64,
@@ -1615,24 +1569,18 @@ mod tests {
         let shard = ToWorker::Shard {
             job: 3,
             shard: 1,
-            list: ShardList::Para,
             indices: vec![0, 2, 5],
-            kernel: KernelChoice::Scalar,
             config: SweepConfig::default(),
         };
         match ToWorker::decode(&shard.encode()).unwrap() {
             ToWorker::Shard {
                 job,
                 shard,
-                list,
                 indices,
-                kernel,
                 config,
             } => {
                 assert_eq!((job, shard), (3, 1));
-                assert_eq!(list, ShardList::Para);
                 assert_eq!(indices, vec![0, 2, 5]);
-                assert_eq!(kernel, KernelChoice::Scalar);
                 assert_eq!(config.seed, SweepConfig::default().seed);
             }
             other => panic!("decoded wrong variant: {other:?}"),
@@ -1671,18 +1619,10 @@ mod tests {
             ToWorker::Reject { reason } => assert_eq!(reason, "epoch mismatch"),
             other => panic!("decoded wrong variant: {other:?}"),
         }
-        let done = FromWorker::ShardDone {
-            job: 1,
-            shard: 2,
-            kernel: "scalar".into(),
-        };
+        let done = FromWorker::ShardDone { job: 1, shard: 2 };
         assert!(matches!(
             FromWorker::decode(&done.encode()).unwrap(),
-            FromWorker::ShardDone {
-                job: 1,
-                shard: 2,
-                ..
-            }
+            FromWorker::ShardDone { job: 1, shard: 2 }
         ));
     }
 
@@ -1949,9 +1889,7 @@ mod tests {
             ToWorker::Shard {
                 job: 1,
                 shard: 2,
-                list: ShardList::Grid,
                 indices: vec![0, 1, 7],
-                kernel: KernelChoice::Auto,
                 config: SweepConfig::default(),
             }
             .encode(),
@@ -1975,16 +1913,10 @@ mod tests {
                 job: 1,
                 shard: 2,
                 index: 5,
-                kernel: "scalar".into(),
                 result: result.clone(),
             }
             .encode(),
-            FromWorker::ShardDone {
-                job: 1,
-                shard: 2,
-                kernel: "scalar".into(),
-            }
-            .encode(),
+            FromWorker::ShardDone { job: 1, shard: 2 }.encode(),
             FromWorker::CancelAck { job: 1, shard: 2 }.encode(),
             ClientMsg::Submit {
                 id: Some("j1".into()),

@@ -3,10 +3,11 @@
 //! The thread-level executor ([`crate::exec`]) promoted one level up: the
 //! coordinator accepts sweep configs (jsonl over stdin, or over a TCP
 //! listener that multiplexes clients and workers), expands each through
-//! [`SweepPlan::from_config`], chunks the plan's cell lists into shard
-//! leases, schedules the leases across a pool of `rh-cli worker` processes
-//! (spawned locally over stdio pipes, or attached over TCP), and merges the
-//! streamed per-cell results back into plan order. The merged document is
+//! [`SweepPlan::from_config`] into the sweep's one cell list
+//! (`sweep::sweep_cells`: the grid, then the PARA sweep), chunks it into
+//! shard leases, schedules the leases across a pool of `rh-cli worker`
+//! processes (spawned locally over stdio pipes, or attached over TCP), and
+//! merges the streamed per-cell results back into list order. The merged document is
 //! **byte-identical to an in-process `rh-cli sweep` run of the same
 //! config** regardless of shard layout, worker count, worker arrival
 //! order, or mid-job worker death — the PR 2 determinism invariant
@@ -26,14 +27,15 @@
 //!   the moment the primary lands (`coalesced: true`). N concurrent
 //!   identical requests cost one execution.
 //! * **Checkpoint journal**: with `--checkpoint-dir`, every merged cell is
-//!   appended to a checksummed jsonl file keyed by `(config_hash, seed,
-//!   list)` — the service's one durable store. A resubmit after a crash,
-//!   cancel, or coordinator restart loads the file, fills the slots it
-//!   covers, and schedules only the missing cells (`checkpoint_cells` in
-//!   the envelope counts the restored ones); a fully journaled key merges
-//!   without a worker and warms the result cache. Damage at rest (a torn
-//!   tail, a flipped or non-UTF-8 byte) costs one re-executed cell per bad
-//!   record, counted as `checkpoint_skipped`.
+//!   appended to a checksummed jsonl file keyed by `(config_hash, seed)`,
+//!   one record per cell under its list position — the service's one
+//!   durable store. A resubmit after a crash, cancel, or coordinator
+//!   restart loads the file, fills the slots it covers, and schedules only
+//!   the missing cells (`checkpoint_cells` in the envelope counts the
+//!   restored ones); a fully journaled key merges without a worker and
+//!   warms the result cache. Damage at rest (a torn tail, a flipped or
+//!   non-UTF-8 byte) costs one re-executed cell per bad record, counted as
+//!   `checkpoint_skipped`.
 //! * **Worker-death recovery**: a worker connection dropping mid-shard
 //!   requeues the lease minus the cells that already streamed back; another
 //!   worker re-executes only the remainder. Determinism makes re-execution
@@ -53,18 +55,20 @@
 //!   *mid-shard* (a `cancel` lease message, acknowledged with
 //!   `cancel_ack`, never requeued) instead of burning the rest of the
 //!   lease.
-//! * **Pool split**: at submit time each cell list's missing slots are
-//!   folded into units, one simulation each (the cells that differ only in
-//!   `HC_first` under no mitigation, PARA or TRR; see [`crate::exec`]), and
-//!   the units are cut into leases of `units / live workers` simulations
-//!   (rounded up, at most `--shard-cells`), so every live worker pulls at
-//!   least one lease of every list that has a simulation per worker. A
-//!   lease never splits a unit, so the worker simulates each once. Units
-//!   follow their first cell's plan order and only a unit's simulated
-//!   cell needs device tables, so a full lease builds one or two
-//!   `(hc_first, pattern)` table sets on the default grid and at most
-//!   three on the two-pattern DDR4 reference grid; the merge is
-//!   slot-addressed, so any width yields byte-identical output.
+//! * **Pool split**: at submit time the job's missing slots are folded into
+//!   units, one simulation each (the cells that differ only in `HC_first`
+//!   under no mitigation, PARA or TRR; see [`crate::exec`]), exactly as
+//!   `rh-cli sweep` folds them, and the units are cut into leases of
+//!   `units / live workers` simulations (rounded up, at most
+//!   `--shard-cells`), so every live worker pulls at least one lease of a
+//!   job with a simulation per worker: on two workers the default job is 5
+//!   leases of 16/16/16/16/5 simulations. A lease never splits a unit, so
+//!   the worker simulates each once. Units follow their first cell's plan
+//!   order and only a unit's simulated cell needs device tables, so a full
+//!   lease builds one or two `(hc_first, pattern)` table sets on the
+//!   default grid and at most three on the two-pattern DDR4 reference
+//!   grid; the merge is slot-addressed, so any width yields byte-identical
+//!   output.
 //! * **Authentication**: with `--auth-token-file`, worker hellos and
 //!   client sessions must carry a proof derived from the shared token and
 //!   a caller-chosen nonce ([`proto::auth_proof`], compared in constant
@@ -79,11 +83,11 @@ use crate::json;
 use crate::plan::SweepPlan;
 use crate::proto::{
     self, encode_error, fnv1a64, line_too_long, read_line, read_line_bounded, write_line,
-    ClientMsg, FromWorker, Line, ResultEnvelope, ShardList, ToWorker, WorkerStat, MAX_LINE_BYTES,
+    ClientMsg, FromWorker, Line, ResultEnvelope, ToWorker, WorkerStat, MAX_LINE_BYTES,
     PROTO_VERSION,
 };
-use crate::sweep::{SweepConfig, SweepOutput};
-use rh_core::KernelChoice;
+use crate::sweep::{sweep_cells, sweep_output, SweepConfig};
+use rh_core::Kernel;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -118,16 +122,14 @@ pub struct ServeOptions {
     /// TCP address to listen on for clients and late-attaching workers
     /// (e.g. `127.0.0.1:4242`, port 0 for ephemeral).
     pub listen: Option<String>,
-    /// Settle-kernel request propagated to every shard lease.
-    pub kernel: KernelChoice,
     /// Result-cache capacity in documents.
     pub cache_capacity: usize,
-    /// Directory for per-shard checkpoint files; `None` disables
-    /// checkpointing.
+    /// Directory for the checkpoint journals (one file per config key);
+    /// `None` disables checkpointing.
     pub checkpoint_dir: Option<PathBuf>,
     /// Maximum simulations per shard lease (one per unit of cells folded
-    /// along `HC_first`); below this cap each cell list is split into one
-    /// lease of whole units per live worker.
+    /// along `HC_first`); below this cap a job is split into one lease of
+    /// whole units per live worker.
     pub shard_cells: usize,
     /// Worker executable to spawn; defaults to the current executable
     /// (tests point it at the real `rh-cli` binary).
@@ -169,7 +171,6 @@ impl Default for ServeOptions {
         Self {
             workers: 2,
             listen: None,
-            kernel: KernelChoice::Auto,
             cache_capacity: crate::cache::DEFAULT_CAPACITY,
             checkpoint_dir: None,
             shard_cells: 16,
@@ -188,12 +189,12 @@ impl Default for ServeOptions {
     }
 }
 
-/// One schedulable unit: a contiguous-ish slice of one job's cell list.
+/// One schedulable lease: whole units of one job's cell list, by list
+/// position.
 #[derive(Debug, Clone)]
 struct Lease {
     job: u64,
     shard: u64,
-    list: ShardList,
     indices: Vec<usize>,
 }
 
@@ -216,9 +217,8 @@ struct ActiveLease {
 struct Job {
     plan: Arc<SweepPlan>,
     key: (u64, u64),
-    kernel: KernelChoice,
-    grid: Vec<Option<RunResult>>,
-    para: Vec<Option<RunResult>>,
+    /// One result slot per cell of `sweep_cells(plan)`, in list order.
+    slots: Vec<Option<RunResult>>,
     /// Unfilled slots remaining before the job can merge.
     remaining: usize,
     executed_cells: u64,
@@ -229,7 +229,7 @@ struct Job {
     speculations: u64,
     /// Duplicate cell completions, each asserted bit-exact before counting.
     duplicate_cells: u64,
-    /// Worker name → (resolved kernel, cells contributed).
+    /// Worker name → (the kernel its hello announced, cells contributed).
     workers: BTreeMap<String, (String, u64)>,
     /// Which client identity admitted this job (quota accounting).
     client: String,
@@ -241,15 +241,6 @@ struct Job {
     /// Admission → first merged/restored cell, for the envelope.
     queue_wait_ms: Option<u64>,
     done: Option<JobOutcome>,
-}
-
-impl Job {
-    fn slot(&mut self, list: ShardList, index: usize) -> Option<&mut Option<RunResult>> {
-        match list {
-            ShardList::Grid => self.grid.get_mut(index),
-            ShardList::Para => self.para.get_mut(index),
-        }
-    }
 }
 
 struct State {
@@ -326,7 +317,6 @@ struct Inner {
     work: Condvar,
     /// Signaled on job completion, hello, and failure.
     done: Condvar,
-    kernel: KernelChoice,
     checkpoint_dir: Option<PathBuf>,
     shard_cells: usize,
     /// TCP listen mode: workers may attach later, so an empty pool blocks
@@ -374,7 +364,6 @@ impl Coordinator {
             state: Mutex::new(State::new(opts.cache_capacity)),
             work: Condvar::new(),
             done: Condvar::new(),
-            kernel: opts.kernel,
             checkpoint_dir: opts.checkpoint_dir.clone(),
             shard_cells: opts.shard_cells.max(1),
             allow_late_workers: opts.listen.is_some(),
@@ -477,7 +466,7 @@ impl Coordinator {
             cmd.args(extra);
         }
         // Environment inherited on purpose: RH_FORCE_SCALAR set on the
-        // coordinator reaches every local worker's own resolve().
+        // coordinator reaches every local worker's own Kernel::auto().
         let mut child = cmd
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
@@ -689,6 +678,7 @@ impl Inner {
     ) -> Result<ResultEnvelope, SubmitError> {
         let key = proto::config_key(cfg);
         let plan = Arc::new(SweepPlan::from_config(cfg).map_err(SubmitError::Failed)?);
+        let cells = sweep_cells(&plan);
         let mut st = inner.state.lock().expect("coordinator lock");
         if st.shutting_down {
             return Err(SubmitError::Failed("coordinator shutting down".to_string()));
@@ -741,7 +731,7 @@ impl Inner {
         //    hits and coalesced waits above cost no worker time. Reasons
         //    are machine-readable — they travel the wire as
         //    `{"type":"reject","reason":...}`.
-        let job_cells = plan.grid.len() + plan.para_sweep.len();
+        let job_cells = cells.len();
         let pending = st.jobs.values().filter(|j| j.done.is_none());
         let (mut total, mut mine, mut my_cells) = (0usize, 0usize, 0usize);
         for job in pending {
@@ -770,12 +760,10 @@ impl Inner {
         let job_id = st.next_job;
         st.next_job += 1;
         let mut job = Job {
-            grid: vec![None; plan.grid.len()],
-            para: vec![None; plan.para_sweep.len()],
-            remaining: plan.grid.len() + plan.para_sweep.len(),
+            slots: vec![None; job_cells],
+            remaining: job_cells,
             plan: Arc::clone(&plan),
             key,
-            kernel: inner.kernel,
             executed_cells: 0,
             checkpoint_cells: 0,
             checkpoint_skipped: 0,
@@ -816,32 +804,27 @@ impl Inner {
             ));
         }
 
-        // Queue shard leases for the missing cells: each list's missing
-        // cells folded into units (one simulation each), and the units
-        // split across the workers live right now.
+        // Queue shard leases for the missing cells: folded into units (one
+        // simulation each), and the units split across the workers live
+        // right now.
+        let missing: Vec<usize> = job
+            .slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, s)| s.is_none().then_some(i))
+            .collect();
+        let units = crate::exec::units(missing.iter().map(|&i| &cells[i]));
+        let width = lease_width(units.len(), st.live_workers, inner.shard_cells);
         let mut leases = Vec::new();
-        for (list, slots, cells) in [
-            (ShardList::Grid, &job.grid, &plan.grid),
-            (ShardList::Para, &job.para, &plan.para_sweep),
-        ] {
-            let missing: Vec<usize> = slots
-                .iter()
-                .enumerate()
-                .filter_map(|(i, s)| s.is_none().then_some(i))
-                .collect();
-            let units = crate::exec::units(missing.iter().map(|&i| &cells[i]));
-            let width = lease_width(units.len(), st.live_workers, inner.shard_cells);
-            for chunk in units.chunks(width) {
-                let indices = chunk.iter().flatten().map(|&p| missing[p]).collect();
-                let shard = st.next_shard;
-                st.next_shard += 1;
-                leases.push(Lease {
-                    job: job_id,
-                    shard,
-                    list,
-                    indices,
-                });
-            }
+        for chunk in units.chunks(width) {
+            let indices = chunk.iter().flatten().map(|&p| missing[p]).collect();
+            let shard = st.next_shard;
+            st.next_shard += 1;
+            leases.push(Lease {
+                job: job_id,
+                shard,
+                indices,
+            });
         }
         st.jobs.insert(job_id, job);
         st.named.insert(id.clone(), job_id);
@@ -993,73 +976,53 @@ fn envelope(
     }
 }
 
-/// Simulations per lease when a list whose missing cells fold into
+/// Simulations per lease when a job whose missing cells fold into
 /// `missing` units (`crate::exec::units`, one simulation each) is split
 /// across `live_workers`: one chunk of whole units per worker, capped at
-/// `shard_cells` simulations. A list with at least one missing simulation
+/// `shard_cells` simulations. A job with at least one missing simulation
 /// per worker thus gives every worker a lease, and no unit is ever cut in
 /// two (its members would each be simulated). Only a unit's first,
 /// lowest-`HC_first` member reads tables, so a chunk of consecutive units
 /// builds few table sets (see the module docs). With no worker attached
-/// yet (a TCP listener before the first hello) the list is cut as for one
+/// yet (a TCP listener before the first hello) the job is cut as for one
 /// worker.
 fn lease_width(missing: usize, live_workers: usize, shard_cells: usize) -> usize {
     missing.div_ceil(live_workers.max(1)).clamp(1, shard_cells)
 }
 
 /// Graceful degradation: execute a stranded job's leases on the submitting
-/// thread, merging through the same [`record_cell`] path workers use (so
-/// checkpointing, duplicate assertions, and completion all behave
-/// identically).
+/// thread with the lease runner workers use, merging through the same
+/// [`record_cell`] path (so checkpointing, duplicate assertions, and
+/// completion all behave identically).
 fn run_leases_in_process(inner: &Arc<Inner>, leases: &[Lease]) {
+    let kernel = Kernel::auto().name();
     for lease in leases {
-        let (config, kernel) = {
+        let config = {
             let st = inner.state.lock().expect("coordinator lock");
-            let Some(job) = st.jobs.get(&lease.job) else {
-                continue;
-            };
-            if job.done.is_some() {
-                continue;
+            match st.jobs.get(&lease.job) {
+                Some(job) if job.done.is_none() => job.plan.config.clone(),
+                _ => continue,
             }
-            (job.plan.config.clone(), job.kernel)
         };
-        let resolved = match kernel.resolve() {
-            Ok(k) => k,
+        let units = match crate::exec::run_lease(&config, &lease.indices) {
+            Ok(units) => units,
             Err(e) => {
                 let mut st = inner.state.lock().expect("coordinator lock");
                 fail_job(inner, &mut st, lease.job, &e);
                 continue;
             }
         };
-        let sweep_plan = match SweepPlan::from_config(&config) {
-            Ok(p) => p,
-            Err(e) => {
-                let mut st = inner.state.lock().expect("coordinator lock");
-                fail_job(inner, &mut st, lease.job, &e);
-                continue;
-            }
-        };
-        let cells = match lease.list {
-            ShardList::Grid => &sweep_plan.grid,
-            ShardList::Para => &sweep_plan.para_sweep,
-        };
-        let leased: Vec<_> = lease.indices.iter().map(|&i| cells[i].clone()).collect();
-        let units = crate::exec::units(&leased);
-        let tables = crate::exec::build_table_cache(&sweep_plan, &leased, &units);
-        let mut runner = crate::exec::Worker::with_kernel(resolved);
-        for unit in units {
-            let results = runner.run_unit(&sweep_plan, &leased, &unit, &tables);
+        for done in units {
             let mut st = inner.state.lock().expect("coordinator lock");
-            for (pos, result) in unit.into_iter().zip(results) {
+            for (index, result) in done {
                 record_cell(
                     inner,
                     &mut st,
                     "in-process",
-                    resolved.name(),
+                    kernel,
                     lease.job,
                     lease.shard,
-                    lease.list,
-                    lease.indices[pos],
+                    index,
                     result,
                 );
             }
@@ -1135,7 +1098,7 @@ fn speculate(inner: &Arc<Inner>, st: &mut MutexGuard<'_, State>, shard: u64) {
         .indices
         .iter()
         .copied()
-        .filter(|&i| job.slot(lease.list, i).is_some_and(|s| s.is_none()))
+        .filter(|&i| job.slots.get(i).is_some_and(Option::is_none))
         .collect();
     if missing.is_empty() {
         return;
@@ -1151,7 +1114,6 @@ fn speculate(inner: &Arc<Inner>, st: &mut MutexGuard<'_, State>, shard: u64) {
     st.queue.push_back(Lease {
         job: lease.job,
         shard: twin_shard,
-        list: lease.list,
         indices: missing,
     });
     if let Some(a) = st.active.get_mut(&shard) {
@@ -1163,39 +1125,22 @@ fn speculate(inner: &Arc<Inner>, st: &mut MutexGuard<'_, State>, shard: u64) {
 /// Render a completed job's merged document — exactly what
 /// [`crate::sweep::run_sweep`] would have produced in-process.
 fn finalize_document(job: &Job) -> String {
-    let grid: Vec<RunResult> = job
-        .grid
+    let results = job
+        .slots
         .iter()
         .map(|s| s.clone().expect("job complete"))
         .collect();
-    let para_sweep: Vec<RunResult> = job
-        .para
-        .iter()
-        .map(|s| s.clone().expect("job complete"))
-        .collect();
-    let para_monotone = para_sweep
-        .windows(2)
-        .all(|w| w[1].total_flips <= w[0].total_flips);
-    let out = SweepOutput {
-        config: job.plan.config.clone(),
-        grid,
-        para_sweep,
-        para_monotone,
-    };
-    json::render(&out)
+    json::render(&sweep_output(&job.plan, results))
 }
 
 // ---------------------------------------------------------------------------
 // Checkpointing
 // ---------------------------------------------------------------------------
 
-fn checkpoint_path(dir: &Path, key: (u64, u64), list: ShardList) -> PathBuf {
-    dir.join(format!(
-        "ckpt-{:016x}-{}-{}.jsonl",
-        key.0,
-        key.1,
-        list.name()
-    ))
+/// The journal of one key: a record per merged cell, each under its
+/// position in the sweep's cell list.
+fn checkpoint_path(dir: &Path, key: (u64, u64)) -> PathBuf {
+    dir.join(format!("ckpt-{:016x}-{}.jsonl", key.0, key.1))
 }
 
 /// Checksum binding a checkpoint record's index to its result payload, so
@@ -1222,51 +1167,54 @@ fn decode_checkpoint_line(line: &str) -> Option<(usize, RunResult)> {
 /// Load whatever a previous run journaled for this job's key, filling
 /// result slots so only the remainder gets scheduled. The reader works on
 /// raw bytes, one `\n`-terminated record at a time: a record that is not
-/// UTF-8, does not parse, or fails its checksum is skipped and counted — a
-/// bad record costs one cell, not the file, and the skip is observable as
-/// `checkpoint_skipped` in the envelope. Blank lines are ignored. An
-/// unterminated tail (a crash mid-append) is skipped the same way and cut
-/// off the file, so the next append starts a fresh line instead of fusing
-/// with the fragment.
+/// UTF-8, does not parse, fails its checksum, or names a position outside
+/// the job's cell list is skipped and counted — a bad record costs one
+/// cell, not the file, and the skip is observable as `checkpoint_skipped`
+/// in the envelope. Blank lines and repeats of a restored cell are
+/// ignored. An unterminated tail (a crash mid-append) is skipped the same
+/// way and cut off the file, so the next append starts a fresh line
+/// instead of fusing with the fragment.
 fn load_checkpoints(dir: &Path, job: &mut Job) {
-    for list in [ShardList::Grid, ShardList::Para] {
-        let path = checkpoint_path(dir, job.key, list);
-        let Ok(bytes) = std::fs::read(&path) else {
+    let path = checkpoint_path(dir, job.key);
+    let Ok(bytes) = std::fs::read(&path) else {
+        return;
+    };
+    let terminated = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+    let (records, tail) = bytes.split_at(terminated);
+    for line in records.split(|&b| b == b'\n') {
+        if line.trim_ascii().is_empty() {
             continue;
-        };
-        let terminated = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
-        let (records, tail) = bytes.split_at(terminated);
-        for line in records.split(|&b| b == b'\n') {
-            if line.trim_ascii().is_empty() {
-                continue;
-            }
-            let record = std::str::from_utf8(line).ok();
-            match record.and_then(decode_checkpoint_line) {
-                Some((index, result)) => {
-                    if let Some(slot @ None) = job.slot(list, index) {
-                        *slot = Some(result);
-                        job.remaining -= 1;
-                        job.checkpoint_cells += 1;
-                    }
-                }
-                None => skip_checkpoint_record(job, &path, "garbled checkpoint record"),
-            }
         }
-        if !tail.is_empty() {
-            skip_checkpoint_record(job, &path, "torn checkpoint tail");
-            let truncated = std::fs::OpenOptions::new()
-                .write(true)
-                .open(&path)
-                .and_then(|f| {
-                    f.set_len(terminated as u64)?;
-                    f.sync_all()
-                });
-            if let Err(e) = truncated {
-                eprintln!(
-                    "rh-serve: cannot truncate the torn tail of {}: {e}",
-                    path.display()
-                );
-            }
+        let record = std::str::from_utf8(line).ok();
+        match record.and_then(decode_checkpoint_line) {
+            Some((index, result)) => match job.slots.get_mut(index) {
+                Some(slot @ None) => {
+                    *slot = Some(result);
+                    job.remaining -= 1;
+                    job.checkpoint_cells += 1;
+                }
+                Some(Some(_)) => {}
+                None => {
+                    skip_checkpoint_record(job, &path, "checkpoint record past the job's cells")
+                }
+            },
+            None => skip_checkpoint_record(job, &path, "garbled checkpoint record"),
+        }
+    }
+    if !tail.is_empty() {
+        skip_checkpoint_record(job, &path, "torn checkpoint tail");
+        let truncated = std::fs::OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .and_then(|f| {
+                f.set_len(terminated as u64)?;
+                f.sync_all()
+            });
+        if let Err(e) = truncated {
+            eprintln!(
+                "rh-serve: cannot truncate the torn tail of {}: {e}",
+                path.display()
+            );
         }
     }
 }
@@ -1282,8 +1230,8 @@ fn skip_checkpoint_record(job: &mut Job, path: &Path, what: &str) {
 }
 
 /// Append one merged cell to its job's checkpoint file.
-fn checkpoint_cell(dir: &Path, key: (u64, u64), list: ShardList, index: usize, r: &RunResult) {
-    let path = checkpoint_path(dir, key, list);
+fn checkpoint_cell(dir: &Path, key: (u64, u64), index: usize, r: &RunResult) {
+    let path = checkpoint_path(dir, key);
     let result_json = proto::result_to_json(r);
     let line = format!(
         "{{\"index\":{index},\"sum\":{},\"result\":{result_json}}}\n",
@@ -1318,9 +1266,10 @@ fn worker_handler<R: BufRead, W: Write>(
     local: bool,
 ) {
     // Hello first — a connection that says anything else is not a worker.
-    match read_line_bounded(&mut reader, MAX_LINE_BYTES) {
+    let kernel = match read_line_bounded(&mut reader, MAX_LINE_BYTES) {
         Ok(Some(Line::Text(line))) => match FromWorker::decode(&line) {
             Ok(FromWorker::Hello {
+                kernel,
                 proto_version,
                 config_epoch,
                 auth_nonce,
@@ -1339,6 +1288,7 @@ fn worker_handler<R: BufRead, W: Write>(
                 ) {
                     return;
                 }
+                kernel
             }
             _ => {
                 register_spawn_failure(inner, name, "first message was not hello", local);
@@ -1354,7 +1304,7 @@ fn worker_handler<R: BufRead, W: Write>(
             return;
         }
     };
-    worker_session(inner, name, &mut reader, &mut writer, local);
+    worker_session(inner, name, &kernel, &mut reader, &mut writer, local);
 }
 
 /// Vet a worker hello against this coordinator's protocol version, config
@@ -1419,10 +1369,12 @@ fn vet_worker<W: Write>(
 }
 
 /// [`worker_handler`] for TCP connections whose hello the accept loop
-/// already consumed (to tell workers from clients).
+/// already consumed (to tell workers from clients). `kernel` is the settle
+/// kernel the hello announced, recorded for every cell this worker merges.
 fn worker_session<R: BufRead, W: Write>(
     inner: &Arc<Inner>,
     name: &str,
+    kernel: &str,
     reader: &mut R,
     writer: &mut W,
     local: bool,
@@ -1439,12 +1391,11 @@ fn worker_session<R: BufRead, W: Write>(
     // Jobs this connection has already told the worker to abandon — one
     // `cancel` per job per connection is enough.
     let mut cancel_sent: HashSet<u64> = HashSet::new();
-    // The list of every lease sent on this connection whose stream has not
-    // closed yet. A cell is merged under its own shard's list: after a
-    // speculative twin settles a lease early, this loop already drains the
-    // next lease (possibly of the other list) while the straggler still
-    // streams the old one.
-    let mut leased: HashMap<u64, ShardList> = HashMap::new();
+    // Every lease sent on this connection whose stream has not closed yet.
+    // After a speculative twin settles a lease early, this loop already
+    // drains the next lease while the straggler still streams the old one;
+    // a cell of a shard this connection never leased is dropped.
+    let mut leased: HashSet<u64> = HashSet::new();
 
     loop {
         // Dequeue one live lease (or exit on shutdown).
@@ -1472,17 +1423,14 @@ fn worker_session<R: BufRead, W: Write>(
 
         // Materialize the wire lease outside the lock (configs are small,
         // but writes can block on back-pressure).
-        let (config, kernel) = {
-            let st = inner.state.lock().expect("coordinator lock");
-            let job = &st.jobs[&lease.job];
-            (job.plan.config.clone(), job.kernel)
-        };
+        let config = inner.state.lock().expect("coordinator lock").jobs[&lease.job]
+            .plan
+            .config
+            .clone();
         let msg = ToWorker::Shard {
             job: lease.job,
             shard: lease.shard,
-            list: lease.list,
             indices: lease.indices.clone(),
-            kernel,
             config,
         };
         if write_line(writer, &msg.encode()).is_err() {
@@ -1490,7 +1438,7 @@ fn worker_session<R: BufRead, W: Write>(
             worker_gone(inner, name, local);
             return;
         }
-        leased.insert(lease.shard, lease.list);
+        leased.insert(lease.shard);
         {
             // Register for supervision: the speculation supervisor watches
             // this entry's progress timestamps.
@@ -1508,8 +1456,8 @@ fn worker_session<R: BufRead, W: Write>(
 
         // Drain the shard's result stream. Messages for *other* shards can
         // legitimately appear here (a worker flushing the tail of a lease
-        // we already closed as complete) and are merged under their own
-        // lease's list, never confused with the current lease's lifecycle.
+        // we already closed as complete) and are merged into their job,
+        // never confused with the current lease's lifecycle.
         loop {
             let line = match read_line_bounded(reader, MAX_LINE_BYTES) {
                 Ok(Some(Line::Text(line))) => line,
@@ -1544,20 +1492,17 @@ fn worker_session<R: BufRead, W: Write>(
                     job,
                     shard,
                     index,
-                    kernel,
                     result,
                 } => {
-                    let Some(&list) = leased.get(&shard) else {
+                    if !leased.contains(&shard) {
                         eprintln!(
                             "rh-serve: dropping cell {index} of shard {shard} from {name}: \
                              no such lease on this connection"
                         );
                         continue;
-                    };
+                    }
                     let mut st = inner.state.lock().expect("coordinator lock");
-                    record_cell(
-                        inner, &mut st, name, &kernel, job, shard, list, index, result,
-                    );
+                    record_cell(inner, &mut st, name, kernel, job, shard, index, result);
                     // A cell for a canceled/expired/failed job means the
                     // worker is still burning cells it can't use: tell it
                     // to abandon the job mid-shard. The worker acks and
@@ -1569,7 +1514,7 @@ fn worker_session<R: BufRead, W: Write>(
                     // Every leased slot filled (possibly with help from a
                     // speculative twin): the lease is complete even if the
                     // closing shard_done gets lost.
-                    let settled = shard == lease.shard && lease_settled(&mut st, &lease);
+                    let settled = shard == lease.shard && lease_settled(&st, &lease);
                     if settled {
                         st.active.remove(&lease.shard);
                     }
@@ -1604,19 +1549,15 @@ fn worker_session<R: BufRead, W: Write>(
                     // delivers no cells is exactly the straggler the
                     // supervisor exists to route around.
                 }
-                FromWorker::ShardDone { job, shard, kernel } => {
+                FromWorker::ShardDone { job: _, shard } => {
                     leased.remove(&shard);
-                    let mut st = inner.state.lock().expect("coordinator lock");
-                    if let Some(j) = st.jobs.get_mut(&job) {
-                        // The per-lease resolution is authoritative for this
-                        // worker's report entry.
-                        if let Some(stat) = j.workers.get_mut(name) {
-                            stat.0 = kernel;
-                        }
-                    }
                     if shard == lease.shard {
-                        st.active.remove(&lease.shard);
-                        drop(st);
+                        inner
+                            .state
+                            .lock()
+                            .expect("coordinator lock")
+                            .active
+                            .remove(&lease.shard);
                         // A dropped line may have swallowed a cell: requeue
                         // whatever the closed shard left unfilled.
                         requeue(inner, &lease);
@@ -1644,8 +1585,8 @@ fn worker_session<R: BufRead, W: Write>(
 
 /// True when every slot a lease covers is filled — or its job is already
 /// finished — so the serving connection can close the lease out.
-fn lease_settled(st: &mut MutexGuard<'_, State>, lease: &Lease) -> bool {
-    let Some(job) = st.jobs.get_mut(&lease.job) else {
+fn lease_settled(st: &State, lease: &Lease) -> bool {
+    let Some(job) = st.jobs.get(&lease.job) else {
         return true;
     };
     if job.done.is_some() {
@@ -1654,7 +1595,7 @@ fn lease_settled(st: &mut MutexGuard<'_, State>, lease: &Lease) -> bool {
     lease
         .indices
         .iter()
-        .all(|&i| job.slot(lease.list, i).is_none_or(|s| s.is_some()))
+        .all(|&i| job.slots.get(i).is_none_or(Option::is_some))
 }
 
 /// Merge one streamed cell into its job. A cell landing in an
@@ -1662,7 +1603,7 @@ fn lease_settled(st: &mut MutexGuard<'_, State>, lease: &Lease) -> bool {
 /// link) is **asserted bit-exact** against the occupant: agreement is
 /// counted in `duplicate_cells`; divergence is a determinism violation and
 /// fails the job loudly — a wrong answer must never win a race silently.
-/// `kernel` is the per-cell resolved kernel the worker reported.
+/// `kernel` is the settle kernel `worker` announced in its hello.
 #[allow(clippy::too_many_arguments)]
 fn record_cell(
     inner: &Arc<Inner>,
@@ -1671,7 +1612,6 @@ fn record_cell(
     kernel: &str,
     job_id: u64,
     shard: u64,
-    list: ShardList,
     index: usize,
     result: RunResult,
 ) {
@@ -1699,7 +1639,7 @@ fn record_cell(
         return;
     }
     let key = job.key;
-    let Some(slot) = job.slot(list, index) else {
+    let Some(slot) = job.slots.get_mut(index) else {
         return;
     };
     if let Some(existing) = slot {
@@ -1709,10 +1649,9 @@ fn record_cell(
             job.duplicate_cells += 1;
         } else {
             let message = format!(
-                "determinism violation: {} cell {index} of job {job_id} diverged \
+                "determinism violation: cell {index} of job {job_id} diverged \
                  between workers (duplicate from {worker} disagrees with the \
-                 merged result)",
-                list.name()
+                 merged result)"
             );
             eprintln!("rh-serve: {message}");
             fail_job(inner, st, job_id, &message);
@@ -1725,14 +1664,10 @@ fn record_cell(
     if job.queue_wait_ms.is_none() {
         job.queue_wait_ms = Some(now.duration_since(job.admitted_at).as_millis() as u64);
     }
-    let stat = job
-        .workers
+    job.workers
         .entry(worker.to_string())
-        .or_insert_with(|| (kernel.to_string(), 0));
-    if stat.0 != kernel {
-        stat.0 = kernel.to_string();
-    }
-    stat.1 += 1;
+        .or_insert_with(|| (kernel.to_string(), 0))
+        .1 += 1;
     let complete = job.remaining == 0;
     st.merged_cells_total += 1;
     if !complete && Some(st.merged_cells_total) == inner.cancel_after_cells {
@@ -1752,7 +1687,7 @@ fn record_cell(
         return;
     }
     if let Some(dir) = &inner.checkpoint_dir {
-        checkpoint_cell(dir, key, list, index, &result);
+        checkpoint_cell(dir, key, index, &result);
     }
     if complete {
         let document = finalize_document(&st.jobs[&job_id]);
@@ -1783,7 +1718,7 @@ fn fail_job(inner: &Arc<Inner>, st: &mut MutexGuard<'_, State>, job_id: u64, mes
 /// Requeue a dead worker's lease, minus the cells it already streamed back.
 fn requeue(inner: &Arc<Inner>, lease: &Lease) {
     let mut st = inner.state.lock().expect("coordinator lock");
-    let Some(job) = st.jobs.get_mut(&lease.job) else {
+    let Some(job) = st.jobs.get(&lease.job) else {
         return;
     };
     if job.done.is_some() {
@@ -1791,7 +1726,7 @@ fn requeue(inner: &Arc<Inner>, lease: &Lease) {
     }
     let mut rest = lease.clone();
     rest.indices
-        .retain(|&i| job.slot(lease.list, i).is_some_and(|s| s.is_none()));
+        .retain(|&i| job.slots.get(i).is_some_and(Option::is_none));
     if !rest.indices.is_empty() {
         st.queue.push_front(rest);
         inner.work.notify_all();
@@ -1903,6 +1838,7 @@ fn route_first<R: BufRead, W: Write>(
         let name = format!("tcp-{peer}");
         match FromWorker::decode(first) {
             Ok(FromWorker::Hello {
+                kernel,
                 proto_version,
                 config_epoch,
                 auth_nonce,
@@ -1919,7 +1855,7 @@ fn route_first<R: BufRead, W: Write>(
                     writer,
                     false,
                 ) {
-                    worker_session(inner, &name, reader, writer, false);
+                    worker_session(inner, &name, &kernel, reader, writer, false);
                 }
             }
             _ => reject_connection(inner, peer, writer, "malformed worker hello"),
@@ -2234,7 +2170,6 @@ pub fn run_submit(opts: &SubmitOptions) -> Result<(), String> {
 
     let stdin = std::io::stdin();
     let mut input = stdin.lock();
-    let mut stdout = std::io::stdout().lock();
     while let Some(line) = read_line(&mut input).map_err(|e| format!("stdin: {e}"))? {
         // A `--job-deadline-ms` is stamped into each submit by decoding
         // and re-encoding the line; without one the line is forwarded
@@ -2298,13 +2233,9 @@ pub fn run_submit(opts: &SubmitOptions) -> Result<(), String> {
                 .collect::<Vec<_>>()
                 .join(","),
         );
-        // Document plus the trailing newline `rh-cli sweep` prints, so the
-        // two outputs diff byte-for-byte.
-        stdout
-            .write_all(env.document.as_bytes())
-            .and_then(|()| stdout.write_all(b"\n"))
-            .and_then(|()| stdout.flush())
-            .map_err(|e| format!("stdout: {e}"))?;
+        // Through the writer `rh-cli sweep` prints with, so the two
+        // outputs diff byte-for-byte.
+        json::print_document(&env.document)?;
     }
     Ok(())
 }
@@ -2379,7 +2310,29 @@ mod tests {
     /// A bare coordinator core with no workers, listener, or threads —
     /// just the shared state the handler functions operate on.
     fn test_inner() -> Arc<Inner> {
-        test_inner_custom(None, usize::MAX, usize::MAX, usize::MAX)
+        Arc::new(bare_inner())
+    }
+
+    /// The core [`test_inner`] wraps: no bounds, a lease cap of 4.
+    fn bare_inner() -> Inner {
+        Inner {
+            state: Mutex::new(State::new(8)),
+            work: Condvar::new(),
+            done: Condvar::new(),
+            checkpoint_dir: None,
+            shard_cells: 4,
+            allow_late_workers: true,
+            config_epoch: 0,
+            fallback_after: None,
+            speculate_after: None,
+            max_pending_jobs: usize::MAX,
+            max_jobs_per_client: usize::MAX,
+            max_cells_per_client: usize::MAX,
+            handshake_timeout: Duration::from_secs(10),
+            auth_token: None,
+            slow_client_delay: None,
+            cancel_after_cells: None,
+        }
     }
 
     /// [`test_inner`] with admission/auth knobs for the job-manager tests.
@@ -2390,41 +2343,23 @@ mod tests {
         max_cells_per_client: usize,
     ) -> Arc<Inner> {
         Arc::new(Inner {
-            state: Mutex::new(State::new(8)),
-            work: Condvar::new(),
-            done: Condvar::new(),
-            kernel: KernelChoice::Auto,
-            checkpoint_dir: None,
-            shard_cells: 4,
-            allow_late_workers: true,
-            config_epoch: 0,
-            fallback_after: None,
-            speculate_after: None,
             max_pending_jobs,
             max_jobs_per_client,
             max_cells_per_client,
-            handshake_timeout: Duration::from_secs(10),
             auth_token,
-            slow_client_delay: None,
-            cancel_after_cells: None,
+            ..bare_inner()
         })
     }
 
-    /// Insert a fresh job for `cfg` and return its id plus the reference
-    /// per-cell results of the grid list (executed in-process).
-    fn seed_job(inner: &Arc<Inner>, cfg: &SweepConfig) -> (u64, Vec<RunResult>) {
+    /// A fresh, empty job for `cfg` under `key`.
+    fn new_job(cfg: &SweepConfig, key: (u64, u64)) -> Job {
         let plan = Arc::new(SweepPlan::from_config(cfg).expect("valid config"));
-        let results = crate::exec::execute_cells(&plan, &plan.grid, 1);
-        let mut st = inner.state.lock().unwrap();
-        let job_id = st.next_job;
-        st.next_job += 1;
-        let job = Job {
-            grid: vec![None; plan.grid.len()],
-            para: vec![None; plan.para_sweep.len()],
-            remaining: plan.grid.len() + plan.para_sweep.len(),
-            plan: Arc::clone(&plan),
-            key: (0xABCD, cfg.seed),
-            kernel: KernelChoice::Auto,
+        let cells = sweep_cells(&plan).len();
+        Job {
+            slots: vec![None; cells],
+            remaining: cells,
+            plan,
+            key,
             executed_cells: 0,
             checkpoint_cells: 0,
             checkpoint_skipped: 0,
@@ -2436,9 +2371,24 @@ mod tests {
             admitted_at: Instant::now(),
             queue_wait_ms: None,
             done: None,
-        };
-        st.jobs.insert(job_id, job);
-        (job_id, results)
+        }
+    }
+
+    /// The reference result of every cell of `cfg`'s sweep list, in list
+    /// order (executed in-process).
+    fn reference_results(cfg: &SweepConfig) -> Vec<RunResult> {
+        let plan = SweepPlan::from_config(cfg).unwrap();
+        crate::exec::execute_cells(&plan, &sweep_cells(&plan), 1)
+    }
+
+    /// Insert a fresh job for `cfg` and return its id plus the reference
+    /// per-cell results of its list.
+    fn seed_job(inner: &Arc<Inner>, cfg: &SweepConfig) -> (u64, Vec<RunResult>) {
+        let mut st = inner.state.lock().unwrap();
+        let job_id = st.next_job;
+        st.next_job += 1;
+        st.jobs.insert(job_id, new_job(cfg, (0xABCD, cfg.seed)));
+        (job_id, reference_results(cfg))
     }
 
     fn scratch(tag: &str) -> PathBuf {
@@ -2567,33 +2517,13 @@ mod tests {
         let r0 = results[0].clone();
 
         let mut st = inner.state.lock().unwrap();
-        record_cell(
-            &inner,
-            &mut st,
-            "w1",
-            "scalar",
-            job_id,
-            0,
-            ShardList::Grid,
-            0,
-            r0.clone(),
-        );
+        record_cell(&inner, &mut st, "w1", "scalar", job_id, 0, 0, r0.clone());
         assert_eq!(st.jobs[&job_id].executed_cells, 1);
         assert_eq!(st.jobs[&job_id].duplicate_cells, 0);
 
         // A bit-exact duplicate (speculative twin finishing second) is
         // counted, not merged twice.
-        record_cell(
-            &inner,
-            &mut st,
-            "w2",
-            "scalar",
-            job_id,
-            1,
-            ShardList::Grid,
-            0,
-            r0.clone(),
-        );
+        record_cell(&inner, &mut st, "w2", "scalar", job_id, 1, 0, r0.clone());
         assert_eq!(st.jobs[&job_id].executed_cells, 1);
         assert_eq!(st.jobs[&job_id].duplicate_cells, 1);
         assert!(st.jobs[&job_id].done.is_none());
@@ -2602,17 +2532,7 @@ mod tests {
         // loudly instead of letting either copy win the race.
         let mut diverged = r0.clone();
         diverged.total_flips += 1;
-        record_cell(
-            &inner,
-            &mut st,
-            "w3",
-            "scalar",
-            job_id,
-            2,
-            ShardList::Grid,
-            0,
-            diverged,
-        );
+        record_cell(&inner, &mut st, "w3", "scalar", job_id, 2, 0, diverged);
         match &st.jobs[&job_id].done {
             Some(Err(e)) => assert!(e.contains("determinism violation"), "got '{e}'"),
             other => panic!("diverged duplicate must fail the job, got {other:?}"),
@@ -2623,50 +2543,135 @@ mod tests {
     fn garbled_checkpoint_records_are_skipped_and_counted() {
         let dir = scratch("ckpt-garble");
         let cfg = small_config();
-        let inner = test_inner();
-        let (job_id, results) = seed_job(&inner, &cfg);
-        let key = inner.state.lock().unwrap().jobs[&job_id].key;
+        let results = reference_results(&cfg);
+        let key = (0xABCD, cfg.seed);
 
-        checkpoint_cell(&dir, key, ShardList::Grid, 0, &results[0]);
-        checkpoint_cell(&dir, key, ShardList::Para, 0, &results[0]);
+        checkpoint_cell(&dir, key, 0, &results[0]);
+        checkpoint_cell(&dir, key, 1, &results[1]);
 
-        // Flip bytes mid-record in the para file: parseable or not, the
+        // Flip bytes mid-record in the second record: parseable or not, the
         // checksum no longer matches and the record must not be trusted.
-        let path = checkpoint_path(&dir, key, ShardList::Para);
+        let path = checkpoint_path(&dir, key);
         let mut bytes = std::fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
+        let second = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
+        let mid = (second + bytes.len()) / 2;
         bytes[mid] = bytes[mid].wrapping_add(1);
         bytes[mid + 1] = bytes[mid + 1].wrapping_add(1);
         std::fs::write(&path, &bytes).unwrap();
 
-        let plan = Arc::new(SweepPlan::from_config(&cfg).unwrap());
-        let mut job = Job {
-            grid: vec![None; plan.grid.len()],
-            para: vec![None; plan.para_sweep.len()],
-            remaining: plan.grid.len() + plan.para_sweep.len(),
-            plan,
-            key,
-            kernel: KernelChoice::Auto,
-            executed_cells: 0,
-            checkpoint_cells: 0,
-            checkpoint_skipped: 0,
-            speculations: 0,
-            duplicate_cells: 0,
-            workers: BTreeMap::new(),
-            client: "test-client".to_string(),
-            deadline: None,
-            admitted_at: Instant::now(),
-            queue_wait_ms: None,
-            done: None,
-        };
+        let mut job = new_job(&cfg, key);
         load_checkpoints(&dir, &mut job);
-        assert_eq!(job.checkpoint_cells, 1, "the good grid record restores");
-        assert_eq!(job.checkpoint_skipped, 1, "the garbled para record skips");
-        assert!(job.grid[0].is_some());
+        assert_eq!(job.checkpoint_cells, 1, "the good record restores");
+        assert_eq!(job.checkpoint_skipped, 1, "the garbled record skips");
+        assert!(job.slots[0].is_some());
         assert!(
-            job.para[0].is_none(),
+            job.slots[1].is_none(),
             "a garbled record must not fill a slot"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Seeded damage to a complete journal of a small job, one mutation per
+    /// trial: a byte clobbered to anything but a newline (a newline would
+    /// split one record into two bad fragments), a truncation at any
+    /// offset, a duplicated line, a line spliced from the head of one
+    /// record and the tail of another, and a record moved past the job's
+    /// cells under a valid checksum. Whatever the damage, the restore
+    /// never panics, every restored slot is the reference result bit for
+    /// bit, restored plus skipped records never exceed the records
+    /// written, and the job finished from its holes renders `sweep`'s
+    /// document.
+    #[test]
+    fn journal_fuzz_restores_only_bit_exact_cells() {
+        let cfg = SweepConfig {
+            para_probabilities: vec![0.0, 0.01],
+            ..small_config()
+        };
+        let key = (0xF022, cfg.seed);
+        let reference = reference_results(&cfg);
+        let expected = json::render(&crate::sweep::run_sweep(&cfg, 1).unwrap());
+        let dir = scratch("journal-fuzz");
+        for (i, result) in reference.iter().enumerate() {
+            checkpoint_cell(&dir, key, i, result);
+        }
+        let path = checkpoint_path(&dir, key);
+        let journal = std::fs::read(&path).unwrap();
+        let lines: Vec<&[u8]> = journal.split_inclusive(|&b| b == b'\n').collect();
+        assert_eq!(lines.len(), reference.len());
+        let written = lines.len() as u64;
+        let mut rng = rh_core::SplitMix64::new(0x0F22_7E57);
+        let mut pick = |n: usize| rng.gen_range(n as u64) as usize;
+        for trial in 0..200 {
+            let kind = trial % 5;
+            let mut mutated: Vec<Vec<u8>> = lines.iter().map(|l| l.to_vec()).collect();
+            match kind {
+                0 => {
+                    let line = pick(mutated.len());
+                    let at = pick(mutated[line].len());
+                    mutated[line][at] = match pick(256) as u8 {
+                        b'\n' => 0xFF,
+                        byte => byte,
+                    };
+                }
+                1 => {
+                    let cut = pick(journal.len() + 1);
+                    mutated = vec![journal[..cut].to_vec()];
+                }
+                2 => {
+                    let copy = mutated[pick(mutated.len())].clone();
+                    mutated.insert(pick(mutated.len() + 1), copy);
+                }
+                3 => {
+                    let (head, tail) = (pick(lines.len()), pick(lines.len()));
+                    let spliced = [
+                        &lines[head][..pick(lines[head].len())],
+                        &lines[tail][pick(lines[tail].len())..],
+                    ]
+                    .concat();
+                    mutated[head] = spliced;
+                }
+                _ => {
+                    let line = pick(lines.len());
+                    let index = lines.len() + pick(1_000);
+                    let result_json = proto::result_to_json(&reference[line]);
+                    mutated[line] = format!(
+                        "{{\"index\":{index},\"sum\":{},\"result\":{result_json}}}\n",
+                        checkpoint_sum(index, &result_json)
+                    )
+                    .into_bytes();
+                }
+            }
+            std::fs::write(&path, mutated.concat()).unwrap();
+            let mut job = new_job(&cfg, key);
+            load_checkpoints(&dir, &mut job);
+
+            let what = format!("trial {trial} (mutation {kind})");
+            let mut missing = Vec::new();
+            for (i, slot) in job.slots.iter().enumerate() {
+                match slot {
+                    Some(restored) => assert_eq!(
+                        proto::result_to_json(restored),
+                        proto::result_to_json(&reference[i]),
+                        "{what}: cell {i}"
+                    ),
+                    None => missing.push(i),
+                }
+            }
+            let restored = reference.len() - missing.len();
+            assert_eq!(job.checkpoint_cells, restored as u64, "{what}");
+            assert_eq!(job.remaining, missing.len(), "{what}");
+            assert!(
+                job.checkpoint_cells + job.checkpoint_skipped <= written,
+                "{what}: {} restored + {} skipped > {written} written",
+                job.checkpoint_cells,
+                job.checkpoint_skipped
+            );
+            // Finish the job from its holes, as a worker's lease would.
+            for (i, result) in crate::exec::run_lease(&cfg, &missing).unwrap().flatten() {
+                job.slots[i] = Some(result);
+            }
+            assert_eq!(finalize_document(&job), expected, "{what}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -2675,14 +2680,13 @@ mod tests {
         let inner = test_inner();
         let cfg = small_config();
         let (job_id, results) = seed_job(&inner, &cfg);
-        let grid_len = results.len();
-        assert!(grid_len >= 1);
+        let len = results.len();
+        assert!(len >= 1);
 
         let lease = Lease {
             job: job_id,
             shard: 0,
-            list: ShardList::Grid,
-            indices: (0..grid_len).collect(),
+            indices: (0..len).collect(),
         };
         let mut st = inner.state.lock().unwrap();
         st.next_shard = 1;
@@ -2698,7 +2702,7 @@ mod tests {
         speculate(&inner, &mut st, 0);
         assert_eq!(st.jobs[&job_id].speculations, 1);
         let twin = st.queue.back().expect("a twin lease queued").clone();
-        assert_eq!(twin.indices, (0..grid_len).collect::<Vec<_>>());
+        assert_eq!(twin.indices, (0..len).collect::<Vec<_>>());
         assert_ne!(twin.shard, 0, "the twin runs under a fresh shard id");
         assert!(st.active[&0].speculated);
 
@@ -2712,7 +2716,6 @@ mod tests {
             "scalar",
             job_id,
             0,
-            ShardList::Grid,
             0,
             results[0].clone(),
         );
@@ -2735,9 +2738,7 @@ mod tests {
     #[test]
     fn fallback_executes_in_process_when_no_worker_attaches() {
         let cfg = small_config();
-        let expected = json::render(
-            &crate::sweep::run_sweep_with_kernel(&cfg, 1, KernelChoice::Auto).unwrap(),
-        );
+        let expected = json::render(&crate::sweep::run_sweep(&cfg, 1).unwrap());
         let coordinator = Coordinator::start(ServeOptions {
             workers: 0,
             fallback_after: Some(Duration::from_millis(10)),
@@ -2829,7 +2830,6 @@ mod tests {
             st.queue.push_back(Lease {
                 job: job_id,
                 shard: 0,
-                list: ShardList::Grid,
                 indices: vec![0],
             });
             st.active.insert(
@@ -2838,8 +2838,7 @@ mod tests {
                     lease: Lease {
                         job: job_id,
                         shard: 1,
-                        list: ShardList::Para,
-                        indices: vec![0],
+                        indices: vec![1],
                     },
                     last_progress: Instant::now(),
                     speculated: false,
@@ -2876,9 +2875,9 @@ mod tests {
             // Fewer missing cells than workers: single-cell leases.
             (1, 2, 16, 1),
             (2, 3, 16, 1),
-            // Two workers: 120 simulations go 16 to a lease; the default
-            // job's 4 PARA cells (4 simulations) go 2 and 2.
-            (120, 2, 16, 16),
+            // Two workers: the default job's 69 simulations go 16 to a
+            // lease; 4 simulations go 2 and 2.
+            (69, 2, 16, 16),
             (4, 2, 16, 2),
             // One chunk per worker below the cap, rounded up.
             (15, 2, 16, 8),
@@ -2897,103 +2896,83 @@ mod tests {
         }
     }
 
-    /// With two live workers, every list with at least two missing cells
-    /// is queued as at least two contiguous leases that together cover
-    /// each missing slot exactly once, in order.
+    /// Submit `cfg` with two live workers and no real ones, and return
+    /// the leases it queued; the job is then cancelled.
+    fn queued_leases(inner: &Arc<Inner>, cfg: &SweepConfig) -> Vec<Lease> {
+        inner.state.lock().unwrap().live_workers = 2;
+        let submitter = {
+            let inner = Arc::clone(inner);
+            let cfg = cfg.clone();
+            std::thread::spawn(move || Inner::submit(&inner, Some("split".into()), &cfg, "t", None))
+        };
+        let queued = {
+            let mut st = inner.state.lock().unwrap();
+            while st.queue.is_empty() {
+                st = inner.work.wait(st).unwrap();
+            }
+            st.queue.iter().cloned().collect()
+        };
+        assert!(cancel_by_name(inner, "split"));
+        assert!(submitter.join().unwrap().is_err());
+        queued
+    }
+
+    /// With two live workers, the job's one cell list (grid, then PARA
+    /// sweep) is queued as contiguous leases that together cover each
+    /// missing slot exactly once, in order.
     #[test]
     fn submit_splits_every_list_across_two_live_workers() {
-        let inner = test_inner();
-        inner.state.lock().unwrap().live_workers = 2;
         let cfg = SweepConfig {
             para_probabilities: vec![0.0, 0.01, 0.5],
             ..small_config()
         };
         let plan = SweepPlan::from_config(&cfg).unwrap();
-        let submitter = {
-            let inner = Arc::clone(&inner);
-            let cfg = cfg.clone();
-            std::thread::spawn(move || Inner::submit(&inner, Some("split".into()), &cfg, "t", None))
-        };
-        let queued: Vec<Lease> = {
-            let mut st = inner.state.lock().unwrap();
-            while st.queue.is_empty() {
-                st = inner.work.wait(st).unwrap();
-            }
-            st.queue.iter().cloned().collect()
-        };
-        for (list, len) in [
-            (ShardList::Grid, plan.grid.len()),
-            (ShardList::Para, plan.para_sweep.len()),
-        ] {
-            let leases: Vec<&Lease> = queued.iter().filter(|l| l.list == list).collect();
-            assert!(len >= 2, "{list:?} needs two cells to split");
-            assert!(leases.len() >= 2, "{list:?}: {leases:?}");
-            for lease in &leases {
-                assert!(
-                    lease.indices.windows(2).all(|w| w[1] == w[0] + 1),
-                    "{list:?} lease not contiguous: {:?}",
-                    lease.indices
-                );
-            }
-            let covered: Vec<usize> = leases.iter().flat_map(|l| l.indices.clone()).collect();
-            assert_eq!(covered, (0..len).collect::<Vec<_>>(), "{list:?}");
+        let leases = queued_leases(&test_inner(), &cfg);
+        assert!(leases.len() >= 2, "{leases:?}");
+        for lease in &leases {
+            assert!(
+                lease.indices.windows(2).all(|w| w[1] == w[0] + 1),
+                "lease not contiguous: {:?}",
+                lease.indices
+            );
         }
-        assert!(cancel_by_name(&inner, "split"));
-        assert!(submitter.join().unwrap().is_err());
+        let covered: Vec<usize> = leases.iter().flat_map(|l| l.indices.clone()).collect();
+        assert_eq!(covered, (0..sweep_cells(&plan).len()).collect::<Vec<_>>());
+    }
+
+    /// The simulations each lease holds: its cells folded as the worker
+    /// folds them.
+    fn lease_simulations(cells: &[crate::plan::CellSpec], leases: &[Lease]) -> Vec<usize> {
+        leases
+            .iter()
+            .map(|l| crate::exec::units(l.indices.iter().map(|&i| &cells[i])).len())
+            .collect()
     }
 
     /// Across the `HC_first` axis, leases are cut from whole units sized in
-    /// simulations: the 45 grid cells of a three-value axis fold into 27
-    /// simulations, queued under the test coordinator's cap of 4 as six
-    /// leases of 4 and one of 3 (some holding 10 cells), and every unit's
-    /// cells land in one lease, so each is simulated once. A worker builds
-    /// the tables of a lease's simulated cells only, which stay on one or
-    /// two `HC_first` values however many a lease's units span.
+    /// simulations: the 46 cells of a three-value axis fold into 28
+    /// simulations, queued under the test coordinator's cap of 4 as seven
+    /// leases of 4 (some holding 10 cells), and every unit's cells land in
+    /// one lease, so each is simulated once. A worker builds the tables of
+    /// a lease's simulated cells only, which stay on one or two `HC_first`
+    /// values however many a lease's units span.
     #[test]
     fn submit_cuts_leases_from_whole_units() {
-        let inner = test_inner();
-        inner.state.lock().unwrap().live_workers = 2;
         let cfg = SweepConfig {
             hc_firsts: vec![500, 700, 900],
             ..small_config()
         };
         let plan = SweepPlan::from_config(&cfg).unwrap();
-        let submitter = {
-            let inner = Arc::clone(&inner);
-            let cfg = cfg.clone();
-            std::thread::spawn(move || Inner::submit(&inner, Some("units".into()), &cfg, "t", None))
-        };
-        let queued: Vec<Lease> = {
-            let mut st = inner.state.lock().unwrap();
-            while st.queue.is_empty() {
-                st = inner.work.wait(st).unwrap();
-            }
-            st.queue.iter().cloned().collect()
-        };
-        let grid: Vec<&Lease> = queued
-            .iter()
-            .filter(|l| l.list == ShardList::Grid)
-            .collect();
-        let units = crate::exec::units(&plan.grid);
-        assert_eq!((plan.grid.len(), units.len()), (45, 27));
-        let simulations = |lease: &Lease| {
-            units
-                .iter()
-                .filter(|u| u.iter().all(|i| lease.indices.contains(i)))
-                .count()
-        };
-        let sizes: Vec<usize> = grid.iter().map(|l| simulations(l)).collect();
-        assert_eq!(sizes, vec![4, 4, 4, 4, 4, 4, 3]);
-        let mut covered: Vec<usize> = grid.iter().flat_map(|l| l.indices.clone()).collect();
+        let cells = sweep_cells(&plan);
+        let leases = queued_leases(&test_inner(), &cfg);
+        assert_eq!((cells.len(), crate::exec::units(&cells).len()), (46, 28));
+        assert_eq!(lease_simulations(&cells, &leases), vec![4; 7]);
+        let mut covered: Vec<usize> = leases.iter().flat_map(|l| l.indices.clone()).collect();
         covered.sort_unstable();
-        assert_eq!(covered, (0..plan.grid.len()).collect::<Vec<_>>());
+        assert_eq!(covered, (0..cells.len()).collect::<Vec<_>>());
         let mut spans_axis = false;
-        for lease in &grid {
-            let leased: Vec<_> = lease
-                .indices
-                .iter()
-                .map(|&i| plan.grid[i].clone())
-                .collect();
+        for lease in &leases {
+            let leased: Vec<_> = lease.indices.iter().map(|&i| cells[i].clone()).collect();
             let hcs: std::collections::BTreeSet<u64> = leased.iter().map(|c| c.hc_first).collect();
             spans_axis |= hcs.len() == 3;
             let lease_units = crate::exec::units(&leased);
@@ -3006,15 +2985,42 @@ mod tests {
             );
         }
         assert!(spans_axis, "no lease holds a unit across the whole axis");
-        assert!(cancel_by_name(&inner, "units"));
-        assert!(submitter.join().unwrap().is_err());
     }
 
-    /// A speculative twin settles grid lease 10 early, so the connection
-    /// moves on to PARA lease 11 while the straggler still streams lease
-    /// 10's cells. Those must merge into the grid list, not into the PARA
-    /// slots of the lease being drained; a cell for a shard this connection
-    /// never leased is dropped.
+    /// A served job runs the work `rh-cli sweep` runs: on two live workers
+    /// at the default `--shard-cells` of 16, the default job's 124 cells
+    /// are queued as leases of 16/16/16/16/5 simulations, 69 in all, and
+    /// the DDR4 reference grid's 91 as 16/16/16/6, 54 in all — each the
+    /// fold of the whole list — covering every cell exactly once.
+    #[test]
+    fn submit_queues_the_sweeps_folded_work_and_no_more() {
+        for (cfg, sizes) in [
+            (SweepConfig::default(), vec![16, 16, 16, 16, 5]),
+            (crate::sweep::ddr4_reference(), vec![16, 16, 16, 6]),
+        ] {
+            let plan = SweepPlan::from_config(&cfg).unwrap();
+            let cells = sweep_cells(&plan);
+            let inner = Arc::new(Inner {
+                shard_cells: ServeOptions::default().shard_cells,
+                ..bare_inner()
+            });
+            let leases = queued_leases(&inner, &cfg);
+            let simulations = lease_simulations(&cells, &leases);
+            assert_eq!(simulations, sizes, "{} cells", cells.len());
+            assert_eq!(
+                simulations.iter().sum::<usize>(),
+                crate::exec::units(&cells).len()
+            );
+            let mut covered: Vec<usize> = leases.iter().flat_map(|l| l.indices.clone()).collect();
+            covered.sort_unstable();
+            assert_eq!(covered, (0..cells.len()).collect::<Vec<_>>());
+        }
+    }
+
+    /// A speculative twin settles lease 10 early, so the connection moves
+    /// on to lease 11 while the straggler still streams lease 10's cells.
+    /// Those still merge into their job (here as a checked duplicate); a
+    /// cell for a shard this connection never leased is dropped.
     #[test]
     fn late_cells_merge_under_their_own_leases_list() {
         let inner = test_inner();
@@ -3026,19 +3032,17 @@ mod tests {
         {
             let mut st = inner.state.lock().unwrap();
             let job = st.jobs.get_mut(&job_id).unwrap();
-            job.grid[1] = Some(results[1].clone());
+            job.slots[1] = Some(results[1].clone());
             job.remaining -= 1;
             st.queue.push_back(Lease {
                 job: job_id,
                 shard: 10,
-                list: ShardList::Grid,
                 indices: vec![0, 1],
             });
             st.queue.push_back(Lease {
                 job: job_id,
                 shard: 11,
-                list: ShardList::Para,
-                indices: vec![0, 1],
+                indices: vec![2, 3],
             });
         }
         let cell = |shard: u64, index: usize| {
@@ -3046,7 +3050,6 @@ mod tests {
                 job: job_id,
                 shard,
                 index,
-                kernel: "scalar".to_string(),
                 result: results[index].clone(),
             }
             .encode()
@@ -3058,6 +3061,7 @@ mod tests {
         worker_session(
             &inner,
             "scripted",
+            "scalar",
             &mut Cursor::new(script.into_bytes()),
             &mut out,
             false,
@@ -3065,17 +3069,12 @@ mod tests {
 
         let st = inner.state.lock().unwrap();
         let job = &st.jobs[&job_id];
-        for (i, slot) in job.grid.iter().take(2).enumerate() {
+        for (i, slot) in job.slots.iter().take(2).enumerate() {
             let merged = slot.as_ref().map(proto::result_to_json);
-            assert_eq!(merged, Some(proto::result_to_json(&results[i])), "grid {i}");
+            assert_eq!(merged, Some(proto::result_to_json(&results[i])), "cell {i}");
         }
-        assert!(
-            job.para.iter().all(Option::is_none),
-            "grid cells leaked into PARA slots: {:?}",
-            job.para
-        );
         assert_eq!(job.executed_cells, 1);
-        assert_eq!(job.duplicate_cells, 1, "the late grid cell is a duplicate");
+        assert_eq!(job.duplicate_cells, 1, "the late cell is a duplicate");
         assert!(job.done.is_none());
         // The connection closed on lease 11, which is requeued whole.
         let requeued: Vec<_> = st
@@ -3083,7 +3082,7 @@ mod tests {
             .iter()
             .map(|l| (l.shard, l.indices.clone()))
             .collect();
-        assert_eq!(requeued, vec![(11, vec![0, 1])]);
+        assert_eq!(requeued, vec![(11, vec![2, 3])]);
     }
 
     #[test]

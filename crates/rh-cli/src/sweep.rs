@@ -5,9 +5,9 @@
 //! is a pure function of the config (thread count never changes the bytes).
 
 use crate::engine::RunResult;
-use crate::exec::execute_cells_with_kernel;
+use crate::exec::execute_cells;
 use crate::plan::{CellSpec, SweepPlan};
-use rh_core::{DataPattern, Geometry, KernelChoice, VictimModelParams};
+use rh_core::{DataPattern, Geometry, VictimModelParams};
 
 /// Configuration of one full sweep.
 #[derive(Debug, Clone)]
@@ -169,41 +169,62 @@ pub struct SweepOutput {
 /// sweep. One list means one table cache, one set of workers and one fold
 /// (the PARA cell at the grid's own probability joins its grid twin's
 /// unit), where two executor passes would build the PARA sweep's tables
-/// twice and leave threads idle on its few cells.
+/// twice and leave threads idle on its few cells. A served job is this
+/// list too: its leases, result slots and journal records address cells
+/// by their position in it.
 pub(crate) fn sweep_cells(plan: &SweepPlan) -> Vec<CellSpec> {
     plan.grid.iter().chain(&plan.para_sweep).cloned().collect()
 }
 
-/// Plan the full grid plus the PARA sweep, execute the cells on up to
-/// `threads` workers, and merge results in plan order.
-pub fn run_sweep(cfg: &SweepConfig, threads: usize) -> Result<SweepOutput, String> {
-    run_sweep_with_kernel(cfg, threads, KernelChoice::Auto)
-}
-
-/// [`run_sweep`] with the settle kernel pinned (`--kernel`). Like the
-/// thread count, the kernel can never change the output bytes — resolution
-/// errors (pinning AVX2 on a CPU without it) surface here, before any cell
-/// runs.
-pub fn run_sweep_with_kernel(
-    cfg: &SweepConfig,
-    threads: usize,
-    kernel: KernelChoice,
-) -> Result<SweepOutput, String> {
-    let kernel = kernel.resolve()?;
-    let plan = SweepPlan::from_config(cfg)?;
-    let mut grid = execute_cells_with_kernel(&plan, &sweep_cells(&plan), threads, kernel);
-    let para_sweep = grid.split_off(plan.grid.len());
+/// Split the results of [`sweep_cells`], in list order, back into the
+/// sweep's output: the grid, then the PARA sweep and its monotonicity
+/// verdict. `sweep` and the coordinator's merge both end here, so a served
+/// document is the in-process one by construction.
+pub(crate) fn sweep_output(plan: &SweepPlan, mut results: Vec<RunResult>) -> SweepOutput {
+    let para_sweep = results.split_off(plan.grid.len());
     // Monotone because all PARA cells share device, workload stream, and
     // sampling RNG (common random numbers): the activations sampled at a
     // lower p are a subset of those sampled at any higher p.
     let para_monotone = para_sweep
         .windows(2)
         .all(|w| w[1].total_flips <= w[0].total_flips);
-
-    Ok(SweepOutput {
-        config: plan.config,
-        grid,
+    SweepOutput {
+        config: plan.config.clone(),
+        grid: results,
         para_sweep,
         para_monotone,
-    })
+    }
+}
+
+/// Plan the full grid plus the PARA sweep, execute the cells on up to
+/// `threads` workers, and merge results in plan order. Like the thread
+/// count, the settle kernel ([`rh_core::Kernel::auto`]) can never change
+/// the output bytes.
+pub fn run_sweep(cfg: &SweepConfig, threads: usize) -> Result<SweepOutput, String> {
+    let plan = SweepPlan::from_config(cfg)?;
+    let results = execute_cells(&plan, &sweep_cells(&plan), threads);
+    Ok(sweep_output(&plan, results))
+}
+
+/// The DDR4 reference grid (the one `ddr4_reference_document_is_pinned`
+/// pins, at perfbench's 1M activations per cell).
+#[cfg(test)]
+pub(crate) fn ddr4_reference() -> SweepConfig {
+    SweepConfig {
+        seed: 0xBE7C4,
+        activations: 1_000_000,
+        hc_firsts: vec![4096, 512, 128],
+        sides: vec![8],
+        para_probabilities: vec![0.004],
+        data_patterns: vec![DataPattern::Legacy, DataPattern::RowStripe],
+        ecc_codeword_bits: 128,
+        benign_fraction: 0.1,
+        auto_refresh_interval: 32_000,
+        geometry: Geometry {
+            channels: 1,
+            ranks: 1,
+            banks: 16,
+            rows_per_bank: 32 * 1024,
+        },
+    }
 }

@@ -4,14 +4,16 @@
 //! stdio pipes the coordinator spawned it with, or a TCP stream when
 //! started with `--connect`), announces itself with a versioned `hello`
 //! line, and then serves shard leases one at a time. Each lease carries the
-//! *normalized config plus cell indices* — the worker re-expands
-//! [`SweepPlan::from_config`] locally (the plan is a pure function of the
-//! config, seeds included), slices out the leased cells, and executes them
-//! through the very same [`crate::exec`] machinery the in-process sweep
-//! uses. Per-cell results stream back as they complete (bit-exact: floats
-//! travel as IEEE bit patterns), so the coordinator can merge and
-//! checkpoint incrementally and a dying worker loses at most the cell it
-//! was computing.
+//! *normalized config plus cell indices* — positions in the sweep's one
+//! cell list (`sweep::sweep_cells`) — and the worker hands both to the
+//! lease runner the coordinator's in-process fallback also uses
+//! (`exec::run_lease`): it re-expands the plan locally (a pure function of
+//! the config, seeds included), folds the leased cells into units and runs
+//! them through the very same [`crate::exec`] machinery the in-process
+//! sweep uses. Per-cell results stream back as each unit completes
+//! (bit-exact: floats travel as IEEE bit patterns), so the coordinator can
+//! merge and checkpoint incrementally and a dying worker loses at most the
+//! unit it was computing.
 //!
 //! ## Supervised lifecycle
 //!
@@ -32,7 +34,7 @@
 //!
 //! Incoming lines are drained by a dedicated reader thread into a small
 //! queue, so a `cancel` sent while a shard executes is visible *between
-//! cells*: the worker abandons the remaining cells of that lease, answers
+//! units*: the worker abandons the remaining cells of that lease, answers
 //! with `cancel_ack`, and goes back to waiting for leases. Without the
 //! reader thread the worker would not touch its socket until the whole
 //! shard had streamed — a cancelled job would keep burning CPU for the
@@ -45,20 +47,14 @@
 //! lines, and delayed greetings. Heartbeats are exempt from line counting
 //! so the schedule stays deterministic regardless of timing.
 //!
-//! Kernel selection composes the same way it does everywhere else: the
-//! lease carries the coordinator's `--kernel` request, the worker resolves
-//! it against its own CPU, and its own `RH_FORCE_SCALAR` environment wins
-//! over any request ([`rh_core::KernelChoice::resolve`]). The resolved name
-//! is reported back in the `shard_done` line, so the merged report can
-//! record what each worker actually ran.
+//! The worker runs the settle kernel [`rh_core::Kernel::auto`] picks on its
+//! own CPU and environment (`RH_FORCE_SCALAR` forces scalar) and names it
+//! in its hello, which is what the coordinator records for it.
 
-use crate::exec::{build_table_cache, units, Worker as CellRunner};
+use crate::exec::run_lease;
 use crate::faults::{CellFate, FaultPlan, LineFate};
-use crate::plan::SweepPlan;
-use crate::proto::{
-    auth_proof, read_line, write_line, FromWorker, ShardList, ToWorker, PROTO_VERSION,
-};
-use rh_core::{derive_seed, KernelChoice, SplitMix64};
+use crate::proto::{auth_proof, read_line, write_line, FromWorker, ToWorker, PROTO_VERSION};
+use rh_core::{derive_seed, Kernel, SplitMix64};
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -238,7 +234,7 @@ struct BeatState {
 
 /// Decoded coordinator lines, drained off the transport by the reader
 /// thread. `run_shard` scans this queue for a mid-shard `cancel` between
-/// cells; the protocol loop pops everything else in order.
+/// units; the protocol loop pops everything else in order.
 struct Incoming {
     queue: VecDeque<Result<ToWorker, String>>,
     /// The transport hit EOF or a terminal read/decode error; nothing more
@@ -311,10 +307,6 @@ where
     R: BufRead + Send + 'static,
     W: Write + Send,
 {
-    // What `--kernel auto` resolves to on this host/environment — recorded
-    // by the coordinator per worker. Individual leases re-resolve their own
-    // request.
-    let default_kernel = KernelChoice::Auto.resolve()?;
     if let Some(delay) = plan.connect_delay() {
         std::thread::sleep(delay);
     }
@@ -392,7 +384,7 @@ where
         let result = (|| {
             let (auth_nonce, auth_proof) = hello_auth(session, plan);
             let hello = FromWorker::Hello {
-                kernel: default_kernel.name().to_string(),
+                kernel: Kernel::auto().name().to_string(),
                 pid: u64::from(std::process::id()),
                 proto_version: PROTO_VERSION,
                 config_epoch: session.config_epoch,
@@ -414,15 +406,11 @@ where
                     Some(ToWorker::Shard {
                         job,
                         shard,
-                        list,
                         indices,
-                        kernel,
                         config,
                     }) => {
                         beat.lock().unwrap().active = Some((job, shard));
-                        let alive = run_shard(
-                            &writer, &inbox, plan, job, shard, list, &indices, kernel, &config,
-                        );
+                        let alive = run_shard(&writer, &inbox, plan, job, shard, &indices, &config);
                         beat.lock().unwrap().active = None;
                         if !alive? {
                             // Scheduled crash: die by dropping the
@@ -478,56 +466,28 @@ fn send<W: Write>(writer: &Mutex<W>, plan: &mut FaultPlan, line: &str) -> std::i
 /// Execute one lease, streaming results. Returns `Ok(false)` when the fault
 /// plan's crash fired (the caller drops the connection), `Ok(true)` after a
 /// clean `shard_done`, `fail`, or acknowledged mid-shard cancel.
-#[allow(clippy::too_many_arguments)]
 fn run_shard<W: Write>(
     writer: &Mutex<W>,
     inbox: &Inbox,
     plan: &mut FaultPlan,
     job: u64,
     shard: u64,
-    list: ShardList,
     indices: &[usize],
-    kernel: KernelChoice,
     config: &crate::sweep::SweepConfig,
 ) -> Result<bool, String> {
-    let fail = |plan: &mut FaultPlan, message: String| -> Result<bool, String> {
-        let msg = FromWorker::Fail {
-            job,
-            shard,
-            message,
-        };
-        send(writer, plan, &msg.encode()).map_err(|e| format!("worker: write: {e}"))?;
-        Ok(true)
+    let mut units = match run_lease(config, indices) {
+        Ok(units) => units,
+        Err(message) => {
+            let msg = FromWorker::Fail {
+                job,
+                shard,
+                message,
+            };
+            send(writer, plan, &msg.encode()).map_err(|e| format!("worker: write: {e}"))?;
+            return Ok(true);
+        }
     };
-
-    let resolved = match kernel.resolve() {
-        Ok(k) => k,
-        Err(e) => return fail(plan, e),
-    };
-    let sweep_plan = match SweepPlan::from_config(config) {
-        Ok(p) => p,
-        Err(e) => return fail(plan, e),
-    };
-    let cells = match list {
-        ShardList::Grid => &sweep_plan.grid,
-        ShardList::Para => &sweep_plan.para_sweep,
-    };
-    if let Some(&bad) = indices.iter().find(|&&i| i >= cells.len()) {
-        return fail(
-            plan,
-            format!(
-                "shard index {bad} out of bounds for {} list of {} cells",
-                list.name(),
-                cells.len()
-            ),
-        );
-    }
-
-    let leased: Vec<_> = indices.iter().map(|&i| cells[i].clone()).collect();
-    let units = units(&leased);
-    let tables = build_table_cache(&sweep_plan, &leased, &units);
-    let mut runner = CellRunner::with_kernel(resolved);
-    for unit in units {
+    loop {
         // Cancellation is checked between simulations: a `cancel` queued
         // by the reader thread abandons the rest of the lease immediately,
         // and the ack tells the coordinator not to requeue it.
@@ -536,13 +496,12 @@ fn run_shard<W: Write>(
             send(writer, plan, &ack.encode()).map_err(|e| format!("worker: write: {e}"))?;
             return Ok(true);
         }
-        let results = runner.run_unit(&sweep_plan, &leased, &unit, &tables);
-        for (pos, result) in unit.into_iter().zip(results) {
+        let Some(done) = units.next() else { break };
+        for (index, result) in done {
             let msg = FromWorker::Cell {
                 job,
                 shard,
-                index: indices[pos],
-                kernel: resolved.name().to_string(),
+                index,
                 result,
             };
             send(writer, plan, &msg.encode()).map_err(|e| format!("worker: write: {e}"))?;
@@ -553,11 +512,7 @@ fn run_shard<W: Write>(
             }
         }
     }
-    let done = FromWorker::ShardDone {
-        job,
-        shard,
-        kernel: resolved.name().to_string(),
-    };
+    let done = FromWorker::ShardDone { job, shard };
     send(writer, plan, &done.encode()).map_err(|e| format!("worker: write: {e}"))?;
     Ok(true)
 }
@@ -565,8 +520,9 @@ fn run_shard<W: Write>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::SweepPlan;
     use crate::proto;
-    use crate::sweep::SweepConfig;
+    use crate::sweep::{sweep_cells, SweepConfig};
     use std::io::Cursor;
 
     fn small_config() -> SweepConfig {
@@ -621,17 +577,18 @@ mod tests {
         assert_eq!(end, SessionEnd::Shutdown);
     }
 
+    /// A lease of every cell of the sweep's list, grid and PARA sweep,
+    /// streams each result bit-exactly under its list position.
     #[test]
     fn worker_executes_a_shard_bit_exactly() {
         let cfg = small_config();
         let plan = SweepPlan::from_config(&cfg).unwrap();
-        let reference = crate::exec::execute_cells(&plan, &plan.grid, 1);
+        let cells = sweep_cells(&plan);
+        let reference = crate::exec::execute_cells(&plan, &cells, 1);
         let lease = ToWorker::Shard {
             job: 1,
             shard: 0,
-            list: ShardList::Grid,
-            indices: (0..plan.grid.len()).collect(),
-            kernel: KernelChoice::Auto,
+            indices: (0..cells.len()).collect(),
             config: cfg,
         };
         let msgs = drive(
@@ -645,7 +602,9 @@ mod tests {
                 _ => None,
             })
             .collect();
-        assert_eq!(cells.len(), plan.grid.len());
+        let mut streamed: Vec<usize> = cells.iter().map(|(index, _)| *index).collect();
+        streamed.sort_unstable();
+        assert_eq!(streamed, (0..reference.len()).collect::<Vec<_>>());
         for (index, result) in &cells {
             let want = &reference[*index];
             assert_eq!(result.total_flips, want.total_flips);
@@ -676,9 +635,7 @@ mod tests {
         let lease = ToWorker::Shard {
             job: 1,
             shard: 0,
-            list: ShardList::Grid,
             indices: (0..plan.grid.len()).collect(),
-            kernel: KernelChoice::Auto,
             config: cfg,
         };
         let (msgs, end) = drive_plan(
@@ -707,9 +664,7 @@ mod tests {
         let lease = ToWorker::Shard {
             job: 1,
             shard: 0,
-            list: ShardList::Grid,
             indices: (0..total).collect(),
-            kernel: KernelChoice::Auto,
             config: cfg,
         };
         // Line 1 is the hello; line 2 (the first cell) is dropped, line 3
@@ -751,9 +706,7 @@ mod tests {
         let lease = ToWorker::Shard {
             job: 9,
             shard: 2,
-            list: ShardList::Grid,
             indices: vec![usize::MAX],
-            kernel: KernelChoice::Auto,
             config: small_config(),
         };
         let msgs = drive(
@@ -804,7 +757,7 @@ mod tests {
         else {
             panic!("first line must be hello");
         };
-        assert_eq!(kernel, KernelChoice::Auto.resolve().unwrap().name());
+        assert_eq!(kernel, Kernel::auto().name());
         assert_eq!(pid, u64::from(std::process::id()));
         assert_eq!(proto_version, PROTO_VERSION);
         assert_eq!(config_epoch, 7);
@@ -837,9 +790,7 @@ mod tests {
         let lease = ToWorker::Shard {
             job: 5,
             shard: 11,
-            list: ShardList::Grid,
             indices: vec![0, 1],
-            kernel: KernelChoice::Auto,
             config: cfg,
         };
         let input = [lease.encode(), ToWorker::Shutdown.encode()].join("\n") + "\n";
@@ -903,9 +854,7 @@ mod tests {
         let lease = ToWorker::Shard {
             job: 4,
             shard: 1,
-            list: ShardList::Grid,
             indices: (0..total).collect(),
-            kernel: KernelChoice::Auto,
             config: cfg,
         };
         // The stall guarantees the cancel (queued by the reader thread as
@@ -945,9 +894,7 @@ mod tests {
         let lease = ToWorker::Shard {
             job: 4,
             shard: 1,
-            list: ShardList::Grid,
             indices: (0..total).collect(),
-            kernel: KernelChoice::Auto,
             config: cfg,
         };
         let (msgs, end) = drive_plan(

@@ -9,10 +9,10 @@
 //! cost retransmits and duplicate work; they must never change the bytes.
 
 use rh_cli::{
-    json, run_submit, run_sweep_with_kernel, run_worker, Coordinator, FaultPlan, ResultEnvelope,
-    ServeOptions, SubmitOptions, SweepConfig, SweepPlan, WorkerOptions,
+    json, run_submit, run_sweep, run_worker, Coordinator, FaultPlan, ResultEnvelope, ServeOptions,
+    SubmitOptions, SweepConfig, SweepPlan, WorkerOptions,
 };
-use rh_core::{Geometry, KernelChoice};
+use rh_core::Geometry;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -35,7 +35,7 @@ fn chaos_config() -> SweepConfig {
 }
 
 fn chaos_reference() -> String {
-    let out = run_sweep_with_kernel(&chaos_config(), 1, KernelChoice::Auto).unwrap();
+    let out = run_sweep(&chaos_config(), 1).unwrap();
     json::render(&out)
 }
 
@@ -59,7 +59,7 @@ fn scratch_dir(tag: &str) -> PathBuf {
 }
 
 /// A crashed run: the only worker dies after 5 cells, nobody is left, the
-/// job fails, and exactly 5 grid records are journaled under `dir`.
+/// job fails, and exactly 5 records are journaled under `dir`.
 fn crash_after_five_cells(dir: &Path) {
     let mut opts = opts_with_workers(1);
     opts.checkpoint_dir = Some(dir.to_path_buf());
@@ -72,13 +72,19 @@ fn crash_after_five_cells(dir: &Path) {
     coordinator.shutdown();
 }
 
-/// The grid list's journal file under `dir`.
-fn grid_journal(dir: &Path) -> PathBuf {
-    std::fs::read_dir(dir)
+/// The job's one journal file under `dir` (`ckpt-<hash>-<seed>.jsonl`).
+fn journal(dir: &Path) -> PathBuf {
+    let files: Vec<PathBuf> = std::fs::read_dir(dir)
         .expect("checkpoint dir")
         .filter_map(|e| e.ok().map(|e| e.path()))
-        .find(|p| p.to_string_lossy().contains("grid"))
-        .expect("a grid checkpoint file")
+        .collect();
+    assert_eq!(files.len(), 1, "one journal per job: {files:?}");
+    let name = files[0].file_name().unwrap().to_string_lossy().into_owned();
+    assert!(
+        name.starts_with("ckpt-") && name.ends_with(".jsonl"),
+        "{name}"
+    );
+    files[0].clone()
 }
 
 /// A fresh coordinator over the journal in `dir` serves `chaos_config()`.
@@ -234,9 +240,8 @@ fn garbled_checkpoint_record_is_skipped_and_reexecuted_on_restore() {
         let dir = scratch_dir(&format!("ckpt-{tag}"));
         crash_after_five_cells(&dir);
 
-        // Damage the middle of the third record of the grid journal (all
-        // 5 streamed cells are grid cells).
-        let ckpt = grid_journal(&dir);
+        // Damage the middle of the third record of the journal.
+        let ckpt = journal(&dir);
         let mut bytes = std::fs::read(&ckpt).expect("read checkpoint");
         let lines: Vec<usize> = bytes
             .iter()
@@ -280,7 +285,7 @@ fn torn_journal_tail_is_cut_before_the_next_append() {
     let dir = scratch_dir("ckpt-torn");
     let total = cell_count(&chaos_config());
     crash_after_five_cells(&dir);
-    let ckpt = grid_journal(&dir);
+    let ckpt = journal(&dir);
     let mut bytes = std::fs::read(&ckpt).expect("read checkpoint");
     bytes.extend_from_slice(br#"{"index":7,"sum":1,"res"#);
     std::fs::write(&ckpt, &bytes).expect("write torn tail");

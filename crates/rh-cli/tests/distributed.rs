@@ -4,10 +4,8 @@
 //! to the in-process sweep no matter how many workers run it, where they
 //! attach from, or whether one of them dies mid-job.
 
-use rh_cli::{
-    json, run_sweep_with_kernel, run_worker, Coordinator, ServeOptions, SweepConfig, WorkerOptions,
-};
-use rh_core::{Geometry, KernelChoice};
+use rh_cli::{json, run_sweep, run_worker, Coordinator, ServeOptions, SweepConfig, WorkerOptions};
+use rh_core::{Geometry, Kernel};
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
@@ -21,8 +19,7 @@ fn worker_bin() -> PathBuf {
 fn default_reference() -> &'static str {
     static DOC: OnceLock<String> = OnceLock::new();
     DOC.get_or_init(|| {
-        let out = run_sweep_with_kernel(&SweepConfig::default(), 2, KernelChoice::Auto)
-            .expect("default config is valid");
+        let out = run_sweep(&SweepConfig::default(), 2).expect("default config is valid");
         json::render(&out)
     })
 }
@@ -46,7 +43,7 @@ fn small_config() -> SweepConfig {
 }
 
 fn small_reference() -> String {
-    let out = run_sweep_with_kernel(&small_config(), 1, KernelChoice::Auto).unwrap();
+    let out = run_sweep(&small_config(), 1).unwrap();
     json::render(&out)
 }
 
@@ -275,28 +272,62 @@ fn tcp_attached_workers_produce_identical_bytes() {
     }
 }
 
-/// Satellite: the coordinator's `--kernel` request rides every lease, each
-/// worker reports what it resolved, and the merged report records it per
-/// worker. Scalar is forced here so the assertion is host-independent.
+/// Each worker runs the settle kernel its own CPU and environment pick
+/// (`Kernel::auto`) and announces it in its hello; the envelope records,
+/// per worker, the kernel that worker announced. The local worker inherits
+/// this process's environment; a TCP worker started with
+/// `RH_FORCE_SCALAR=1` announces scalar whatever the CPU. Leases of two
+/// simulations keep both workers busy on one job.
 #[test]
 fn kernel_request_propagates_and_is_recorded_per_worker() {
-    let mut opts = opts_with_workers(2);
-    opts.kernel = KernelChoice::Scalar;
-    let coordinator = Coordinator::start(opts).expect("start");
-    let env = coordinator.submit(None, &small_config()).expect("submit");
-    coordinator.shutdown();
-    assert!(!env.workers.is_empty());
-    for stat in &env.workers {
-        assert_eq!(
-            stat.kernel, "scalar",
-            "worker {} must run (and report) the requested scalar kernel",
-            stat.worker
-        );
+    let cfg = SweepConfig {
+        activations: 20_000,
+        ..small_config()
+    };
+    let coordinator = Coordinator::start(ServeOptions {
+        listen: Some("127.0.0.1:0".to_string()),
+        shard_cells: 2,
+        ..opts_with_workers(1)
+    })
+    .expect("start");
+    let addr = coordinator.local_addr().expect("bound").to_string();
+    let mut forced = std::process::Command::new(worker_bin())
+        .args(["worker", "--connect", &addr])
+        .env("RH_FORCE_SCALAR", "1")
+        .stdout(std::process::Stdio::null())
+        .spawn()
+        .expect("spawn a TCP worker");
+    for _ in 0..1_000 {
+        if coordinator.live_workers() == 2 {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(10));
     }
+    let attached = coordinator.live_workers();
+    let env = coordinator.submit(None, &cfg);
+    coordinator.shutdown();
+    let _ = forced.kill();
+    let _ = forced.wait();
+    assert_eq!(attached, 2, "the TCP worker must attach");
+    let env = env.expect("submit");
 
-    // And the scalar-forced document still matches the auto-kernel
-    // reference — kernels can never change results, only speed.
-    assert_eq!(env.document, small_reference());
+    let local = Kernel::auto().name();
+    for stat in &env.workers {
+        let announced = if stat.worker == "local-0" {
+            local
+        } else {
+            assert!(stat.worker.starts_with("tcp-"), "{}", stat.worker);
+            "scalar"
+        };
+        assert_eq!(stat.kernel, announced, "worker {}", stat.worker);
+    }
+    assert_eq!(
+        env.workers.len(),
+        2,
+        "both workers served: {:?}",
+        env.workers
+    );
+    assert_eq!(env.document, json::render(&run_sweep(&cfg, 1).unwrap()));
 }
 
 /// A jsonl submit whose geometry overflows the row count, or only exceeds

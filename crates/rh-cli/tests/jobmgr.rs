@@ -10,10 +10,10 @@
 
 use rh_cli::serve::SubmitError;
 use rh_cli::{
-    json, run_cancel, run_sweep_with_kernel, run_worker, CancelOptions, Coordinator, FaultPlan,
-    ServeOptions, SweepConfig, WorkerOptions,
+    json, run_cancel, run_sweep, run_worker, CancelOptions, Coordinator, FaultPlan, ServeOptions,
+    SweepConfig, WorkerOptions,
 };
-use rh_core::{Geometry, KernelChoice};
+use rh_core::Geometry;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -38,7 +38,7 @@ fn job_config(seed: u64) -> SweepConfig {
 }
 
 fn reference(seed: u64) -> String {
-    json::render(&run_sweep_with_kernel(&job_config(seed), 1, KernelChoice::Auto).unwrap())
+    json::render(&run_sweep(&job_config(seed), 1).unwrap())
 }
 
 /// Pillar 1 + 2: a saturated queue rejects cleanly, and a job that can

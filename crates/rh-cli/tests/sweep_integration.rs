@@ -404,3 +404,45 @@ fn ddr4_reference_document_is_pinned() {
     let digest = document_digest(&cfg);
     assert_eq!(digest, 0x276a_2390_9bef_afa3, "digest {digest:#018x}");
 }
+
+/// A reader that has gone away is an error, not a crash: with its stdout
+/// already closed (`rh-cli sweep | head -c 10` once `head` exits), every
+/// command that prints — a document or the help — exits 1 with an
+/// `error:` line naming stdout, and nothing panics.
+#[test]
+fn closed_stdout_is_an_error_not_a_panic() {
+    let bin = env!("CARGO_BIN_EXE_rh-cli");
+    for args in [
+        &[
+            "sweep",
+            "--activations",
+            "2000",
+            "--hc",
+            "500",
+            "--sides",
+            "2",
+        ][..],
+        &[
+            "configure",
+            "--hc",
+            "64",
+            "--window",
+            "1000",
+            "--target-pfail",
+            "0.01",
+        ],
+        &["--help"],
+    ] {
+        let (reader, writer) = std::io::pipe().expect("a pipe");
+        drop(reader);
+        let out = std::process::Command::new(bin)
+            .args(args)
+            .stdout(writer)
+            .output()
+            .expect("run rh-cli");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains("error: stdout:"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}

@@ -35,14 +35,11 @@
 //!   stale lane by masking produces the same `+0.0` the scalar path
 //!   stores.
 //!
-//! Selection policy ([`KernelChoice::resolve`]): `--kernel auto` picks AVX2
-//! when the CPU supports it, else scalar; `--kernel scalar`/`avx2` pin a
-//! kernel (pinning AVX2 on a CPU without it is an error, not a silent
-//! fallback); and the `RH_FORCE_SCALAR` environment variable (any value
-//! except empty or `0`) forces the scalar kernel over *any* choice — the CI
-//! fallback-coverage hook. The choice can never affect results — the
-//! differential fuzz tests assert scalar ≡ AVX2 ≡ the eager reference bit
-//! for bit — only throughput.
+//! Selection ([`Kernel::auto`]): AVX2 when the CPU reports it, else scalar;
+//! the `RH_FORCE_SCALAR` environment variable (any value except empty or
+//! `0`) forces the scalar kernel — the CI fallback-coverage hook. The
+//! choice can never affect results — the differential fuzz tests assert
+//! scalar ≡ AVX2 ≡ the eager reference bit for bit — only throughput.
 //!
 //! ## The peak record
 //!
@@ -66,21 +63,21 @@
 use crate::device::{ANTI_CELL_BIT, VULN_MASK};
 use std::collections::HashMap;
 
-/// A resolved settle kernel. Selected once per device ([`KernelChoice`]
-/// does the policy); the per-activation dispatch is a two-way match on this
-/// tag.
+/// A settle kernel. Selected once per device ([`Kernel::auto`]); the
+/// per-activation dispatch is a two-way match on this tag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kernel {
     /// Safe autovectorization-friendly scalar loop (and the only kernel on
     /// non-x86-64 targets).
     Scalar,
-    /// AVX2 intrinsics, 4 × `f64` lanes per step. Only ever constructed via
-    /// [`KernelChoice::resolve`] on a CPU that reports AVX2.
+    /// AVX2 intrinsics, 4 × `f64` lanes per step. Only valid on a CPU that
+    /// reports AVX2 ([`avx2_available`]), which [`Kernel::auto`] checks.
     Avx2,
 }
 
 impl Kernel {
-    /// Stable identifier used in CLI flags and benchmark reports.
+    /// Stable identifier used in worker hellos, envelopes and benchmark
+    /// reports.
     pub fn name(self) -> &'static str {
         match self {
             Self::Scalar => "scalar",
@@ -88,88 +85,18 @@ impl Kernel {
         }
     }
 
-    /// The kernel `--kernel auto` resolves to on this machine (AVX2 when
-    /// detected, unless `RH_FORCE_SCALAR` is set).
+    /// The kernel this machine runs: AVX2 when the CPU reports it, else
+    /// scalar, unless `RH_FORCE_SCALAR` forces scalar.
     pub fn auto() -> Self {
-        KernelChoice::Auto
-            .resolve()
-            .expect("auto selection always resolves")
+        if force_scalar(std::env::var("RH_FORCE_SCALAR").ok().as_deref()) || !avx2_available() {
+            Self::Scalar
+        } else {
+            Self::Avx2
+        }
     }
 }
 
 impl std::fmt::Display for Kernel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// The user-facing kernel request (`--kernel {auto,scalar,avx2}`), resolved
-/// to a concrete [`Kernel`] once per invocation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum KernelChoice {
-    /// Pick the fastest kernel the CPU supports (the default).
-    #[default]
-    Auto,
-    /// Pin the scalar kernel.
-    Scalar,
-    /// Pin the AVX2 kernel; an error on CPUs without AVX2.
-    Avx2,
-}
-
-impl KernelChoice {
-    /// Stable identifier (CLI flag value).
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::Auto => "auto",
-            Self::Scalar => "scalar",
-            Self::Avx2 => "avx2",
-        }
-    }
-
-    /// Resolve the request against the running CPU and the
-    /// `RH_FORCE_SCALAR` override (which wins over everything, including an
-    /// explicit `avx2` request — it exists so CI can force the fallback
-    /// kernel through the whole stack without editing workflows per flag).
-    pub fn resolve(self) -> Result<Kernel, String> {
-        if force_scalar(std::env::var("RH_FORCE_SCALAR").ok().as_deref()) {
-            return Ok(Kernel::Scalar);
-        }
-        match self {
-            Self::Scalar => Ok(Kernel::Scalar),
-            Self::Auto => Ok(if avx2_available() {
-                Kernel::Avx2
-            } else {
-                Kernel::Scalar
-            }),
-            Self::Avx2 => {
-                if avx2_available() {
-                    Ok(Kernel::Avx2)
-                } else {
-                    Err("--kernel avx2 requested but this CPU does not report AVX2 \
-                         (use --kernel auto or scalar)"
-                        .to_string())
-                }
-            }
-        }
-    }
-}
-
-impl std::str::FromStr for KernelChoice {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "auto" => Ok(Self::Auto),
-            "scalar" => Ok(Self::Scalar),
-            "avx2" => Ok(Self::Avx2),
-            other => Err(format!(
-                "unknown kernel '{other}' (expected one of: auto, scalar, avx2)"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for KernelChoice {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
     }
@@ -371,8 +298,8 @@ pub(crate) fn leak_window_scalar(
 ///
 /// # Safety
 /// The caller must have verified the CPU supports AVX2
-/// ([`avx2_available`]); [`KernelChoice::resolve`] is the only constructor
-/// of [`Kernel::Avx2`], and it checks.
+/// ([`avx2_available`]), as [`Kernel::auto`] does before it selects
+/// [`Kernel::Avx2`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 pub(crate) unsafe fn leak_window_avx2(
@@ -454,8 +381,9 @@ pub(crate) fn leak_window(
     match kernel {
         Kernel::Scalar => leak_window_scalar(w, n, now, hc_first, flip_slope, tally),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: Kernel::Avx2 is only constructed by KernelChoice::resolve
-        // after is_x86_feature_detected!("avx2") reported support.
+        // SAFETY: Kernel::auto selects Kernel::Avx2 only after
+        // is_x86_feature_detected!("avx2") reported support, and every
+        // other caller that names the variant checks avx2_available first.
         Kernel::Avx2 => unsafe { leak_window_avx2(w, n, now, hc_first, flip_slope, tally) },
         #[cfg(not(target_arch = "x86_64"))]
         Kernel::Avx2 => leak_window_scalar(w, n, now, hc_first, flip_slope, tally),
@@ -467,17 +395,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn choice_names_round_trip_through_from_str() {
-        for c in [KernelChoice::Auto, KernelChoice::Scalar, KernelChoice::Avx2] {
-            assert_eq!(c.name().parse::<KernelChoice>().unwrap(), c);
-            assert_eq!(c.to_string(), c.name());
-        }
-        let err = "sse9".parse::<KernelChoice>().unwrap_err();
-        assert!(err.contains("unknown kernel 'sse9'"), "{err}");
-        assert!(err.contains("auto") && err.contains("avx2"), "{err}");
-    }
-
-    #[test]
     fn force_scalar_env_semantics() {
         assert!(!force_scalar(None));
         assert!(!force_scalar(Some("")));
@@ -486,26 +403,18 @@ mod tests {
         assert!(force_scalar(Some("yes")));
     }
 
+    /// `auto` is the one selection: scalar under `RH_FORCE_SCALAR` (CI's
+    /// scalar leg), else AVX2 exactly when the CPU reports it.
     #[test]
-    fn scalar_pin_always_resolves_and_auto_never_errors() {
-        assert_eq!(KernelChoice::Scalar.resolve().unwrap(), Kernel::Scalar);
-        let auto = KernelChoice::Auto.resolve().unwrap();
-        assert!(matches!(auto, Kernel::Scalar | Kernel::Avx2));
-        assert_eq!(Kernel::auto(), auto);
-    }
-
-    #[test]
-    fn avx2_pin_matches_cpu_support() {
-        // Under RH_FORCE_SCALAR the pin silently resolves to scalar (that
-        // is the override's documented job), so only check the unforced
-        // behavior when the ambient environment is clean.
-        if force_scalar(std::env::var("RH_FORCE_SCALAR").ok().as_deref()) {
-            assert_eq!(KernelChoice::Avx2.resolve().unwrap(), Kernel::Scalar);
+    fn auto_follows_force_scalar_then_cpu_support() {
+        let want = if force_scalar(std::env::var("RH_FORCE_SCALAR").ok().as_deref()) {
+            Kernel::Scalar
         } else if avx2_available() {
-            assert_eq!(KernelChoice::Avx2.resolve().unwrap(), Kernel::Avx2);
+            Kernel::Avx2
         } else {
-            let err = KernelChoice::Avx2.resolve().unwrap_err();
-            assert!(err.contains("AVX2"), "{err}");
-        }
+            Kernel::Scalar
+        };
+        assert_eq!(Kernel::auto(), want);
+        assert_eq!(Kernel::auto().to_string(), want.name());
     }
 }

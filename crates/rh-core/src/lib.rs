@@ -18,10 +18,10 @@
 //!   optimized [`DeviceState`] and the retained eager reference
 //!   ([`reference::EagerDeviceState`]) that the differential and
 //!   legacy-equivalence tests compare against;
-//! * [`Kernel`] / [`KernelChoice`] — the swappable leak-and-settle kernels
-//!   over the structure-of-arrays row state (autovectorization-friendly
-//!   scalar, runtime-detected AVX2 intrinsics), selectable via
-//!   `--kernel {auto,scalar,avx2}` and the `RH_FORCE_SCALAR` override,
+//! * [`Kernel`] — the swappable leak-and-settle kernels over the
+//!   structure-of-arrays row state (autovectorization-friendly scalar,
+//!   runtime-detected AVX2 intrinsics), chosen by [`Kernel::auto`] from
+//!   the CPU (the `RH_FORCE_SCALAR` environment variable forces scalar),
 //!   never affecting results (see `kernel` module docs);
 //! * [`DataPattern`] and [`ecc`] — the Section 5 victim model: stored data
 //!   patterns whose aggressor/victim relationship scales coupling,
@@ -44,7 +44,7 @@ pub mod rng;
 
 pub use device::{Device, DeviceState, DeviceTables, FlipCounts, VictimModelParams};
 pub use geometry::{Geometry, RowAddr, MAX_TOTAL_ROWS};
-pub use kernel::{avx2_available, Kernel, KernelChoice};
+pub use kernel::{avx2_available, Kernel};
 pub use pattern::DataPattern;
 pub use reference::EagerDeviceState;
 pub use rng::{derive_seed, SplitMix64};
