@@ -88,13 +88,14 @@ SERVE OPTIONS:
                             journal: a resubmit, even to a restarted
                             coordinator, runs only the cells not on disk;
                             damaged records are skipped and re-executed
-    --shard-cells <N>       max simulations per shard lease (default 16):
-                            a job's missing cells fold into simulations as
-                            in sweep (cells that differ only in HC_first
-                            under none/PARA/TRR run as one), cut into leases
-                            of ceil(simulations / live workers), at most N,
-                            so every worker gets a share of every job;
-                            merged output is byte-identical at any N
+    --shard-cells <N>       max units per shard lease (default 16): a
+                            job's missing cells fold into units, one engine
+                            pass each, as in sweep (cells that differ only
+                            in data pattern, and in HC_first under
+                            none/PARA/TRR, run as one), cut into leases of
+                            ceil(units / live workers), at most N, so every
+                            worker gets a share of every job; merged output
+                            is byte-identical at any N
     --config-epoch <N>      config generation; worker hellos announcing a
                             different epoch are rejected (default 0)
     --fallback-after-ms <MS> graceful degradation: a job stranded this long

@@ -1,24 +1,50 @@
-//! Cell execution: fold a plan's cells into simulations, run them across
+//! Cell execution: fold a plan's cells into engine passes, run them across
 //! worker threads, and merge results back into plan order.
 //!
 //! Cells are embarrassingly parallel — each one materializes its own
 //! workload and mitigation from plain specs and seeds — but many of them
-//! share a trajectory. Cells that differ only in `hc_first`, under a
-//! mitigation that does not read it
-//! ([`reads_hc_first`](rh_mitigations::MitigationSpec::reads_hc_first):
-//! no mitigation, PARA, TRR), drive the identical activation and refresh
-//! stream into devices that differ only in their thresholds: the workload
-//! and mitigation seeds and the device seed do not depend on `HC_first`
-//! (see [`crate::plan`]). `units` groups each such set into one **unit**,
-//! and the unit runner simulates it once, at its lowest `HC_first`, then
-//! derives every other member's flips from the device's per-row peak
-//! charges ([`DeviceState::flips_under`], whose docs carry the exactness
-//! argument); the other result fields do not depend on `HC_first`.
-//! Graphene and increased-refresh cells read it, so each is a unit of its
-//! own. On the default job the fold turns 124 cells into 69 simulations,
-//! and on the DDR4 reference grid 91 into 54. `units` finds a cell's unit
+//! share a trajectory, along two axes:
+//!
+//! * **`HC_first`.** Cells that differ only in `hc_first`, under a
+//!   mitigation that does not read it
+//!   ([`reads_hc_first`](rh_mitigations::MitigationSpec::reads_hc_first):
+//!   no mitigation, PARA, TRR), drive the identical activation and refresh
+//!   stream into devices that differ only in their thresholds: the
+//!   workload, mitigation and device seeds do not depend on `HC_first`
+//!   (see [`crate::plan`]). One device run at the lowest `HC_first` derives
+//!   every other member's flips from its per-row peak charges
+//!   ([`DeviceState::flips_under`], whose docs carry the exactness
+//!   argument); the other result fields do not depend on `HC_first`.
+//! * **Data pattern.** The engine's calls on a device depend on the
+//!   workload stream, the mitigation's actions and the run-slot class
+//!   table, and nothing else: a mitigation sees only addresses, the
+//!   workload seed ignores the pattern, and the class table reads only the
+//!   device's geometry and commuting-spacings table
+//!   ([`VictimModelParams::commute_spacings`], `[T, F, T, F, T]` for all
+//!   four patterns). So cells that differ only in their data pattern (and
+//!   `HC_first`, as above) receive identical calls. The first pattern's
+//!   device runs the engine and logs those calls into a [`CallLog`]; every
+//!   other pattern's device is reset, replays the log
+//!   ([`DeviceState::replay`], which refuses a device whose geometry, blast
+//!   radius or commuting table differs) and derives its own `HC_first`
+//!   members from its own peak record.
+//!
+//! `units` groups cells into **units**, one engine pass each: every cell
+//! with the same workload, mitigation, activations, refresh interval,
+//! seeds and commuting table joins one unit, across data patterns, and
+//! across `HC_first` too unless the mitigation reads it. A unit is a list
+//! of device groups, one per data pattern in list order, each lowest
+//! `HC_first` first; a unit of one group records nothing. On the default
+//! job (one pattern) the fold turns 124 cells into 69 engine passes of one
+//! device each; on the DDR4 reference grid (two patterns) 91 cells into 27
+//! engine passes and 54 device simulations. `units` finds a cell's unit
 //! through a hash of what the fold compares, so folding is linear in the
 //! list, whatever its length.
+//!
+//! A log stops recording past [`CallLog::CAP_WORDS`] (4 MiB; a
+//! 1M-activation DDR4-grid cell logs at most about 0.55M words). A unit
+//! whose log stopped runs its other patterns' engine passes itself, which
+//! is exact too, so the cap bounds each thread's memory and never a result.
 //!
 //! Units are the executor's work items. Each thread claims the next unit
 //! from a shared cursor until none is left, so the threads stay busy to
@@ -44,22 +70,22 @@
 //!   pattern, device seed)` up front and `Arc`-shared with every worker —
 //!   the sweep's common-random-number structure means all cells at one
 //!   `HC_first` and pattern share one table set instead of re-deriving
-//!   O(total_rows) thresholds per cell. Only a unit's simulated member
-//!   needs tables: the derived members' thresholds are recomputed from
-//!   their rows' draws, for the few rows that settled, so a list of units
-//!   spanning the `HC_first` axis builds no table set for the values it
-//!   only derives.
-//! * **Per-worker device reuse**: each worker owns one [`DeviceState`] and
-//!   one [`EngineScratch`] for every unit it runs. Between simulations the
-//!   device is reset, not rebuilt: `reset_for_cell` bumps its epoch, which
-//!   retires every charge the previous cell wrote, and clears its per-row
-//!   flip counters and its peak record; its charge/epoch slabs are
-//!   reallocated only when the row count changes.
+//!   O(total_rows) thresholds per cell. Only each device group's first
+//!   member needs tables: the derived members' thresholds are recomputed
+//!   from their rows' draws, for the few rows that settled, so a list of
+//!   units spanning the `HC_first` axis builds no table set for the values
+//!   it only derives.
+//! * **Per-worker device reuse**: each worker owns one [`DeviceState`], one
+//!   [`EngineScratch`] and one call-log buffer for every unit it runs.
+//!   Between simulations the device is reset, not rebuilt: `reset_for_cell`
+//!   bumps its epoch, which retires every charge the previous cell wrote,
+//!   and clears its per-row flip counters and its peak record; its
+//!   charge/epoch slabs are reallocated only when the row count changes.
 
 use crate::engine::{run_experiment, EngineScratch, RunResult};
 use crate::plan::{CellSeeds, CellSpec, SweepPlan, BLAST_RADIUS};
 use crate::sweep::{sweep_cells, SweepConfig};
-use rh_core::{DataPattern, DeviceState, DeviceTables, Kernel, VictimModelParams};
+use rh_core::{CallLog, DataPattern, DeviceState, DeviceTables, Kernel, VictimModelParams};
 use rh_mitigations::MitigationSpec;
 use rh_workloads::WorkloadSpec;
 use std::collections::{BTreeMap, HashMap};
@@ -81,6 +107,12 @@ fn table_key(cell: &CellSpec) -> (u64, DataPattern, u64) {
     (cell.hc_first, cell.data_pattern, cell.seeds.device)
 }
 
+/// One engine pass: positions in the folded list, one group per device
+/// (data pattern), each group lowest `HC_first` first. The first group's
+/// first member runs the engine; every other group's first member replays
+/// its calls; the rest are derived from their group's peak record.
+pub(crate) type Unit = Vec<Vec<usize>>;
+
 /// The victim-model parameters one cell simulates: the sweep's `HC_first`
 /// point plus the cell's Section 5 axes (data pattern from the cell, ECC
 /// from the sweep-wide config). The one place the executor turns specs
@@ -94,18 +126,29 @@ fn cell_params(plan: &SweepPlan, cell: &CellSpec) -> VictimModelParams {
     }
 }
 
+/// The commuting-spacings table of a cell's device, the one thing besides
+/// the sweep-wide geometry that the engine reads of a device. ECC, the
+/// only parameter [`cell_params`] adds, does not enter it.
+fn commute_spacings(cell: &CellSpec) -> Vec<bool> {
+    VictimModelParams {
+        data_pattern: cell.data_pattern,
+        ..VictimModelParams::with_hc_first(cell.hc_first)
+    }
+    .commute_spacings()
+}
+
 /// Derive the tables the simulations of `units` (of `cells`) read, exactly
-/// once each: each unit's first member's. A unit's other members are
-/// derived from that run and read no tables, so a list of units that
-/// spans the `HC_first` axis builds only the table sets its simulations
-/// use.
+/// once each: each device group's first member's. The other members are
+/// derived from their group's run and read no tables, so a list of units
+/// that spans the `HC_first` axis builds only the table sets its device
+/// simulations use.
 pub(crate) fn build_table_cache(
     plan: &SweepPlan,
     cells: &[CellSpec],
-    units: &[Vec<usize>],
+    units: &[Unit],
 ) -> TableCache {
     let mut cache = TableCache::new();
-    for cell in units.iter().map(|unit| &cells[unit[0]]) {
+    for cell in units.iter().flatten().map(|group| &cells[group[0]]) {
         cache.entry(table_key(cell)).or_insert_with(|| {
             DeviceTables::shared(
                 plan.config.geometry,
@@ -118,29 +161,31 @@ pub(crate) fn build_table_cache(
     cache
 }
 
-/// Whether two cells of one plan run the identical activation and refresh
-/// stream into devices that differ only in `hc_first`: everything but
-/// `hc_first` (and the list position) is equal, and the mitigation does
-/// not read `hc_first`.
-fn same_but_hc_first(a: &CellSpec, b: &CellSpec) -> bool {
-    !a.mitigation.reads_hc_first()
-        && a.mitigation == b.mitigation
-        && a.data_pattern == b.data_pattern
+/// Whether two cells of one plan receive the identical engine calls:
+/// everything but `hc_first` and the data pattern (and the list position)
+/// is equal, `hc_first` too if the mitigation reads it, and their devices
+/// share a commuting-spacings table (which one pattern always does).
+fn same_pass(a: &CellSpec, b: &CellSpec) -> bool {
+    a.mitigation == b.mitigation
+        && (a.hc_first == b.hc_first || !a.mitigation.reads_hc_first())
         && a.workload == b.workload
         && a.activations == b.activations
         && a.auto_refresh_interval == b.auto_refresh_interval
         && a.seeds == b.seeds
+        && (a.data_pattern == b.data_pattern || commute_spacings(a) == commute_spacings(b))
 }
 
-/// What [`same_but_hc_first`] compares, as a hash key: the mitigation by
-/// its variant and PARA's probability by its bits (the one float a spec
-/// carries). `units` folds only cells that `same_but_hc_first` accepts, so
-/// the key decides how fast a unit is found, never what it holds.
+/// What [`same_pass`] compares, as a hash key: the mitigation by its
+/// variant and PARA's probability by its bits (the one float a spec
+/// carries), and `hc_first` only where the mitigation reads it. The
+/// commuting table is left to `same_pass`: the four patterns share one.
+/// `units` folds only cells that `same_pass` accepts, so the key decides
+/// how fast a unit is found, never what it holds.
 #[derive(PartialEq, Eq, Hash)]
 struct FoldKey {
     mitigation: Discriminant<MitigationSpec>,
     para_probability_bits: u64,
-    data_pattern: DataPattern,
+    hc_first: Option<u64>,
     workload: WorkloadSpec,
     activations: u64,
     auto_refresh_interval: u64,
@@ -156,7 +201,7 @@ impl FoldKey {
         Self {
             mitigation: std::mem::discriminant(&cell.mitigation),
             para_probability_bits,
-            data_pattern: cell.data_pattern,
+            hc_first: cell.mitigation.reads_hc_first().then_some(cell.hc_first),
             workload: cell.workload,
             activations: cell.activations,
             auto_refresh_interval: cell.auto_refresh_interval,
@@ -165,48 +210,69 @@ impl FoldKey {
     }
 }
 
-/// Fold `cells` (all of one plan) into units, each one simulation: lists of
-/// positions in `cells`, ordered by the unit's first cell in the list. A
-/// unit holds every cell that differs from the others only in `hc_first`
-/// under a mitigation that does not read it, lowest `hc_first` first (ties
-/// in list order); every other cell is a unit of its own. Linear in the
-/// list: a cell's unit is found through a hash of what the fold compares,
-/// so a list of a million distinct PARA probabilities (none of which
-/// fold) costs a million lookups, not a comparison per pair.
-pub(crate) fn units<'a>(cells: impl IntoIterator<Item = &'a CellSpec>) -> Vec<Vec<usize>> {
+/// Fold `cells` (all of one plan) into units, one engine pass each, ordered
+/// by the unit's first cell in the list. A unit holds every cell that
+/// [`same_pass`] accepts against its first cell, in one device group per
+/// data pattern (in list order), each lowest `hc_first` first (ties in
+/// list order). Linear in the list: a cell's unit is found through a hash
+/// of what the fold compares, so a list of a million distinct PARA
+/// probabilities (none of which fold) costs a million lookups, not a
+/// comparison per pair.
+pub(crate) fn units<'a>(cells: impl IntoIterator<Item = &'a CellSpec>) -> Vec<Unit> {
     let cells: Vec<&CellSpec> = cells.into_iter().collect();
-    let mut units: Vec<Vec<usize>> = Vec::new();
+    let mut units: Vec<Unit> = Vec::new();
     // Per key, the units whose first cell has it (almost always one).
     let mut by_key: HashMap<FoldKey, Vec<usize>> = HashMap::new();
     for (pos, &cell) in cells.iter().enumerate() {
-        if cell.mitigation.reads_hc_first() {
-            units.push(vec![pos]);
-            continue;
-        }
         let candidates = by_key.entry(FoldKey::of(cell)).or_default();
-        match candidates
+        let joined = candidates
             .iter()
-            .find(|&&unit| same_but_hc_first(cells[units[unit][0]], cell))
+            .find(|&&unit| same_pass(cells[units[unit][0][0]], cell));
+        let Some(&unit) = joined else {
+            candidates.push(units.len());
+            units.push(vec![vec![pos]]);
+            continue;
+        };
+        let groups = &mut units[unit];
+        match groups
+            .iter_mut()
+            .find(|group| cells[group[0]].data_pattern == cell.data_pattern)
         {
-            Some(&unit) => units[unit].push(pos),
-            None => {
-                candidates.push(units.len());
-                units.push(vec![pos]);
-            }
+            Some(group) => group.push(pos),
+            None => groups.push(vec![pos]),
         }
     }
-    for unit in &mut units {
-        unit.sort_by_key(|&pos| cells[pos].hc_first);
+    for group in units.iter_mut().flatten() {
+        group.sort_by_key(|&pos| cells[pos].hc_first);
     }
     units
 }
 
+/// The device in `slot`, reset for a cell of `tables`, or built there
+/// under `kernel` on first use.
+fn device_for(
+    slot: &mut Option<DeviceState>,
+    tables: Arc<DeviceTables>,
+    kernel: Kernel,
+) -> &mut DeviceState {
+    match slot {
+        Some(device) => {
+            device.reset_for_cell(tables);
+            device
+        }
+        None => slot.insert(DeviceState::with_tables_and_kernel(tables, kernel)),
+    }
+}
+
 /// One worker's reusable simulation state: a device whose buffers persist
-/// across the units this worker executes, and the engine scratch (action
-/// sink, workload chunk buffer, run slots).
+/// across the units this worker executes, the engine scratch (action sink,
+/// workload chunk buffer, run slots) and the call log's buffer.
 pub(crate) struct Worker {
     device: Option<DeviceState>,
     scratch: EngineScratch,
+    /// The log a unit of several device groups records, kept between
+    /// units for its buffer; it has no words until one does.
+    log: CallLog,
     /// Settle kernel every device this worker builds runs under.
     kernel: Kernel,
 }
@@ -217,27 +283,34 @@ impl Worker {
         Self {
             device: None,
             scratch: EngineScratch::new(),
+            log: CallLog::new(),
             kernel,
         }
     }
 
     /// Simulate one cell: build workload + mitigation from specs and seeds,
-    /// reuse the worker's device. The result is a pure function of `(plan,
-    /// cell)` — reuse never leaks state between cells (`reset_for_cell` is
-    /// asserted equivalent to fresh construction in rh-core's tests) — and
-    /// the device is left holding the run's peak record.
-    fn run_cell(&mut self, plan: &SweepPlan, cell: &CellSpec, tables: &TableCache) -> RunResult {
-        let cell_tables = tables[&table_key(cell)].clone();
-        let device = match self.device.as_mut() {
-            Some(device) => {
-                device.reset_for_cell(cell_tables);
-                device
-            }
-            None => self.device.insert(DeviceState::with_tables_and_kernel(
-                cell_tables,
-                self.kernel,
-            )),
-        };
+    /// reuse the worker's device, and with `record` log the device's calls
+    /// into the worker's log buffer. The result is a pure function of
+    /// `(plan, cell)` — reuse never leaks state between cells
+    /// (`reset_for_cell` is asserted equivalent to fresh construction in
+    /// rh-core's tests) — and the device is left holding the run's peak
+    /// record and, with `record`, the log.
+    fn run_cell(
+        &mut self,
+        plan: &SweepPlan,
+        cell: &CellSpec,
+        tables: &TableCache,
+        record: bool,
+    ) -> RunResult {
+        let log = record.then(|| std::mem::take(&mut self.log));
+        let device = device_for(
+            &mut self.device,
+            tables[&table_key(cell)].clone(),
+            self.kernel,
+        );
+        if let Some(log) = log {
+            device.record_calls(log);
+        }
         let mut workload = cell
             .workload
             .build(
@@ -264,43 +337,112 @@ impl Worker {
         )
     }
 
-    /// Run one unit of `units(cells)`: simulate its first cell, then
-    /// derive each other member's flips from the device's peak record at
-    /// that member's `HC_first`. `tables` needs only the first member's
-    /// set ([`build_table_cache`]). Returns one result per member, in
-    /// `unit` order — each equal, field for field, to the member simulated
-    /// alone.
+    /// `cell`'s result from the calls `log` recorded while the engine ran
+    /// `simulated` (a cell of the same unit): the worker's device, reset
+    /// for `cell`, replays them. Only the device's observables and the
+    /// cell's own `HC_first` and pattern differ from `simulated`.
+    fn replay_cell(
+        &mut self,
+        cell: &CellSpec,
+        tables: &TableCache,
+        log: &CallLog,
+        simulated: &RunResult,
+    ) -> RunResult {
+        let device = device_for(
+            &mut self.device,
+            tables[&table_key(cell)].clone(),
+            self.kernel,
+        );
+        device
+            .replay(log)
+            .expect("a unit's devices share geometry, blast radius and commuting spacings");
+        RunResult {
+            hc_first: cell.hc_first,
+            data_pattern: cell.data_pattern.name().to_string(),
+            total_flips: device.total_flips(),
+            flipped_rows: device.flipped_rows(),
+            flips_per_mact: device.flips_per_mact(),
+            refreshes_issued: device.refreshes_issued(),
+            flips_1to0: device.flips_1to0(),
+            flips_0to1: device.flips_0to1(),
+            post_ecc_flips: device.post_ecc_flips(),
+            ..simulated.clone()
+        }
+    }
+
+    /// The results of one device group, in `group` order, from its first
+    /// member's `result` and the device that produced it: each other
+    /// member's flips are derived from the device's peak record at that
+    /// member's `HC_first`.
+    fn derive_group(
+        &self,
+        cells: &[CellSpec],
+        group: &[usize],
+        result: RunResult,
+        out: &mut Vec<RunResult>,
+    ) {
+        let device = self.device.as_ref().expect("the group's device ran");
+        out.push(result.clone());
+        for &pos in &group[1..] {
+            let cell = &cells[pos];
+            if cell.hc_first == result.hc_first {
+                out.push(result.clone());
+                continue;
+            }
+            let flips = device
+                .flips_under(cell.hc_first)
+                .expect("a group's first member has its lowest HC_first");
+            out.push(RunResult {
+                hc_first: cell.hc_first,
+                total_flips: flips.total_flips,
+                flipped_rows: flips.flipped_rows,
+                flips_per_mact: flips.flips_per_mact,
+                flips_1to0: flips.flips_1to0,
+                flips_0to1: flips.flips_0to1,
+                post_ecc_flips: flips.post_ecc_flips,
+                ..result.clone()
+            });
+        }
+    }
+
+    /// Run one unit of `units(cells)`: run the engine for its first group's
+    /// first cell, logging the device's calls when other groups follow,
+    /// then replay the log into each other group's device (or, when the
+    /// log outgrew its cap, run that group's engine pass too), deriving
+    /// each group's other members from its peak record. `tables` needs only
+    /// each group's first member's set ([`build_table_cache`]). Returns one
+    /// result per member, in `unit.iter().flatten()` order — each equal,
+    /// field for field, to the member simulated alone.
     pub(crate) fn run_unit(
         &mut self,
         plan: &SweepPlan,
         cells: &[CellSpec],
-        unit: &[usize],
+        unit: &[Vec<usize>],
         tables: &TableCache,
     ) -> Vec<RunResult> {
-        let first = &cells[unit[0]];
-        let simulated = self.run_cell(plan, first, tables);
-        let device = self.device.as_ref().expect("run_cell leaves a device");
-        unit.iter()
-            .map(|&pos| {
-                let cell = &cells[pos];
-                if cell.hc_first == first.hc_first {
-                    return simulated.clone();
-                }
-                let flips = device
-                    .flips_under(cell.hc_first)
-                    .expect("a unit's first member has its lowest HC_first");
-                RunResult {
-                    hc_first: cell.hc_first,
-                    total_flips: flips.total_flips,
-                    flipped_rows: flips.flipped_rows,
-                    flips_per_mact: flips.flips_per_mact,
-                    flips_1to0: flips.flips_1to0,
-                    flips_0to1: flips.flips_0to1,
-                    post_ecc_flips: flips.post_ecc_flips,
-                    ..simulated.clone()
-                }
-            })
-            .collect()
+        let mut out = Vec::with_capacity(unit.iter().map(Vec::len).sum());
+        let (first, others) = unit.split_first().expect("a unit has a group");
+        let simulated = self.run_cell(plan, &cells[first[0]], tables, !others.is_empty());
+        self.derive_group(cells, first, simulated.clone(), &mut out);
+        if others.is_empty() {
+            return out;
+        }
+        let log = self
+            .device
+            .as_mut()
+            .and_then(DeviceState::take_call_log)
+            .expect("the first group recorded");
+        for group in others {
+            let cell = &cells[group[0]];
+            let result = if log.is_complete() {
+                self.replay_cell(cell, tables, &log, &simulated)
+            } else {
+                self.run_cell(plan, cell, tables, false)
+            };
+            self.derive_group(cells, group, result, &mut out);
+        }
+        self.log = log;
+        out
     }
 }
 
@@ -330,7 +472,7 @@ pub fn execute_cells_with_kernel(
         let mut done = Vec::new();
         while let Some(unit) = units.get(next.fetch_add(1, Ordering::Relaxed)) {
             let results = worker.run_unit(plan, cells, unit, &tables);
-            done.extend(unit.iter().copied().zip(results));
+            done.extend(unit.iter().flatten().copied().zip(results));
         }
         done
     };
@@ -382,6 +524,7 @@ pub(crate) fn run_lease(
     Ok(units.into_iter().map(move |unit| {
         let results = worker.run_unit(&plan, &cells, &unit, &tables);
         unit.into_iter()
+            .flatten()
             .map(|i| positions[i])
             .zip(results)
             .collect()
@@ -444,8 +587,8 @@ mod tests {
 
     /// Each cell of `cells` as a unit of its own: the tables to simulate
     /// every cell alone.
-    fn alone(cells: &[CellSpec]) -> Vec<Vec<usize>> {
-        (0..cells.len()).map(|pos| vec![pos]).collect()
+    fn alone(cells: &[CellSpec]) -> Vec<Unit> {
+        (0..cells.len()).map(|pos| vec![vec![pos]]).collect()
     }
 
     #[test]
@@ -490,7 +633,7 @@ mod tests {
         let fresh: Vec<RunResult> = plan
             .grid
             .iter()
-            .map(|cell| Worker::with_kernel(Kernel::auto()).run_cell(&plan, cell, &tables))
+            .map(|cell| Worker::with_kernel(Kernel::auto()).run_cell(&plan, cell, &tables, false))
             .collect();
         assert_eq!(flat(&reused), flat(&fresh));
     }
@@ -529,11 +672,47 @@ mod tests {
         assert_eq!(*post_ecc_flips, b.post_ecc_flips, "{what}");
     }
 
+    /// Run every unit of `cells` on one worker whose call log stops past
+    /// `cap` words, and every cell alone on a fresh worker; every result
+    /// must agree field for field. Returns the folded results, and whether
+    /// any unit's log was complete and any stopped at the cap.
+    fn fold_against_alone(
+        plan: &SweepPlan,
+        cells: &[CellSpec],
+        cap: usize,
+        what: &str,
+    ) -> (Vec<RunResult>, bool, bool) {
+        let units = units(cells);
+        let tables = build_table_cache(plan, cells, &units);
+        let mut worker = Worker::with_kernel(Kernel::auto());
+        worker.log = CallLog::with_cap(cap);
+        let (mut replayed, mut stopped) = (false, false);
+        let mut folded: Vec<Option<RunResult>> = vec![None; cells.len()];
+        for unit in &units {
+            let results = worker.run_unit(plan, cells, unit, &tables);
+            for (&pos, result) in unit.iter().flatten().zip(results) {
+                folded[pos] = Some(result);
+            }
+            if unit.len() > 1 {
+                replayed |= worker.log.is_complete();
+                stopped |= !worker.log.is_complete();
+            }
+        }
+        let folded: Vec<RunResult> = folded.into_iter().map(Option::unwrap).collect();
+        let tables = build_table_cache(plan, cells, &alone(cells));
+        for (i, (cell, got)) in cells.iter().zip(&folded).enumerate() {
+            let alone = Worker::with_kernel(Kernel::auto()).run_cell(plan, cell, &tables, false);
+            assert_same_result(got, &alone, &format!("{what}, cell {i}"));
+        }
+        (folded, replayed, stopped)
+    }
+
     /// The fold's exactness bar: every cell's folded result equals the
     /// same cell simulated alone on a fresh device, field for field — at
-    /// benign fractions 0.25 and 1.0, with ECC off and on, over two data
-    /// patterns and an unsorted `HC_first` axis whose lowest value flips
-    /// rows the next one does not.
+    /// benign fractions 0.25 and 1.0, with ECC off and on, over three data
+    /// patterns (replayed from the first one's call log, and with a log
+    /// too small for any unit, run pass by pass) and an unsorted `HC_first`
+    /// axis whose lowest value flips rows the next one does not.
     #[test]
     fn folded_units_match_each_cell_simulated_alone() {
         for benign_fraction in [0.25, 1.0] {
@@ -543,7 +722,11 @@ mod tests {
                     hc_firsts: vec![60, 40, 90, 2_000],
                     sides: vec![4],
                     para_probabilities: vec![0.0, GRID_PARA_P],
-                    data_patterns: vec![DataPattern::Legacy, DataPattern::RowStripe],
+                    data_patterns: vec![
+                        DataPattern::Legacy,
+                        DataPattern::RowStripe,
+                        DataPattern::Solid,
+                    ],
                     ecc_codeword_bits,
                     benign_fraction,
                     auto_refresh_interval: 2_500,
@@ -556,39 +739,79 @@ mod tests {
                 let what = format!("benign {benign_fraction} ecc {ecc_codeword_bits}");
                 let plan = SweepPlan::from_config(&cfg).unwrap();
                 let cells = sweep_cells(&plan);
-                let tables = build_table_cache(&plan, &cells, &alone(&cells));
-                let folded = execute_cells(&plan, &cells, 2);
-                for (i, (cell, got)) in cells.iter().zip(&folded).enumerate() {
-                    let alone = Worker::with_kernel(Kernel::auto()).run_cell(&plan, cell, &tables);
-                    assert_same_result(got, &alone, &format!("{what}, cell {i}"));
-                }
+                let (folded, replayed, stopped) =
+                    fold_against_alone(&plan, &cells, CallLog::CAP_WORDS, &what);
+                assert!(replayed && !stopped, "{what}: every unit must replay");
+                let (_, replayed, stopped) = fold_against_alone(&plan, &cells, 8, &what);
+                assert!(
+                    stopped && !replayed,
+                    "{what}: every log must stop at the cap"
+                );
+                assert_eq!(
+                    flat(&execute_cells(&plan, &cells, 2)),
+                    flat(&folded),
+                    "{what}"
+                );
                 let units = units(&cells);
                 assert!(units.len() < cells.len(), "{what}: nothing folded");
                 assert!(
-                    units.iter().any(|u| u.len() > 1
-                        && folded[u[0]].total_flips > folded[u[1]].total_flips
-                        && folded[u[1]].total_flips > 0),
-                    "{what}: no unit flips rows only at its lowest HC_first"
+                    units.iter().flatten().any(|g| g.len() > 1
+                        && folded[g[0]].total_flips > folded[g[1]].total_flips
+                        && folded[g[1]].total_flips > 0),
+                    "{what}: no group flips rows only at its lowest HC_first"
                 );
             }
         }
     }
 
-    /// The fold's work, pinned: the default job's 124 cells run as 69
-    /// simulations (the none, PARA and TRR cells of each workload fold
-    /// their four `HC_first` values into one, and the PARA sweep's
-    /// 0.004 cell joins its grid twin), the DDR4 grid's 91 as 54.
+    /// The fold's work, pinned as engine passes and device simulations:
+    /// the default job's 124 cells run as 69 of each (the none, PARA and
+    /// TRR cells of each workload fold their four `HC_first` values into
+    /// one, and the PARA sweep's 0.004 cell joins its grid twin); the DDR4
+    /// grid's 91 as 27 engine passes, whose logs replay into the rowstripe
+    /// device, for 54 device simulations.
     #[test]
     fn the_fold_pins_the_simulation_count() {
-        for (cfg, cells, simulations) in [
-            (SweepConfig::default(), 124, 69),
-            (ddr4_reference(), 91, 54),
+        for (cfg, cells, passes, devices) in [
+            (SweepConfig::default(), 124, 69, 69),
+            (ddr4_reference(), 91, 27, 54),
         ] {
             let plan = SweepPlan::from_config(&cfg).unwrap();
             let list = sweep_cells(&plan);
             assert_eq!(list.len(), cells);
-            assert_eq!(units(&list).len(), simulations, "{cells}-cell job");
+            let units = units(&list);
+            assert_eq!(units.len(), passes, "{cells}-cell job");
+            assert_eq!(units.iter().map(Vec::len).sum::<usize>(), devices);
         }
+    }
+
+    /// Cells that differ only in their data pattern share a unit, one
+    /// device group per pattern: the four patterns' devices commute alike,
+    /// which `same_pass` checks (and `DeviceState::replay` again, refusing
+    /// a device whose table differs).
+    #[test]
+    fn patterns_fold_where_commuting_tables_agree() {
+        let cfg = SweepConfig {
+            data_patterns: vec![
+                DataPattern::Legacy,
+                DataPattern::Solid,
+                DataPattern::Checkerboard,
+                DataPattern::RowStripe,
+            ],
+            ..SweepConfig::default()
+        };
+        let plan = SweepPlan::from_config(&cfg).unwrap();
+        // The grid runs `HC_first`, then pattern, then workload × mitigation.
+        let stride = plan.grid.len() / (plan.config.hc_firsts.len() * 4);
+        let cells: Vec<CellSpec> = (0..4).map(|p| plan.grid[p * stride].clone()).collect();
+        assert!(cells.iter().all(|c| same_pass(&cells[0], c)));
+        assert!(cells
+            .iter()
+            .all(|c| commute_spacings(c) == vec![true, false, true, false, true]));
+        assert_eq!(
+            units(&cells),
+            vec![vec![vec![0], vec![1], vec![2], vec![3]]]
+        );
     }
 
     /// One executor pass per sweep builds each distinct `(HC_first,
@@ -615,22 +838,23 @@ mod tests {
         }
     }
 
-    /// What a served lease builds: every 16 consecutive units of the
-    /// sweep's one cell list (a full lease) simulate cells of at most two
-    /// `(HC_first, pattern)` table sets on the default grid, and of at most
-    /// three on the DDR4 reference grid, whose two patterns and
-    /// high-to-low `HC_first` axis put a lowest-`HC_first` unit among each
-    /// value's blocks.
+    /// What a served lease builds: 16 consecutive units of the sweep's one
+    /// cell list (a full lease) simulate cells of at most two `(HC_first,
+    /// pattern)` table sets on the default grid, and of up to all six on
+    /// the DDR4 reference grid: each unit there spans both patterns, and
+    /// the high-to-low `HC_first` axis puts a lowest-`HC_first` unit among
+    /// each value's blocks.
     #[test]
     fn a_full_lease_of_units_builds_few_table_sets() {
-        for (cfg, most) in [(SweepConfig::default(), 2), (ddr4_reference(), 3)] {
+        for (cfg, most) in [(SweepConfig::default(), 2), (ddr4_reference(), 6)] {
             let plan = SweepPlan::from_config(&cfg).unwrap();
             let cells = sweep_cells(&plan);
             let units = units(&cells);
-            for lease in units.chunks(16) {
-                let tables = build_table_cache(&plan, &cells, lease);
-                assert!(tables.len() <= most, "{} table sets", tables.len());
-            }
+            let built = units
+                .chunks(16)
+                .map(|lease| build_table_cache(&plan, &cells, lease).len())
+                .max();
+            assert_eq!(built, Some(most));
         }
     }
 
@@ -661,7 +885,7 @@ mod tests {
         assert!(folded
             .iter()
             .enumerate()
-            .all(|(i, unit)| unit == &vec![i + n, i]));
+            .all(|(i, unit)| unit == &vec![vec![i + n, i]]));
         assert!(
             elapsed < std::time::Duration::from_secs(10),
             "folding {} cells took {elapsed:?}",

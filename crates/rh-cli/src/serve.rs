@@ -56,19 +56,20 @@
 //!   `cancel_ack`, never requeued) instead of burning the rest of the
 //!   lease.
 //! * **Pool split**: at submit time the job's missing slots are folded into
-//!   units, one simulation each (the cells that differ only in `HC_first`
-//!   under no mitigation, PARA or TRR; see [`crate::exec`]), exactly as
-//!   `rh-cli sweep` folds them, and the units are cut into leases of
-//!   `units / live workers` simulations (rounded up, at most
-//!   `--shard-cells`), so every live worker pulls at least one lease of a
-//!   job with a simulation per worker: on two workers the default job is 5
-//!   leases of 16/16/16/16/5 simulations. A lease never splits a unit, so
-//!   the worker simulates each once. Units follow their first cell's plan
-//!   order and only a unit's simulated cell needs device tables, so a full
-//!   lease builds one or two `(hc_first, pattern)` table sets on the
-//!   default grid and at most three on the two-pattern DDR4 reference
-//!   grid; the merge is slot-addressed, so any width yields byte-identical
-//!   output.
+//!   units, one engine pass each (the cells that differ only in their data
+//!   pattern, and in `HC_first` under no mitigation, PARA or TRR; see
+//!   [`crate::exec`]), exactly as `rh-cli sweep` folds them, and the units
+//!   are cut into leases of `units / live workers` units (rounded up, at
+//!   most `--shard-cells`), so every live worker pulls at least one lease
+//!   of a job with a unit per worker: on two workers the default job is 5
+//!   leases of 16/16/16/16/5 units and the two-pattern DDR4 reference grid
+//!   2 leases of 14 and 13. A lease never splits a unit, so the worker
+//!   runs each engine pass once. Units follow their first cell's plan
+//!   order and only each device group's first cell needs device tables,
+//!   so a full lease builds one or two `(hc_first, pattern)` table sets on
+//!   the default grid, but up to all six on the DDR4 reference grid, whose
+//!   units each span both patterns (a DDR4-grid table set is 6 MB); the
+//!   merge is slot-addressed, so any width yields byte-identical output.
 //! * **Authentication**: with `--auth-token-file`, worker hellos and
 //!   client sessions must carry a proof derived from the shared token and
 //!   a caller-chosen nonce ([`proto::auth_proof`], compared in constant
@@ -113,6 +114,11 @@ const EWMA_ALPHA: f64 = 0.3;
 /// Polling cadence of the in-process fallback waiter.
 const FALLBACK_TICK: Duration = Duration::from_millis(25);
 
+/// How long a shutdown waits for each worker to read its `shutdown` and
+/// hang up (a worker reads it between leases) before it kills the local
+/// workers still running.
+const SHUTDOWN_GRACE: Duration = Duration::from_secs(3);
+
 /// Configuration for [`Coordinator::start`] (the parsed `rh-cli serve`
 /// flags, plus test-only knobs).
 #[derive(Debug, Clone)]
@@ -127,9 +133,9 @@ pub struct ServeOptions {
     /// Directory for the checkpoint journals (one file per config key);
     /// `None` disables checkpointing.
     pub checkpoint_dir: Option<PathBuf>,
-    /// Maximum simulations per shard lease (one per unit of cells folded
-    /// along `HC_first`); below this cap a job is split into one lease of
-    /// whole units per live worker.
+    /// Maximum units (engine passes, see [`crate::exec`]) per shard lease;
+    /// below this cap a job is split into one lease of whole units per
+    /// live worker.
     pub shard_cells: usize,
     /// Worker executable to spawn; defaults to the current executable
     /// (tests point it at the real `rh-cli` binary).
@@ -607,7 +613,13 @@ impl Coordinator {
     }
 
     /// Stop accepting work, shut down workers, and join handler threads.
+    /// Each worker's handler sends `shutdown` and reads the connection to
+    /// its end, so a worker still writing (the closing `shard_done` of a
+    /// lease that settled on its last cell) finishes and exits cleanly.
+    /// A worker that has not hung up within a grace period (3 s) is cut
+    /// off: a local one is killed, which ends its handler's read.
     pub fn shutdown(&self) {
+        let deadline = Instant::now() + SHUTDOWN_GRACE;
         {
             let mut st = self.inner.state.lock().expect("coordinator lock");
             if st.shutting_down {
@@ -623,19 +635,28 @@ impl Coordinator {
             st.inflight.clear();
             self.inner.work.notify_all();
             self.inner.done.notify_all();
+            while st.live_workers > 0 && Instant::now() < deadline {
+                let left = deadline.saturating_duration_since(Instant::now());
+                st = self
+                    .inner
+                    .done
+                    .wait_timeout(st, left)
+                    .expect("coordinator lock")
+                    .0;
+            }
+        }
+        for child in self.children.lock().expect("children lock").iter_mut() {
+            // Reap a worker that hung up, or kill a wedged one.
+            while matches!(child.try_wait(), Ok(None)) && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            if !matches!(child.try_wait(), Ok(Some(_))) {
+                let _ = child.kill();
+                let _ = child.wait();
+            }
         }
         for handle in self.handlers.lock().expect("handler lock").drain(..) {
             let _ = handle.join();
-        }
-        for child in self.children.lock().expect("children lock").iter_mut() {
-            // Handlers already sent shutdown; reap (or kill a wedged one).
-            match child.try_wait() {
-                Ok(Some(_)) => {}
-                _ => {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                }
-            }
         }
     }
 }
@@ -805,7 +826,7 @@ impl Inner {
         }
 
         // Queue shard leases for the missing cells: folded into units (one
-        // simulation each), and the units split across the workers live
+        // engine pass each), and the units split across the workers live
         // right now.
         let missing: Vec<usize> = job
             .slots
@@ -817,7 +838,12 @@ impl Inner {
         let width = lease_width(units.len(), st.live_workers, inner.shard_cells);
         let mut leases = Vec::new();
         for chunk in units.chunks(width) {
-            let indices = chunk.iter().flatten().map(|&p| missing[p]).collect();
+            let indices = chunk
+                .iter()
+                .flatten()
+                .flatten()
+                .map(|&p| missing[p])
+                .collect();
             let shard = st.next_shard;
             st.next_shard += 1;
             leases.push(Lease {
@@ -976,16 +1002,16 @@ fn envelope(
     }
 }
 
-/// Simulations per lease when a job whose missing cells fold into
-/// `missing` units (`crate::exec::units`, one simulation each) is split
-/// across `live_workers`: one chunk of whole units per worker, capped at
-/// `shard_cells` simulations. A job with at least one missing simulation
-/// per worker thus gives every worker a lease, and no unit is ever cut in
-/// two (its members would each be simulated). Only a unit's first,
+/// Units per lease when a job whose missing cells fold into `missing`
+/// units (`crate::exec::units`, one engine pass each) is split across
+/// `live_workers`: one chunk of whole units per worker, capped at
+/// `shard_cells` units. A job with at least one missing unit per worker
+/// thus gives every worker a lease, and no unit is ever cut in two (its
+/// members would each be simulated). Only each device group's first,
 /// lowest-`HC_first` member reads tables, so a chunk of consecutive units
-/// builds few table sets (see the module docs). With no worker attached
-/// yet (a TCP listener before the first hello) the job is cut as for one
-/// worker.
+/// builds few table sets on a one-pattern job (see the module docs). With
+/// no worker attached yet (a TCP listener before the first hello) the job
+/// is cut as for one worker.
 fn lease_width(missing: usize, live_workers: usize, shard_cells: usize) -> usize {
     missing.div_ceil(live_workers.max(1)).clamp(1, shard_cells)
 }
@@ -1405,6 +1431,7 @@ fn worker_session<R: BufRead, W: Write>(
                 if st.shutting_down {
                     drop(st);
                     let _ = write_line(writer, &ToWorker::Shutdown.encode());
+                    drain_to_end(reader, Instant::now() + SHUTDOWN_GRACE);
                     worker_gone(inner, name, local);
                     return;
                 }
@@ -1583,6 +1610,23 @@ fn worker_session<R: BufRead, W: Write>(
     }
 }
 
+/// Read a worker's connection to its end, discarding what arrives, or
+/// until a line arrives past `deadline`. After `shutdown` a healthy worker
+/// may still be writing — the closing `shard_done` of a lease that settled
+/// on its last cell — and dropping the connection under it would fail that
+/// write (`error: worker: write: Broken pipe`). A local worker's read is
+/// bounded by [`Coordinator::shutdown`], which kills one that does not hang
+/// up in time; a TCP worker that neither writes nor hangs up holds its
+/// (unjoined) handler thread here until the process exits, as a worker
+/// stalled mid-lease already holds it in the lease loop.
+fn drain_to_end<R: BufRead>(reader: &mut R, deadline: Instant) {
+    while let Ok(Some(_)) = read_line_bounded(reader, MAX_LINE_BYTES) {
+        if Instant::now() >= deadline {
+            return;
+        }
+    }
+}
+
 /// True when every slot a lease covers is filled — or its job is already
 /// finished — so the serving connection can close the lease out.
 fn lease_settled(st: &State, lease: &Lease) -> bool {
@@ -1740,6 +1784,8 @@ fn requeue(inner: &Arc<Inner>, lease: &Lease) {
 fn worker_gone(inner: &Arc<Inner>, name: &str, _local: bool) {
     let mut st = inner.state.lock().expect("coordinator lock");
     st.live_workers = st.live_workers.saturating_sub(1);
+    // A shutdown waits for the pool to empty.
+    inner.done.notify_all();
     if st.live_workers == 0
         && !inner.allow_late_workers
         && inner.fallback_after.is_none()
@@ -2867,7 +2913,7 @@ mod tests {
 
     #[test]
     fn lease_width_splits_each_list_across_the_pool() {
-        // (missing, live_workers, shard_cells) -> simulations per lease.
+        // (missing, live_workers, shard_cells) -> units per lease.
         for (missing, live, cap, width) in [
             // No worker attached yet (TCP listen): cut as for one worker.
             (10, 0, 16, 10),
@@ -2875,8 +2921,8 @@ mod tests {
             // Fewer missing cells than workers: single-cell leases.
             (1, 2, 16, 1),
             (2, 3, 16, 1),
-            // Two workers: the default job's 69 simulations go 16 to a
-            // lease; 4 simulations go 2 and 2.
+            // Two workers: the default job's 69 units go 16 to a lease;
+            // 4 units go 2 and 2.
             (69, 2, 16, 16),
             (4, 2, 16, 2),
             // One chunk per worker below the cap, rounded up.
@@ -2940,8 +2986,8 @@ mod tests {
         assert_eq!(covered, (0..sweep_cells(&plan).len()).collect::<Vec<_>>());
     }
 
-    /// The simulations each lease holds: its cells folded as the worker
-    /// folds them.
+    /// The units (engine passes) each lease holds: its cells folded as the
+    /// worker folds them.
     fn lease_simulations(cells: &[crate::plan::CellSpec], leases: &[Lease]) -> Vec<usize> {
         leases
             .iter()
@@ -2989,14 +3035,15 @@ mod tests {
 
     /// A served job runs the work `rh-cli sweep` runs: on two live workers
     /// at the default `--shard-cells` of 16, the default job's 124 cells
-    /// are queued as leases of 16/16/16/16/5 simulations, 69 in all, and
-    /// the DDR4 reference grid's 91 as 16/16/16/6, 54 in all — each the
-    /// fold of the whole list — covering every cell exactly once.
+    /// are queued as leases of 16/16/16/16/5 units (engine passes), 69 in
+    /// all, and the DDR4 reference grid's 91 as 14/13, 27 in all (each
+    /// unit replaying into its second pattern's device) — each the fold of
+    /// the whole list — covering every cell exactly once.
     #[test]
     fn submit_queues_the_sweeps_folded_work_and_no_more() {
         for (cfg, sizes) in [
             (SweepConfig::default(), vec![16, 16, 16, 16, 5]),
-            (crate::sweep::ddr4_reference(), vec![16, 16, 16, 6]),
+            (crate::sweep::ddr4_reference(), vec![14, 13]),
         ] {
             let plan = SweepPlan::from_config(&cfg).unwrap();
             let cells = sweep_cells(&plan);

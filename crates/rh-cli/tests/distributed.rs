@@ -272,6 +272,53 @@ fn tcp_attached_workers_produce_identical_bytes() {
     }
 }
 
+/// A shutdown lets a healthy worker finish writing. A lease settles on its
+/// last cell, which the worker sends before its `shard_done`; here a stall
+/// after that cell holds the `shard_done` back until the job's document
+/// has arrived and the coordinator is shutting down, and a second of it
+/// puts a heartbeat in the same gap. The coordinator reads the connection
+/// to its end after sending `shutdown`, so the worker's late writes land
+/// and it exits 0 without an `error:` line (before, the coordinator
+/// dropped the connection at once and the worker failed with `error:
+/// worker: write: Broken pipe`).
+#[test]
+fn shutdown_lets_a_worker_finish_writing_its_last_lease() {
+    let coordinator = Coordinator::start(ServeOptions {
+        workers: 0,
+        listen: Some("127.0.0.1:0".to_string()),
+        worker_program: Some(worker_bin()),
+        ..ServeOptions::default()
+    })
+    .expect("start listener");
+    let addr = coordinator.local_addr().expect("bound").to_string();
+    let plan = rh_cli::SweepPlan::from_config(&small_config()).unwrap();
+    let last_cell = plan.grid.len() + plan.para_sweep.len();
+    let worker = std::process::Command::new(worker_bin())
+        .args(["worker", "--connect", &addr, "--fault-plan"])
+        .arg(format!("stall-after-cells={last_cell},stall-ms=1000"))
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn a TCP worker");
+    for _ in 0..1_000 {
+        if coordinator.live_workers() == 1 {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    let env = coordinator.submit(None, &small_config());
+    coordinator.shutdown();
+    let out = worker.wait_with_output().expect("the worker exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(env.expect("submit").document, small_reference());
+    assert!(
+        out.status.success(),
+        "worker exit {:?}: {stderr}",
+        out.status
+    );
+    assert!(!stderr.contains("error:"), "worker stderr: {stderr}");
+}
+
 /// Each worker runs the settle kernel its own CPU and environment pick
 /// (`Kernel::auto`) and announces it in its hello; the envelope records,
 /// per worker, the kernel that worker announced. The local worker inherits

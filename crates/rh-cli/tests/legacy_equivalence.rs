@@ -19,11 +19,19 @@
 //! parameters are derived here, not borrowed from the executor.
 //!
 //! Every `RunResult` field must match, `flips_per_mact` by its bits.
+//!
+//! Two pinned grids run on one worker; a seeded run of small random
+//! configs runs the folded executor on two threads, the way `sweep` does:
+//! each unit's first data pattern runs the engine and its other patterns
+//! replay the engine's device calls, across `HC_first` values, ECC
+//! settings, benign fractions and refresh intervals nobody pinned.
 
-use rh_cli::exec::execute_cells_with_kernel;
+use rh_cli::exec::{execute_cells, execute_cells_with_kernel};
 use rh_cli::plan::{CellSpec, BLAST_RADIUS};
 use rh_cli::{RunResult, SweepConfig, SweepPlan};
-use rh_core::{DataPattern, Device, EagerDeviceState, Geometry, Kernel, VictimModelParams};
+use rh_core::{
+    DataPattern, Device, EagerDeviceState, Geometry, Kernel, SplitMix64, VictimModelParams,
+};
 use rh_mitigations::reference::build_reference;
 use rh_mitigations::{ActionBuf, Mitigation, MitigationAction};
 use rh_workloads::Workload;
@@ -191,4 +199,95 @@ fn quick_reference_grid_matches_the_legacy_path() {
         rows_per_bank: 8 * 1024,
     };
     assert_paths_agree(&reference_axes(100_000, geometry));
+}
+
+/// A small config drawn from `rng`: 1–2 banks of 64–512 rows, 1–3
+/// `HC_first` values in 40–639, a non-empty subset of the four data patterns (in a
+/// rotated order, so any of them can run the engine), ECC off, 64 or 128,
+/// benign fraction 0, 0.25 or 1.0, auto-refresh off or every 600–3,599
+/// activations, 1–2 many-sided widths, 1–3 PARA probabilities and
+/// 3,000–6,999 activations per cell.
+fn random_config(rng: &mut SplitMix64) -> SweepConfig {
+    const PATTERNS: [DataPattern; 4] = [
+        DataPattern::Legacy,
+        DataPattern::Solid,
+        DataPattern::Checkerboard,
+        DataPattern::RowStripe,
+    ];
+    let mut pick = |n: u64| rng.gen_range(n) as usize;
+    let mask = 1 + pick(15);
+    let rotate = pick(4);
+    let data_patterns = (0..4)
+        .map(|i| (i + rotate) % 4)
+        .filter(|&p| mask >> p & 1 == 1)
+        .map(|p| PATTERNS[p])
+        .collect();
+    let hc_firsts = (0..1 + pick(3)).map(|_| 40 + pick(600) as u64).collect();
+    let sides = (0..1 + pick(2)).map(|_| 2 + pick(7)).collect();
+    let para_probabilities = (0..1 + pick(3))
+        .map(|_| [0.0, 0.001, 0.01, 0.05, 0.2][pick(5)])
+        .collect();
+    let ecc_codeword_bits = [0, 64, 128][pick(3)];
+    let benign_fraction = [0.0, 0.25, 1.0][pick(3)];
+    let auto_refresh_interval = if pick(2) == 0 {
+        0
+    } else {
+        600 + pick(3_000) as u64
+    };
+    let geometry = Geometry {
+        channels: 1,
+        ranks: 1,
+        banks: 1 + pick(2) as u32,
+        rows_per_bank: 64 + pick(449) as u32,
+    };
+    SweepConfig {
+        seed: rng.next_u64(),
+        activations: 3_000 + rng.gen_range(4_000),
+        hc_firsts,
+        sides,
+        para_probabilities,
+        data_patterns,
+        ecc_codeword_bits,
+        benign_fraction,
+        auto_refresh_interval,
+        geometry,
+    }
+}
+
+/// The random-config differential: for each of 24 seeded small configs
+/// ([`random_config`]), every cell of the sweep's list (the grid, then the
+/// PARA sweep) through the folded executor on two threads must equal the
+/// legacy path, field for field. Deterministic: a red run reproduces, so
+/// re-rolling the seed would hide a real divergence. About 9 s in a debug
+/// build on a 2-vCPU x86-64 host, most of it the legacy path.
+#[test]
+fn random_small_configs_match_the_legacy_path() {
+    let mut rng = SplitMix64::new(0x5EED_F01D);
+    let (mut cells_run, mut flipped, mut multi_pattern) = (0, 0, 0);
+    for case in 0..24 {
+        let cfg = random_config(&mut rng);
+        let plan = SweepPlan::from_config(&cfg).expect("random configs are valid");
+        let cells: Vec<CellSpec> = plan.grid.iter().chain(&plan.para_sweep).cloned().collect();
+        let optimized = execute_cells(&plan, &cells, 2);
+        for (cell, optimized) in cells.iter().zip(&optimized) {
+            let legacy = run_cell_legacy(&plan, cell);
+            assert_eq!(
+                fields(&legacy),
+                fields(optimized),
+                "case {case}, cell {} (legacy left, optimized right) of {cfg:?}",
+                cell.index
+            );
+            flipped += usize::from(legacy.total_flips > 0);
+        }
+        cells_run += cells.len();
+        multi_pattern += usize::from(cfg.data_patterns.len() > 1);
+    }
+    assert!(
+        multi_pattern >= 12,
+        "{multi_pattern} configs with several patterns"
+    );
+    assert!(
+        flipped * 4 >= cells_run,
+        "only {flipped} of {cells_run} cells flip anything"
+    );
 }

@@ -405,6 +405,31 @@ fn ddr4_reference_document_is_pinned() {
     assert_eq!(digest, 0x276a_2390_9bef_afa3, "digest {digest:#018x}");
 }
 
+/// The default grid over all four data patterns under 128-bit ECC, at 40K
+/// activations per cell: 484 cells that fold into 69 engine passes and 267
+/// device simulations — each grid pass replays its device calls into three
+/// other patterns' devices, and each device derives the other `HC_first`
+/// values from its peak record.
+/// The digest is the one the simulator produced before the data-pattern
+/// fold, when every pattern ran its own engine pass, so it pins replay to
+/// those bytes; it is the same in debug and release builds.
+#[test]
+fn four_pattern_document_is_pinned() {
+    let cfg = SweepConfig {
+        data_patterns: vec![
+            DataPattern::Legacy,
+            DataPattern::Solid,
+            DataPattern::Checkerboard,
+            DataPattern::RowStripe,
+        ],
+        ecc_codeword_bits: 128,
+        activations: 40_000,
+        ..SweepConfig::default()
+    };
+    let digest = document_digest(&cfg);
+    assert_eq!(digest, 0xd8c3_25ea_2153_6d06, "digest {digest:#018x}");
+}
+
 /// A reader that has gone away is an error, not a crash: with its stdout
 /// already closed (`rh-cli sweep | head -c 10` once `head` exits), every
 /// command that prints — a document or the help — exits 1 with an

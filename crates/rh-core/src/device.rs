@@ -86,6 +86,15 @@
 //!   The sweep executor simulates each group of cells that differ only in
 //!   `HC_first` (under a mitigation that never reads it) once, at the
 //!   lowest value, and derives the rest.
+//! * **One engine pass, every data pattern** ([`DeviceState::record_calls`],
+//!   [`DeviceState::replay`]): a recording device logs each call it takes
+//!   into a compact [`CallLog`] (a `u32` word per benign row, two per
+//!   activation run), and a device of another data pattern replays that
+//!   log instead of re-running the workload, the mitigation and the
+//!   engine's bookkeeping. The engine's calls depend on a device only
+//!   through its geometry and commuting-spacings table, which replay
+//!   checks (see [`crate::call_log`]). Outside a recording the cost is one
+//!   untaken branch per call.
 //!
 //! ## Section 5 victim model
 //!
@@ -119,6 +128,9 @@
 //! [`crate::reference`]; differential tests drive both against seeded random
 //! action sequences and assert identical flips, charges, and refresh tallies.
 
+use crate::call_log::{
+    CallLog, ARG_BITS, ARG_MASK, OP_EACH, OP_REFRESH_ALL, OP_REFRESH_ROW, OP_REPEAT,
+};
 use crate::ecc;
 use crate::geometry::{Geometry, RowAddr};
 use crate::kernel::{
@@ -195,6 +207,50 @@ impl VictimModelParams {
             ecc_codeword_bits: 0,
         }
     }
+
+    /// `atten[d - 1] = coupling_decay^(d - 1) * pattern_factor(d)` for `d`
+    /// in `1..=blast_radius` (see `DeviceTables::atten`).
+    fn attenuation(&self) -> Vec<f64> {
+        (1..=self.blast_radius)
+            .map(|d| self.coupling_decay.powi(d as i32 - 1) * self.data_pattern.coupling_factor(d))
+            .collect()
+    }
+
+    /// The commuting-spacings table of a device with these parameters:
+    /// entry `s`, for same-bank spacings `0..=2 · blast_radius`, says
+    /// whether activation runs of two rows `s` apart may be applied in
+    /// either order with bit-identical results (see
+    /// `DeviceTables::commute_spacings`). It depends only on the blast
+    /// radius, the coupling decay and the data pattern's coupling factors;
+    /// under the defaults it is `[T, F, T, F, T]` for all four patterns.
+    /// It is all an engine reads of a device besides its geometry, so it
+    /// decides which devices can share one engine pass
+    /// ([`crate::CallLog`]).
+    pub fn commute_spacings(&self) -> Vec<bool> {
+        commute_spacings(&self.attenuation())
+    }
+}
+
+/// The commuting-spacings table of a device with attenuation table
+/// `atten` (see [`VictimModelParams::commute_spacings`]).
+fn commute_spacings(atten: &[f64]) -> Vec<bool> {
+    let r = atten.len() as i64;
+    (0..=2 * r)
+        .map(|s| {
+            // Lanes at offset i from aggressor A are at offset i - s from
+            // aggressor B (B sits s rows above A). The pair commutes unless
+            // some lane inside both windows draws bitwise-different quanta
+            // from the two.
+            (-r..=r).all(|i| {
+                let (da, db) = (i.unsigned_abs(), (i - s).unsigned_abs());
+                da == 0
+                    || db == 0
+                    || da > r as u64
+                    || db > r as u64
+                    || atten[da as usize - 1].to_bits() == atten[db as usize - 1].to_bits()
+            })
+        })
+        .collect()
 }
 
 /// The common device interface the engine drives: the optimized
@@ -359,34 +415,14 @@ impl DeviceTables {
             .map(|_| row_threshold(params.hc_first, params.threshold_jitter, rng.next_f64()))
             .collect();
         let threshold_floor = threshold.iter().copied().fold(f64::INFINITY, f64::min);
-        let atten: Vec<f64> = (1..=params.blast_radius)
-            .map(|d| {
-                params.coupling_decay.powi(d as i32 - 1) * params.data_pattern.coupling_factor(d)
-            })
-            .collect();
+        let atten = params.attenuation();
         let radius = params.blast_radius as usize;
         let mut window_quanta = vec![0.0; 2 * radius + 1];
         for d in 1..=radius {
             window_quanta[radius - d] = atten[d - 1];
             window_quanta[radius + d] = atten[d - 1];
         }
-        let r = radius as i64;
-        let commute_spacings = (0..=2 * r)
-            .map(|s| {
-                // Lanes at offset i from aggressor A are at offset i - s
-                // from aggressor B (B sits s rows above A). The pair
-                // commutes unless some lane inside both windows draws
-                // bitwise-different quanta from the two.
-                (-r..=r).all(|i| {
-                    let (da, db) = (i.unsigned_abs(), (i - s).unsigned_abs());
-                    da == 0
-                        || db == 0
-                        || da > r as u64
-                        || db > r as u64
-                        || atten[da as usize - 1].to_bits() == atten[db as usize - 1].to_bits()
-                })
-            })
-            .collect::<Vec<bool>>();
+        let commute_spacings = commute_spacings(&atten);
         let conflict_radius = commute_spacings
             .iter()
             .enumerate()
@@ -517,6 +553,9 @@ pub struct DeviceState {
     peaks: PeakRecord,
     /// Settle kernel, selected once at construction (see [`Kernel`]).
     kernel: Kernel,
+    /// Where the calls this device takes are logged, while it records
+    /// ([`DeviceState::record_calls`]).
+    log: Option<CallLog>,
     /// Global refresh epoch; bumped O(1) by `refresh_all`.
     epoch: u64,
     total_flips: u64,
@@ -549,7 +588,9 @@ impl DeviceState {
 
     /// Build a device around pre-derived shared tables with a pinned settle
     /// kernel. The kernel can never affect results (differential fuzz tests
-    /// assert it), only throughput.
+    /// assert it), only throughput. [`Kernel::Avx2`] runs only on a CPU
+    /// that reports AVX2 ([`crate::avx2_available`]); elsewhere the device
+    /// runs [`Kernel::Scalar`], and [`DeviceState::kernel`] says so.
     pub fn with_tables_and_kernel(tables: Arc<DeviceTables>, kernel: Kernel) -> Self {
         let mut device = Self {
             tables: tables.clone(),
@@ -557,7 +598,8 @@ impl DeviceState {
             epochs: Vec::new(),
             flips: Vec::new(),
             peaks: PeakRecord::default(),
-            kernel,
+            kernel: kernel.runnable_with(crate::kernel::avx2_available()),
+            log: None,
             epoch: 0,
             total_flips: 0,
             total_activations: 0,
@@ -603,7 +645,8 @@ impl DeviceState {
         &self.tables
     }
 
-    /// The settle kernel this device runs.
+    /// The settle kernel this device runs (scalar where it was asked for
+    /// AVX2 on a CPU without it).
     pub fn kernel(&self) -> Kernel {
         self.kernel
     }
@@ -622,6 +665,78 @@ impl DeviceState {
         self.activate_repeat(addr, 1);
     }
 
+    /// Start logging every call this device takes into `log`, emptied
+    /// first, until [`DeviceState::take_call_log`]: the calls a
+    /// [`DeviceState::replay`] applies to another device. Call it after
+    /// [`DeviceState::reset_for_cell`]: a reset is not a call, and a log
+    /// outlives it.
+    pub fn record_calls(&mut self, mut log: CallLog) {
+        log.start(self.tables.clone());
+        self.log = Some(log);
+    }
+
+    /// Stop recording and hand back the log, if one was being kept. It is
+    /// incomplete ([`CallLog::is_complete`]) when the calls outgrew its cap.
+    pub fn take_call_log(&mut self) -> Option<CallLog> {
+        self.log.take()
+    }
+
+    /// Apply the calls `log` recorded, in order — exactly what this device
+    /// would have received from the experiment that produced them (see
+    /// [`crate::call_log`] for why). Refuses an incomplete log and one
+    /// recorded on a device with another geometry, blast radius or
+    /// commuting-spacings table, whose engine may have issued other calls.
+    /// Reset the device for the cell first; replay itself is not recorded.
+    pub fn replay(&mut self, log: &CallLog) -> Result<(), String> {
+        let Some(source) = log.source().filter(|_| log.is_complete()) else {
+            return Err("cannot replay an incomplete call log".to_string());
+        };
+        let (t, s) = (&self.tables, source);
+        if t.geom != s.geom
+            || t.params.blast_radius != s.params.blast_radius
+            || t.commute_spacings != s.commute_spacings
+        {
+            return Err(format!(
+                "cannot replay calls recorded on a device with geometry {:?}, blast radius {} \
+                 and commuting spacings {:?} into one with {:?}, {} and {:?}",
+                s.geom,
+                s.params.blast_radius,
+                s.commute_spacings,
+                t.geom,
+                t.params.blast_radius,
+                t.commute_spacings
+            ));
+        }
+        let rows_per_bank = t.geom.rows_per_bank as usize;
+        let locate = |idx: u32| (idx as usize, (idx as usize % rows_per_bank) as u32);
+        let mut words = log.words();
+        while let Some((&word, rest)) = words.split_first() {
+            let arg = word & ARG_MASK;
+            words = match word >> ARG_BITS {
+                OP_EACH => {
+                    let (rows, rest) = rest.split_at(arg as usize);
+                    self.leak_each(rows, locate);
+                    rest
+                }
+                OP_REPEAT => {
+                    let (idx, row) = locate(arg);
+                    self.leak(idx, row, u64::from(rest[0]));
+                    &rest[1..]
+                }
+                OP_REFRESH_ROW => {
+                    self.restore(arg as usize);
+                    rest
+                }
+                OP_REFRESH_ALL => {
+                    self.restore_all();
+                    rest
+                }
+                op => unreachable!("call log opcode {op}"),
+            };
+        }
+        Ok(())
+    }
+
     /// Apply `n` consecutive activations of `addr` in one window pass —
     /// bit-identical to `n` separate [`DeviceState::activate`] calls (each
     /// lane performs the same fp additions in the same order, and the
@@ -634,12 +749,23 @@ impl DeviceState {
     /// template (aggressor lane 0.0), and the walk runs through the settle
     /// kernel selected at construction.
     pub fn activate_repeat(&mut self, addr: RowAddr, n: u64) {
+        let idx = self.tables.geom.flat_index(addr);
+        if let Some(log) = self.log.as_mut() {
+            log.repeat(idx, n);
+        }
+        self.leak(idx, addr.row, n);
+    }
+
+    /// [`DeviceState::activate_repeat`] of flat row `idx`, the in-bank row
+    /// `row`, unrecorded. Always inlined: left to the compiler, its several
+    /// callers kept it out of line, so `activate_each` paid a call per
+    /// benign row and ran the kernel's `n == 1` path behind a runtime test.
+    #[inline(always)]
+    fn leak(&mut self, idx: usize, row: u32, n: u64) {
         if n == 0 {
             return;
         }
-        let idx = self.tables.geom.flat_index(addr);
         self.total_activations += n;
-        let row = addr.row;
         let radius = self.tables.params.blast_radius;
         // Window bounds below and above the aggressor, clipped at bank
         // edges (bank-contiguous flat indexing keeps the window inside the
@@ -707,27 +833,38 @@ impl DeviceState {
     /// larger than the cache overlap their misses instead of paying them
     /// one activation at a time.
     pub fn activate_each(&mut self, rows: &[RowAddr]) {
-        for &addr in &rows[..rows.len().min(PREFETCH_AHEAD)] {
-            self.prefetch_window(addr);
+        let geom = self.tables.geom;
+        if let Some(log) = self.log.as_mut() {
+            log.each(rows.iter().map(|&addr| geom.flat_index(addr)));
         }
-        for (i, &addr) in rows.iter().enumerate() {
+        self.leak_each(rows, |addr| (geom.flat_index(addr), addr.row));
+    }
+
+    /// [`DeviceState::activate_each`] over rows that `locate` turns into a
+    /// flat index and an in-bank row, unrecorded.
+    #[inline]
+    fn leak_each<T: Copy>(&mut self, rows: &[T], locate: impl Fn(T) -> (usize, u32)) {
+        for &row in &rows[..rows.len().min(PREFETCH_AHEAD)] {
+            self.prefetch_window(locate(row).0);
+        }
+        for (i, &row) in rows.iter().enumerate() {
             if let Some(&ahead) = rows.get(i + PREFETCH_AHEAD) {
-                self.prefetch_window(ahead);
+                self.prefetch_window(locate(ahead).0);
             }
-            self.activate_repeat(addr, 1);
+            let (idx, row) = locate(row);
+            self.leak(idx, row, 1);
         }
     }
 
-    /// Hint the CPU to start loading the `charge`/`epochs` lines of `addr`'s
-    /// blast window: those of its first and last lane, which are all of
-    /// them while a window spans at most 64 bytes per slab (radius 3 and
-    /// below). Never changes state; a no-op off x86-64.
+    /// Hint the CPU to start loading the `charge`/`epochs` lines of flat
+    /// row `idx`'s blast window: those of its first and last lane, which
+    /// are all of them while a window spans at most 64 bytes per slab
+    /// (radius 3 and below). Never changes state; a no-op off x86-64.
     #[inline]
-    fn prefetch_window(&self, addr: RowAddr) {
+    fn prefetch_window(&self, idx: usize) {
         #[cfg(target_arch = "x86_64")]
         {
             use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            let idx = self.tables.geom.flat_index(addr);
             let radius = self.tables.params.blast_radius as usize;
             let last = self.charge.len() - 1;
             for i in [idx.saturating_sub(radius), idx.saturating_add(radius)] {
@@ -745,7 +882,7 @@ impl DeviceState {
             }
         }
         #[cfg(not(target_arch = "x86_64"))]
-        let _ = addr;
+        let _ = idx;
     }
 
     /// Whether coalesced runs at `a` and `b` commute bit-exactly: different
@@ -770,6 +907,14 @@ impl DeviceState {
     /// Refresh a single row: restores its charge. Flips stay recorded.
     pub fn refresh_row(&mut self, addr: RowAddr) {
         let idx = self.tables.geom.flat_index(addr);
+        if let Some(log) = self.log.as_mut() {
+            log.refresh_row(idx);
+        }
+        self.restore(idx);
+    }
+
+    /// [`DeviceState::refresh_row`] of flat row `idx`, unrecorded.
+    fn restore(&mut self, idx: usize) {
         self.charge[idx] = 0.0;
         self.epochs[idx] = self.epoch;
         self.refreshes_issued += 1;
@@ -779,6 +924,14 @@ impl DeviceState {
     /// the end of a tREFW window, or an increased-refresh mitigation tick).
     /// O(1): bumps the epoch instead of zeroing every charge.
     pub fn refresh_all(&mut self) {
+        if let Some(log) = self.log.as_mut() {
+            log.refresh_all();
+        }
+        self.restore_all();
+    }
+
+    /// [`DeviceState::refresh_all`], unrecorded.
+    fn restore_all(&mut self) {
         self.epoch += 1;
         // Count in row units so the cost metric is comparable with
         // `refresh_row`-based mitigations.
@@ -1425,6 +1578,11 @@ mod tests {
     /// activations (half of them on one hot row, so thresholds are
     /// crossed) with targeted and full refreshes.
     fn drive(device: &mut DeviceState, seed: u64, steps: usize) {
+        drive_bank(device, seed, steps, 0);
+    }
+
+    /// [`drive`] in bank `bank`.
+    fn drive_bank(device: &mut DeviceState, seed: u64, steps: usize, bank: u32) {
         let rows = u64::from(device.geometry().rows_per_bank);
         let mut rng = SplitMix64::new(seed);
         for _ in 0..steps {
@@ -1433,7 +1591,7 @@ mod tests {
             } else {
                 rng.gen_range(rows) as u32
             };
-            let addr = RowAddr::bank_row(0, row);
+            let addr = RowAddr::bank_row(bank, row);
             match rng.gen_range(8) {
                 0 => device.activate_repeat(addr, 1 + rng.gen_range(40)),
                 1 => device.activate_each(&[addr, addr.with_row(row ^ 2), addr]),
@@ -1490,6 +1648,141 @@ mod tests {
                 assert!(totals[1] > 0 && totals[4] == 0, "{totals:?}");
             }
         }
+    }
+
+    /// The data-pattern fold's exactness bar at the device level: a log
+    /// recorded on one device and replayed into a reset device of another
+    /// data pattern and `HC_first` leaves it exactly as the same calls made
+    /// directly would — every counter, every row's charge, and the peak
+    /// record (so `flips_under` agrees too) — under every kernel, with and
+    /// without ECC, across all four patterns. Replay records nothing.
+    #[test]
+    fn replay_matches_the_recorded_calls_made_directly() {
+        let g = Geometry {
+            banks: 2,
+            ..Geometry::tiny(96)
+        };
+        let params = |pattern, hc, ecc| VictimModelParams {
+            data_pattern: pattern,
+            ecc_codeword_bits: ecc,
+            ..VictimModelParams::with_hc_first(hc)
+        };
+        for kernel in available_kernels() {
+            let recorded = DeviceTables::shared(g, params(DataPattern::Legacy, 300, 128), 17);
+            let mut recorder = DeviceState::with_tables_and_kernel(recorded.unwrap(), kernel);
+            recorder.record_calls(CallLog::new());
+            // Both banks, so replay must recover rows from flat indices.
+            let drive_both = |device: &mut DeviceState| {
+                drive_bank(device, 23, 6_000, 0);
+                drive_bank(device, 29, 3_000, 1);
+            };
+            drive_both(&mut recorder);
+            let log = recorder.take_call_log().expect("recording");
+            assert!(log.is_complete() && !log.words().is_empty());
+            assert!(
+                recorder.take_call_log().is_none(),
+                "the log was handed back"
+            );
+            let mut replayed = recorder;
+            for (pattern, hc, ecc) in [
+                (DataPattern::Legacy, 300, 128),
+                (DataPattern::Solid, 340, 64),
+                (DataPattern::Checkerboard, 300, 0),
+                (DataPattern::RowStripe, 280, 128),
+            ] {
+                let tables = DeviceTables::shared(g, params(pattern, hc, ecc), 17).unwrap();
+                let mut direct = DeviceState::with_tables_and_kernel(tables.clone(), kernel);
+                drive_both(&mut direct);
+                replayed.reset_for_cell(tables);
+                replayed.replay(&log).unwrap();
+                assert!(replayed.take_call_log().is_none(), "replay is not recorded");
+                let what = format!("{kernel} {pattern:?} hc {hc} ecc {ecc}");
+                assert!(direct.total_flips() > 0, "{what} must exercise flips");
+                assert_same_device(&replayed, &direct, &what);
+                for higher in [hc, hc + 40, 1_000] {
+                    let (a, b) = (replayed.flips_under(higher), direct.flips_under(higher));
+                    assert_eq!(a, b, "{what} derived at {higher}");
+                }
+            }
+        }
+    }
+
+    /// Replay refuses a log whose calls another engine pass might not have
+    /// made: one recorded on another geometry, blast radius or
+    /// commuting-spacings table, and one cut short by its cap.
+    #[test]
+    fn replay_refuses_a_foreign_or_incomplete_log() {
+        let g = Geometry::tiny(64);
+        let p = VictimModelParams::with_hc_first(300);
+        let mut recorder = DeviceState::new(g, p, 5);
+        recorder.record_calls(CallLog::new());
+        drive(&mut recorder, 3, 500);
+        let log = recorder.take_call_log().unwrap();
+        let refuse = |g: Geometry, p: VictimModelParams, log: &CallLog| {
+            let err = DeviceState::new(g, p, 5).replay(log).unwrap_err();
+            assert!(err.contains("cannot replay"), "got '{err}'");
+        };
+        refuse(Geometry::tiny(65), p, &log);
+        let wide = VictimModelParams {
+            blast_radius: 3,
+            ..p
+        };
+        refuse(g, wide, &log);
+        // Distance-2 coupling equal to distance-1: spacings 1 and 3
+        // commute too, so the engine would coalesce other runs.
+        let flat = VictimModelParams {
+            coupling_decay: 1.0,
+            ..p
+        };
+        assert_eq!(flat.commute_spacings(), vec![true; 5]);
+        refuse(g, flat, &log);
+        refuse(g, p, &CallLog::new());
+        let mut capped = DeviceState::new(g, p, 5);
+        capped.record_calls(CallLog::with_cap(64));
+        drive(&mut capped, 3, 500);
+        let cut = capped.take_call_log().unwrap();
+        assert!(!cut.is_complete() && cut.words().is_empty());
+        refuse(g, p, &cut);
+        let mut same = DeviceState::new(g, p, 5);
+        assert!(same.replay(&log).is_ok());
+        assert_same_device(&same, &capped, "replayed vs the capped recorder");
+    }
+
+    /// The commuting-spacings table the fold and replay compare: the
+    /// radius-2 geometry for all four patterns under the defaults, and the
+    /// very table a device built from the same parameters holds.
+    #[test]
+    fn commute_spacings_agree_across_patterns_and_with_the_tables() {
+        for pattern in [
+            DataPattern::Legacy,
+            DataPattern::Solid,
+            DataPattern::Checkerboard,
+            DataPattern::RowStripe,
+        ] {
+            let p = VictimModelParams {
+                data_pattern: pattern,
+                ..VictimModelParams::with_hc_first(500)
+            };
+            assert_eq!(p.commute_spacings(), vec![true, false, true, false, true]);
+            let t = DeviceTables::new(Geometry::tiny(16), p, 1).unwrap();
+            assert_eq!(t.commute_spacings, p.commute_spacings(), "{pattern:?}");
+        }
+    }
+
+    /// A device asked for AVX2 runs it only where the CPU reports it, and
+    /// says which kernel it runs.
+    #[test]
+    fn a_device_reports_the_kernel_it_runs() {
+        let tables = DeviceTables::shared(Geometry::tiny(16), no_jitter(100), 1).unwrap();
+        let avx2 = DeviceState::with_tables_and_kernel(tables.clone(), Kernel::Avx2);
+        let want = if crate::kernel::avx2_available() {
+            Kernel::Avx2
+        } else {
+            Kernel::Scalar
+        };
+        assert_eq!(avx2.kernel(), want);
+        let scalar = DeviceState::with_tables_and_kernel(tables, Kernel::Scalar);
+        assert_eq!(scalar.kernel(), Kernel::Scalar);
     }
 
     /// A lower `HC_first` is refused (its thresholds sit below what was

@@ -29,8 +29,8 @@
 //!   `f64` lanes per step: epoch compare + blend to zero stale lanes, `n`
 //!   vector adds, then a threshold compare whose movemask peels only the
 //!   (rare) crossing lanes into the scalar settle tail. Guarded by
-//!   `is_x86_feature_detected!` at selection time — never chosen on a CPU
-//!   without AVX2 — and bit-identical to the scalar kernel by
+//!   `is_x86_feature_detected!` when a device is built — a device asked
+//!   for it on a CPU without AVX2 runs the scalar kernel — and bit-identical to the scalar kernel by
 //!   construction: the same adds in the same per-lane order, and zeroing a
 //!   stale lane by masking produces the same `+0.0` the scalar path
 //!   stores.
@@ -70,8 +70,10 @@ pub enum Kernel {
     /// Safe autovectorization-friendly scalar loop (and the only kernel on
     /// non-x86-64 targets).
     Scalar,
-    /// AVX2 intrinsics, 4 × `f64` lanes per step. Only valid on a CPU that
-    /// reports AVX2 ([`avx2_available`]), which [`Kernel::auto`] checks.
+    /// AVX2 intrinsics, 4 × `f64` lanes per step. Runs only on a CPU that
+    /// reports AVX2 ([`avx2_available`]): [`Kernel::auto`] picks it only
+    /// there, and a device asked for it elsewhere runs [`Kernel::Scalar`]
+    /// ([`crate::DeviceState::with_tables_and_kernel`]).
     Avx2,
 }
 
@@ -92,6 +94,18 @@ impl Kernel {
             Self::Scalar
         } else {
             Self::Avx2
+        }
+    }
+}
+
+impl Kernel {
+    /// The kernel a device asked to run `self` runs on a CPU whose AVX2
+    /// support is `avx2`: AVX2 only where the CPU has it, else scalar. The
+    /// kernels agree bit for bit, so the substitution changes only speed.
+    pub(crate) fn runnable_with(self, avx2: bool) -> Self {
+        match self {
+            Self::Avx2 if avx2 => Self::Avx2,
+            _ => Self::Scalar,
         }
     }
 }
@@ -381,9 +395,11 @@ pub(crate) fn leak_window(
     match kernel {
         Kernel::Scalar => leak_window_scalar(w, n, now, hc_first, flip_slope, tally),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: Kernel::auto selects Kernel::Avx2 only after
-        // is_x86_feature_detected!("avx2") reported support, and every
-        // other caller that names the variant checks avx2_available first.
+        // SAFETY: this crate-private dispatch is called only by
+        // `DeviceState`, with the kernel its constructor stored, and
+        // `DeviceState::with_tables_and_kernel` stores `Kernel::Avx2` only
+        // after `avx2_available()` (`is_x86_feature_detected!("avx2")`)
+        // reported support (`Kernel::runnable_with`).
         Kernel::Avx2 => unsafe { leak_window_avx2(w, n, now, hc_first, flip_slope, tally) },
         #[cfg(not(target_arch = "x86_64"))]
         Kernel::Avx2 => leak_window_scalar(w, n, now, hc_first, flip_slope, tally),
@@ -416,5 +432,15 @@ mod tests {
         };
         assert_eq!(Kernel::auto(), want);
         assert_eq!(Kernel::auto().to_string(), want.name());
+    }
+
+    /// The selection rule a device applies to the kernel it is given, for
+    /// both values of AVX2 support: AVX2 runs only where the CPU has it.
+    #[test]
+    fn a_device_runs_avx2_only_where_the_cpu_has_it() {
+        assert_eq!(Kernel::Avx2.runnable_with(true), Kernel::Avx2);
+        assert_eq!(Kernel::Avx2.runnable_with(false), Kernel::Scalar);
+        assert_eq!(Kernel::Scalar.runnable_with(true), Kernel::Scalar);
+        assert_eq!(Kernel::Scalar.runnable_with(false), Kernel::Scalar);
     }
 }

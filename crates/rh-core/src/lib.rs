@@ -18,6 +18,9 @@
 //!   optimized [`DeviceState`] and the retained eager reference
 //!   ([`reference::EagerDeviceState`]) that the differential and
 //!   legacy-equivalence tests compare against;
+//! * [`CallLog`] — a compact log of the calls a [`DeviceState`] takes,
+//!   which a device of another data pattern replays in place of a second
+//!   engine pass (see `call_log` module docs);
 //! * [`Kernel`] — the swappable leak-and-settle kernels over the
 //!   structure-of-arrays row state (autovectorization-friendly scalar,
 //!   runtime-detected AVX2 intrinsics), chosen by [`Kernel::auto`] from
@@ -34,6 +37,7 @@
 //! Upper layers: `rh-mitigations` (policy), `rh-workloads` (access-pattern
 //! generators), `rh-cli` (sweep driver, service, JSON reporting).
 
+pub mod call_log;
 pub mod device;
 pub mod ecc;
 pub mod geometry;
@@ -42,6 +46,7 @@ pub mod pattern;
 pub mod reference;
 pub mod rng;
 
+pub use call_log::CallLog;
 pub use device::{Device, DeviceState, DeviceTables, FlipCounts, VictimModelParams};
 pub use geometry::{Geometry, RowAddr, MAX_TOTAL_ROWS};
 pub use kernel::{avx2_available, Kernel};
