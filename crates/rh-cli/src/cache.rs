@@ -110,8 +110,14 @@ impl ResultCache {
         );
     }
 
+    /// Count a hit served from outside the cache: a submit coalesced onto
+    /// an in-flight twin gets the twin's document, which is also put here.
+    pub fn count_hit(&mut self) {
+        self.hits += 1;
+    }
+
     /// Lifetime count of [`ResultCache::get`] calls that returned a
-    /// document.
+    /// document, plus [`ResultCache::count_hit`]s.
     pub fn hits(&self) -> u64 {
         self.hits
     }

@@ -22,15 +22,11 @@ USAGE:
                  [--checkpoint-dir <DIR>] [--shard-cells <N>] [--config-epoch <N>]
                  [--fallback-after-ms <MS>] [--speculate-after-ms <MS>]
                  [--fault-plan <PLAN>] [--max-pending-jobs <N>]
-                 [--max-jobs-per-client <N>] [--max-cells-per-client <N>]
-                 [--handshake-timeout-ms <MS>] [--auth-token-file <PATH>]
+                 [--handshake-timeout-ms <MS>]
     rh-cli worker [--connect <ADDR>] [--fault-plan <PLAN>]
                   [--config-epoch <N>] [--retry <N>] [--backoff-ms <MS>]
-                  [--auth-token-file <PATH>]
-    rh-cli submit --connect <ADDR> [--timeout <SECS>]
-                  [--job-deadline-ms <MS>] [--auth-token-file <PATH>]
+    rh-cli submit --connect <ADDR> [--timeout <SECS>] [--job-deadline-ms <MS>]
     rh-cli cancel --connect <ADDR> --id <JOB> [--timeout <SECS>]
-                  [--auth-token-file <PATH>]
 
 SWEEP OPTIONS:
     --seed <N>              RNG seed for device + mitigations (default 0xC0FFEE)
@@ -82,7 +78,11 @@ SERVE OPTIONS:
     --workers <N>           local worker processes to spawn (default 2)
     --listen <ADDR>         also accept clients and workers over TCP
                             (e.g. 127.0.0.1:4242; port 0 for ephemeral);
-                            without it, configs are read as jsonl on stdin
+                            without it, configs are read as jsonl on stdin.
+                            The listener checks no credentials: anyone who
+                            can reach ADDR can submit, cancel, or attach a
+                            worker, so keep it on loopback or a trusted
+                            network
     --cache-capacity <N>    result-cache size in documents (default 128)
     --checkpoint-dir <DIR>  the one durable store, a checksummed per-cell
                             journal: a resubmit, even to a restarted
@@ -113,20 +113,8 @@ SERVE OPTIONS:
     --max-pending-jobs <N>  admission bound: submits past N unfinished jobs
                             coordinator-wide get a clean reject naming
                             queue_full (default 64)
-    --max-jobs-per-client <N> per-client concurrent unfinished-job quota;
-                            excess submits are rejected with
-                            client_job_quota (default 16)
-    --max-cells-per-client <N> per-client quota on queued (not yet merged)
-                            cells; rejects name client_cell_quota
-                            (default 1000000)
     --handshake-timeout-ms <MS> how long a fresh TCP connection gets to
-                            produce its first protocol line, which also
-                            bounds the auth challenge (default 10000)
-    --auth-token-file <PATH> shared secret file; when set, every TCP worker
-                            hello and client session must prove knowledge
-                            of the token (challenge/response, constant-time
-                            compare) or be rejected; local stdio workers
-                            spawned by this coordinator are exempt
+                            produce its first protocol line (default 10000)
 
 WORKER OPTIONS:
     --connect <ADDR>        attach to a coordinator over TCP (default:
@@ -144,9 +132,6 @@ WORKER OPTIONS:
                             backoff; a coordinator 'reject' is never
                             retried (default 0)
     --backoff-ms <MS>       base of the reconnect backoff (default 200)
-    --auth-token-file <PATH> shared secret file matching the coordinator's;
-                            proven in the hello (required when the
-                            coordinator was started with one)
 
 SUBMIT OPTIONS:
     --connect <ADDR>        coordinator address (required)
@@ -156,8 +141,6 @@ SUBMIT OPTIONS:
     --job-deadline-ms <MS>  stamp every submitted config with a deadline;
                             the coordinator cancels jobs that outlive it
                             and submit exits nonzero (default: none)
-    --auth-token-file <PATH> shared secret file; the session opens with an
-                            authenticated client hello before any submit
 
 submit reads jsonl sweep configs from stdin ('{}' is the default sweep),
 sends each to the coordinator, prints each returned merged document
@@ -168,7 +151,6 @@ CANCEL OPTIONS:
     --connect <ADDR>        coordinator address (required)
     --id <JOB>              job id given at submit time (required)
     --timeout <SECS>        bound the connect and the acknowledgement wait
-    --auth-token-file <PATH> shared secret file, as for submit
 
 cancel asks the coordinator to kill one in-flight job: queued shards are
 dropped, leased shards are abandoned mid-shard by their workers, and the
@@ -252,20 +234,6 @@ pub fn parse_configure_args(args: &[String]) -> Result<ConfigureInvocation, Stri
     Ok(ConfigureInvocation::Configure(opts))
 }
 
-/// Read a shared-secret token file for `--auth-token-file`: the secret is
-/// the file's contents with surrounding whitespace trimmed (so a trailing
-/// newline from `echo` never silently changes the token). Empty files are
-/// rejected — an empty shared secret authenticates nobody on purpose.
-fn read_token_file(path: &str) -> Result<String, String> {
-    let raw = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read --auth-token-file '{path}': {e}"))?;
-    let token = raw.trim();
-    if token.is_empty() {
-        return Err(format!("--auth-token-file '{path}' is empty"));
-    }
-    Ok(token.to_string())
-}
-
 /// Outcome of parsing the arguments after `serve`.
 #[derive(Debug, Clone)]
 pub enum ServeInvocation {
@@ -346,24 +314,6 @@ pub fn parse_serve_args(args: &[String]) -> Result<ServeInvocation, String> {
                     return Err("--max-pending-jobs must be at least 1".to_string());
                 }
             }
-            "--max-jobs-per-client" => {
-                let v = value(&mut i, "--max-jobs-per-client")?;
-                opts.max_jobs_per_client = v
-                    .parse()
-                    .map_err(|_| format!("invalid --max-jobs-per-client '{v}'"))?;
-                if opts.max_jobs_per_client == 0 {
-                    return Err("--max-jobs-per-client must be at least 1".to_string());
-                }
-            }
-            "--max-cells-per-client" => {
-                let v = value(&mut i, "--max-cells-per-client")?;
-                opts.max_cells_per_client = v
-                    .parse()
-                    .map_err(|_| format!("invalid --max-cells-per-client '{v}'"))?;
-                if opts.max_cells_per_client == 0 {
-                    return Err("--max-cells-per-client must be at least 1".to_string());
-                }
-            }
             "--handshake-timeout-ms" => {
                 let v = value(&mut i, "--handshake-timeout-ms")?;
                 let ms: u64 = v
@@ -377,9 +327,6 @@ pub fn parse_serve_args(args: &[String]) -> Result<ServeInvocation, String> {
                     );
                 }
                 opts.handshake_timeout = std::time::Duration::from_millis(ms);
-            }
-            "--auth-token-file" => {
-                opts.auth_token = Some(read_token_file(&value(&mut i, "--auth-token-file")?)?);
             }
             "-h" | "--help" => return Ok(ServeInvocation::Help),
             other => return Err(format!("unknown serve option '{other}'")),
@@ -439,9 +386,6 @@ pub fn parse_worker_args(args: &[String]) -> Result<WorkerInvocation, String> {
                     return Err("--backoff-ms must be at least 1".to_string());
                 }
             }
-            "--auth-token-file" => {
-                opts.auth_token = Some(read_token_file(&value(&mut i, "--auth-token-file")?)?);
-            }
             "-h" | "--help" => return Ok(WorkerInvocation::Help),
             other => return Err(format!("unknown worker option '{other}'")),
         }
@@ -462,7 +406,6 @@ pub fn parse_submit_args(args: &[String]) -> Result<SubmitInvocation, String> {
     let mut connect = None;
     let mut timeout = None;
     let mut deadline_ms = None;
-    let mut auth_token = None;
     let mut i = 0;
     let value = |i: &mut usize, flag: &str| -> Result<String, String> {
         *i += 1;
@@ -494,9 +437,6 @@ pub fn parse_submit_args(args: &[String]) -> Result<SubmitInvocation, String> {
                 }
                 deadline_ms = Some(ms);
             }
-            "--auth-token-file" => {
-                auth_token = Some(read_token_file(&value(&mut i, "--auth-token-file")?)?);
-            }
             "-h" | "--help" => return Ok(SubmitInvocation::Help),
             other => return Err(format!("unknown submit option '{other}'")),
         }
@@ -507,7 +447,6 @@ pub fn parse_submit_args(args: &[String]) -> Result<SubmitInvocation, String> {
         connect,
         timeout,
         deadline_ms,
-        auth_token,
     }))
 }
 
@@ -523,7 +462,6 @@ pub fn parse_cancel_args(args: &[String]) -> Result<CancelInvocation, String> {
     let mut connect = None;
     let mut id = None;
     let mut timeout = None;
-    let mut auth_token = None;
     let mut i = 0;
     let value = |i: &mut usize, flag: &str| -> Result<String, String> {
         *i += 1;
@@ -543,9 +481,6 @@ pub fn parse_cancel_args(args: &[String]) -> Result<CancelInvocation, String> {
                 }
                 timeout = Some(std::time::Duration::from_secs(secs));
             }
-            "--auth-token-file" => {
-                auth_token = Some(read_token_file(&value(&mut i, "--auth-token-file")?)?);
-            }
             "-h" | "--help" => return Ok(CancelInvocation::Help),
             other => return Err(format!("unknown cancel option '{other}'")),
         }
@@ -557,7 +492,6 @@ pub fn parse_cancel_args(args: &[String]) -> Result<CancelInvocation, String> {
         connect,
         id,
         timeout,
-        auth_token,
     }))
 }
 
@@ -1012,6 +946,12 @@ mod tests {
             .collect();
         let err = parse_serve_args(&owned).unwrap_err();
         assert!(err.contains("explode-now"), "got '{err}'");
+        // Hellos carry no proof, so there is none to corrupt.
+        let err = parse_worker_args(&argv(&["--fault-plan", "wrong-token=1"])).unwrap_err();
+        assert!(
+            err.starts_with("fault-plan: unknown directive 'wrong-token'"),
+            "got '{err}'"
+        );
 
         let owned: Vec<String> = [
             "--connect",
@@ -1062,76 +1002,47 @@ mod tests {
         .is_err());
     }
 
-    /// Write a token file into a scratch dir and return its path.
-    fn token_file(tag: &str, contents: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("rh-cli-token-{}-{tag}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("token");
-        std::fs::write(&path, contents).unwrap();
-        path
+    fn argv(args: &[&str]) -> Vec<String> {
+        args.iter().map(|s| s.to_string()).collect()
     }
 
     #[test]
     fn job_manager_serve_flags_parse_and_reject() {
-        let token = token_file("serve", "sekrit\n");
-        let owned: Vec<String> = [
-            "--max-pending-jobs",
-            "3",
-            "--max-jobs-per-client",
-            "2",
-            "--max-cells-per-client",
-            "500",
-            "--handshake-timeout-ms",
-            "1500",
-            "--auth-token-file",
-            token.to_str().unwrap(),
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+        let owned = argv(&["--max-pending-jobs", "3", "--handshake-timeout-ms", "1500"]);
         match parse_serve_args(&owned).unwrap() {
             ServeInvocation::Serve(o) => {
                 assert_eq!(o.max_pending_jobs, 3);
-                assert_eq!(o.max_jobs_per_client, 2);
-                assert_eq!(o.max_cells_per_client, 500);
                 assert_eq!(o.handshake_timeout, std::time::Duration::from_millis(1500));
-                assert_eq!(o.auth_token.as_deref(), Some("sekrit"), "token is trimmed");
             }
             ServeInvocation::Help => panic!("unexpected help"),
         }
-        // Defaults: admission on with generous bounds, no auth.
+        // Defaults: admission on with a generous bound.
         match parse_serve_args(&[]).unwrap() {
             ServeInvocation::Serve(o) => {
                 assert_eq!(o.max_pending_jobs, 64);
-                assert_eq!(o.max_jobs_per_client, 16);
                 assert_eq!(o.handshake_timeout, std::time::Duration::from_secs(10));
-                assert_eq!(o.auth_token, None);
             }
             ServeInvocation::Help => panic!("unexpected help"),
         }
         for bad in [
             &["--max-pending-jobs", "0"][..],
             &["--max-pending-jobs", "x"],
-            &["--max-jobs-per-client", "0"],
-            &["--max-cells-per-client", "0"],
             // A zero handshake deadline would reject every connection.
             &["--handshake-timeout-ms", "0"],
-            &["--auth-token-file", "/nonexistent/rh-token"],
         ] {
-            let owned: Vec<String> = bad.iter().map(|s| s.to_string()).collect();
             assert!(
-                parse_serve_args(&owned).is_err(),
+                parse_serve_args(&argv(bad)).is_err(),
                 "{bad:?} must be rejected"
             );
         }
-        // An empty (or whitespace-only) token file authenticates nobody.
-        let empty = token_file("serve-empty", " \n");
-        let owned: Vec<String> = ["--auth-token-file", empty.to_str().unwrap()]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let err = parse_serve_args(&owned).unwrap_err();
-        assert!(err.contains("empty"), "got '{err}'");
+        // `--max-pending-jobs` is the one admission bound: no per-client
+        // quotas.
+        for flag in ["--max-jobs-per-client", "--max-cells-per-client"] {
+            assert_eq!(
+                parse_serve_args(&argv(&[flag, "2"])).unwrap_err(),
+                format!("unknown serve option '{flag}'")
+            );
+        }
     }
 
     #[test]
@@ -1148,50 +1059,34 @@ mod tests {
 
     #[test]
     fn auth_deadline_and_cancel_flags_parse_and_reject() {
-        let token = token_file("client", "hunter2");
-        // Worker side: the token lands in WorkerOptions.
-        let owned: Vec<String> = [
-            "--connect",
-            "127.0.0.1:9",
-            "--auth-token-file",
-            token.to_str().unwrap(),
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        match parse_worker_args(&owned).unwrap() {
-            WorkerInvocation::Worker(o) => assert_eq!(o.auth_token.as_deref(), Some("hunter2")),
-            WorkerInvocation::Help => panic!("unexpected help"),
-        }
-        // Submit side: deadline and token.
-        let owned: Vec<String> = [
-            "--connect",
-            "127.0.0.1:9",
-            "--job-deadline-ms",
-            "2500",
-            "--auth-token-file",
-            token.to_str().unwrap(),
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+        // The listener checks no credentials, so no command takes a token.
+        let token = argv(&["--connect", "127.0.0.1:9", "--auth-token-file", "token"]);
+        assert_eq!(
+            parse_serve_args(&token[2..]).unwrap_err(),
+            "unknown serve option '--auth-token-file'"
+        );
+        assert_eq!(
+            parse_worker_args(&token).unwrap_err(),
+            "unknown worker option '--auth-token-file'"
+        );
+        assert_eq!(
+            parse_submit_args(&token).unwrap_err(),
+            "unknown submit option '--auth-token-file'"
+        );
+        assert_eq!(
+            parse_cancel_args(&token).unwrap_err(),
+            "unknown cancel option '--auth-token-file'"
+        );
+
+        // Submit side: the deadline.
+        let owned = argv(&["--connect", "127.0.0.1:9", "--job-deadline-ms", "2500"]);
         match parse_submit_args(&owned).unwrap() {
-            SubmitInvocation::Submit(o) => {
-                assert_eq!(o.deadline_ms, Some(2500));
-                assert_eq!(o.auth_token.as_deref(), Some("hunter2"));
-            }
+            SubmitInvocation::Submit(o) => assert_eq!(o.deadline_ms, Some(2500)),
             SubmitInvocation::Help => panic!("unexpected help"),
         }
         // Defaults stay off.
-        let owned: Vec<String> = ["--connect", "127.0.0.1:9"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        match parse_submit_args(&owned).unwrap() {
-            SubmitInvocation::Submit(o) => {
-                assert_eq!(o.deadline_ms, None);
-                assert_eq!(o.auth_token, None);
-            }
+        match parse_submit_args(&argv(&["--connect", "127.0.0.1:9"])).unwrap() {
+            SubmitInvocation::Submit(o) => assert_eq!(o.deadline_ms, None),
             SubmitInvocation::Help => panic!("unexpected help"),
         }
         assert!(parse_submit_args(&[
@@ -1203,25 +1098,19 @@ mod tests {
         .is_err());
 
         // Cancel verb.
-        let owned: Vec<String> = [
+        let owned = argv(&[
             "--connect",
             "127.0.0.1:9",
             "--id",
             "job-42",
             "--timeout",
             "5",
-            "--auth-token-file",
-            token.to_str().unwrap(),
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+        ]);
         match parse_cancel_args(&owned).unwrap() {
             CancelInvocation::Cancel(o) => {
                 assert_eq!(o.connect, "127.0.0.1:9");
                 assert_eq!(o.id, "job-42");
                 assert_eq!(o.timeout, Some(std::time::Duration::from_secs(5)));
-                assert_eq!(o.auth_token.as_deref(), Some("hunter2"));
             }
             CancelInvocation::Help => panic!("unexpected help"),
         }
@@ -1241,5 +1130,106 @@ mod tests {
         // f64::from_str accepts "NaN"; range validation must still catch it.
         let err = parse(&["--para-p", "NaN"]).unwrap_err();
         assert!(err.contains("[0, 1]"), "got '{err}'");
+    }
+
+    /// Seeded no-panic fuzz over all six argv parsers: 20,000 vectors of
+    /// 0-6 tokens, drawn from every flag the parsers take, flags they
+    /// refuse, and hostile values, each handed to every entry point. A
+    /// parse must come back `Ok` or `Err`; a panic fails the test with the
+    /// vector that caused it.
+    #[test]
+    fn argv_fuzz_never_panics() {
+        const FLAGS: &[&str] = &[
+            "--seed",
+            "--activations",
+            "--hc",
+            "--sides",
+            "--para-p",
+            "--data-pattern",
+            "--ecc",
+            "--benign-fraction",
+            "--refresh-interval",
+            "--threads",
+            "--window",
+            "--target-pfail",
+            "--validate",
+            "--trials",
+            "--workers",
+            "--listen",
+            "--cache-capacity",
+            "--checkpoint-dir",
+            "--shard-cells",
+            "--config-epoch",
+            "--fallback-after-ms",
+            "--speculate-after-ms",
+            "--fault-plan",
+            "--max-pending-jobs",
+            "--handshake-timeout-ms",
+            "--connect",
+            "--retry",
+            "--backoff-ms",
+            "--timeout",
+            "--job-deadline-ms",
+            "--id",
+            "-h",
+            "--help",
+            // Refused.
+            "--auth-token-file",
+            "--max-jobs-per-client",
+            "--max-cells-per-client",
+            "--kernel",
+            "--target-lease-ms",
+            "-",
+        ];
+        const VALUES: &[&str] = &[
+            "",
+            "0",
+            "1",
+            "2",
+            "0x",
+            "0xffffffffffffffff",
+            "-1",
+            "18446744073709551615",
+            "18446744073709551616",
+            "NaN",
+            "inf",
+            "1e308",
+            "-0.0",
+            "0.5",
+            ",",
+            ",,",
+            "1,,2",
+            "2,4,8",
+            "\0",
+            "x\0y",
+            "é",
+            "日本語",
+            "legacy,zebra",
+            "solid,rowstripe",
+            "crash-after-cells=0",
+            "wrong-token=1",
+            "drop-line=1,seed=9",
+            "=",
+            "127.0.0.1:0",
+        ];
+        let mut rng = rh_core::SplitMix64::new(0xA76F_0022);
+        for case in 0..20_000 {
+            let len = rng.gen_range(7);
+            let args: Vec<String> = (0..len)
+                .map(|_| {
+                    let pool = if rng.gen_range(2) == 0 { FLAGS } else { VALUES };
+                    pool[rng.gen_range(pool.len() as u64) as usize].to_string()
+                })
+                .collect();
+            let parsed = std::panic::catch_unwind(|| {
+                let _ = parse_args(&args);
+                let _ = parse_configure_args(&args);
+                let _ = parse_serve_args(&args);
+                let _ = parse_worker_args(&args);
+                let _ = parse_submit_args(&args);
+                let _ = parse_cancel_args(&args);
+            });
+            assert!(parsed.is_ok(), "case {case}: {args:?} panicked");
+        }
     }
 }

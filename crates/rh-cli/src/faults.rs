@@ -19,7 +19,6 @@
 //! | `drop-line=N` | worker | silently drop the N-th outgoing protocol line |
 //! | `garble-line=N` | worker | corrupt the N-th outgoing protocol line |
 //! | `delay-connect-ms=MS` | worker | sleep before connecting / greeting |
-//! | `wrong-token=1` | worker | present a corrupted auth proof in the hello |
 //! | `cancel-after-cells=N` | coordinator | cancel a job the moment its N-th cell merges |
 //! | `slow-client=MS` | coordinator | stall each client reply by MS (a slow-reading client) |
 //!
@@ -73,7 +72,6 @@ pub struct FaultPlan {
     drop_lines: Vec<u64>,
     garble_lines: Vec<u64>,
     delay_connect_millis: u64,
-    wrong_token: bool,
     cancel_after_cells: Option<u64>,
     slow_client_millis: u64,
     // Runtime counters (1-based: the first cell/line is number 1).
@@ -102,15 +100,14 @@ impl FaultPlan {
                 "drop-line" => plan.drop_lines.push(num("drop-line")?),
                 "garble-line" => plan.garble_lines.push(num("garble-line")?),
                 "delay-connect-ms" => plan.delay_connect_millis = num("delay-connect-ms")?,
-                "wrong-token" => plan.wrong_token = num("wrong-token")? != 0,
                 "cancel-after-cells" => plan.cancel_after_cells = Some(num("cancel-after-cells")?),
                 "slow-client" => plan.slow_client_millis = num("slow-client")?,
                 other => {
                     return Err(format!(
                         "fault-plan: unknown directive '{other}' (expected seed, \
                          crash-after-cells, stall-after-cells, stall-ms, drop-line, \
-                         garble-line, delay-connect-ms, wrong-token, \
-                         cancel-after-cells, slow-client)"
+                         garble-line, delay-connect-ms, cancel-after-cells, \
+                         slow-client)"
                     ))
                 }
             }
@@ -143,7 +140,6 @@ impl FaultPlan {
             && self.drop_lines.is_empty()
             && self.garble_lines.is_empty()
             && self.delay_connect_millis == 0
-            && !self.wrong_token
             && self.cancel_after_cells.is_none()
             && self.slow_client_millis == 0
     }
@@ -202,12 +198,6 @@ impl FaultPlan {
         LineFate::Send
     }
 
-    /// Worker side: present a deliberately wrong auth proof in the hello,
-    /// exercising the coordinator's reject + `auth_failures` counter.
-    pub fn wrong_token(&self) -> bool {
-        self.wrong_token
-    }
-
     /// Coordinator side: cancel a job the moment its N-th cell merges —
     /// replays the mid-job `cancel` teardown without a second client.
     pub fn cancel_after_cells(&self) -> Option<u64> {
@@ -237,23 +227,18 @@ mod tests {
     fn full_spec_round_trips_every_directive() {
         let plan = FaultPlan::parse(
             "seed=7, crash-after-cells=5, stall-after-cells=2, stall-ms=250, \
-             drop-line=3, garble-line=4, delay-connect-ms=10, wrong-token=1, \
+             drop-line=3, garble-line=4, delay-connect-ms=10, \
              cancel-after-cells=6, slow-client=20",
         )
         .unwrap();
         assert!(!plan.is_empty());
         assert_eq!(plan.connect_delay(), Some(Duration::from_millis(10)));
-        assert!(plan.wrong_token());
         assert_eq!(plan.cancel_after_cells(), Some(6));
         assert_eq!(plan.slow_client_delay(), Some(Duration::from_millis(20)));
     }
 
     #[test]
     fn job_manager_directives_parse_individually() {
-        let plan = FaultPlan::parse("wrong-token=1").unwrap();
-        assert!(plan.wrong_token() && !plan.is_empty());
-        let plan = FaultPlan::parse("wrong-token=0").unwrap();
-        assert!(!plan.wrong_token() && plan.is_empty());
         let plan = FaultPlan::parse("cancel-after-cells=2").unwrap();
         assert_eq!(plan.cancel_after_cells(), Some(2));
         let err = FaultPlan::parse("cancel-after-cells=0").unwrap_err();
@@ -272,7 +257,7 @@ mod tests {
     fn unknown_and_malformed_directives_are_rejected_with_names() {
         let err = FaultPlan::parse("explode=1").unwrap_err();
         assert!(err.contains("unknown directive 'explode'"), "{err}");
-        for named in ["wrong-token", "cancel-after-cells", "slow-client"] {
+        for named in ["cancel-after-cells", "slow-client"] {
             assert!(err.contains(named), "valid set must name {named}: {err}");
         }
         let err = FaultPlan::parse("crash-after-cells").unwrap_err();

@@ -55,8 +55,8 @@ use std::io::{BufRead, Write};
 /// garbage. Bump on any incompatible message change.
 ///
 /// Version 2 added mid-shard cancellation ([`ToWorker::Cancel`] /
-/// [`FromWorker::CancelAck`]) and the auth fields on the hello — a v1
-/// worker would silently ignore a cancel, so the mix is rejected. Version 3
+/// [`FromWorker::CancelAck`]) — a v1 worker would silently ignore a
+/// cancel, so the mix is rejected. Version 3
 /// dropped the lease's list tag and kernel request: indices address the
 /// sweep's one cell list, which a v2 worker would read as the grid alone.
 pub const PROTO_VERSION: u64 = 3;
@@ -567,40 +567,6 @@ pub fn config_key(cfg: &SweepConfig) -> (u64, u64) {
 }
 
 // ---------------------------------------------------------------------------
-// Shared-secret authentication
-// ---------------------------------------------------------------------------
-
-/// Proof that a peer holds the coordinator's shared secret: the token and a
-/// peer-chosen nonce are folded through the workspace fingerprint twice
-/// (`H(H(token:nonce):token)`), so the proof reveals neither the token nor a
-/// trivially-extendable digest. The nonce binds the proof to one hello; the
-/// coordinator recomputes the expected proof from its own token file and
-/// compares with [`constant_time_eq`].
-pub fn auth_proof(token: &str, nonce: u64) -> String {
-    let inner = fnv1a64(format!("{token}:{nonce:#018x}").as_bytes());
-    format!(
-        "{:016x}",
-        fnv1a64(format!("{inner:016x}:{token}").as_bytes())
-    )
-}
-
-/// Constant-time byte comparison for auth proofs: every byte is examined
-/// regardless of where the first mismatch sits, so response timing leaks
-/// nothing about how much of a guessed proof was right. (Length is public —
-/// valid proofs are always 16 hex digits.)
-pub fn constant_time_eq(a: &str, b: &str) -> bool {
-    let (a, b) = (a.as_bytes(), b.as_bytes());
-    if a.len() != b.len() {
-        return false;
-    }
-    let mut diff = 0u8;
-    for (x, y) in a.iter().zip(b.iter()) {
-        diff |= x ^ y;
-    }
-    diff == 0
-}
-
-// ---------------------------------------------------------------------------
 // RunResult codec (bit-exact)
 // ---------------------------------------------------------------------------
 
@@ -692,8 +658,8 @@ pub enum ToWorker {
         indices: Vec<usize>,
         config: SweepConfig,
     },
-    /// The coordinator refuses this worker (protocol-version, config-epoch,
-    /// or auth mismatch). Terminal: the worker must not retry the same
+    /// The coordinator refuses this worker (protocol-version or
+    /// config-epoch mismatch). Terminal: the worker must not retry the same
     /// coordinator — the skew will not heal on its own.
     Reject { reason: String },
     /// The named job was cancelled (client verb or expired deadline): the
@@ -776,14 +742,6 @@ pub enum FromWorker {
         /// Operator-assigned config generation; must equal the
         /// coordinator's `--config-epoch`.
         config_epoch: u64,
-        /// Worker-chosen nonce the auth proof is bound to (seeded from the
-        /// fault-plan seed and pid, so chaos runs replay exactly). 0 when
-        /// the worker carries no token.
-        auth_nonce: u64,
-        /// [`auth_proof`] over the worker's token and `auth_nonce`; absent
-        /// when the worker was started without `--auth-token-file`. A
-        /// coordinator with a token rejects hellos that omit or flunk this.
-        auth_proof: Option<String>,
     },
     /// Liveness pulse emitted from a side thread while a shard executes, so
     /// the coordinator can tell a *computing* worker from a dead socket even
@@ -821,22 +779,11 @@ impl FromWorker {
                 pid,
                 proto_version,
                 config_epoch,
-                auth_nonce,
-                auth_proof,
-            } => {
-                let auth = match auth_proof {
-                    Some(proof) => format!(
-                        ",\"auth_nonce\":{auth_nonce},\"auth_proof\":{}",
-                        jstr(proof)
-                    ),
-                    None => String::new(),
-                };
-                format!(
-                    "{{\"type\":\"hello\",\"role\":\"worker\",\"proto\":{proto_version},\
-                     \"config_epoch\":{config_epoch},\"kernel\":{},\"pid\":{pid}{auth}}}",
-                    jstr(kernel)
-                )
-            }
+            } => format!(
+                "{{\"type\":\"hello\",\"role\":\"worker\",\"proto\":{proto_version},\
+                 \"config_epoch\":{config_epoch},\"kernel\":{},\"pid\":{pid}}}",
+                jstr(kernel)
+            ),
             Self::Heartbeat { job, shard } => {
                 format!("{{\"type\":\"heartbeat\",\"job\":{job},\"shard\":{shard}}}")
             }
@@ -878,11 +825,6 @@ impl FromWorker {
                 // erroring out the whole line.
                 proto_version: v.get("proto").and_then(Value::as_u64).unwrap_or(0),
                 config_epoch: v.get("config_epoch").and_then(Value::as_u64).unwrap_or(0),
-                auth_nonce: v.get("auth_nonce").and_then(Value::as_u64).unwrap_or(0),
-                auth_proof: v
-                    .get("auth_proof")
-                    .and_then(Value::as_str)
-                    .map(String::from),
             }),
             "heartbeat" => Ok(Self::Heartbeat {
                 job: field_u64(&v, "job")?,
@@ -919,9 +861,10 @@ impl FromWorker {
 /// stream.
 #[derive(Debug, Clone)]
 pub enum ClientMsg {
-    /// Optional first line authenticating the connection when the
-    /// coordinator holds a shared secret; the client analogue of the worker
-    /// hello's auth fields. Answered with `{"type":"hello_ok"}` on success.
+    /// An optional ping, answered with `{"type":"hello_ok"}`. The
+    /// coordinator ignores both fields: they are the wire shape of a hello
+    /// that once carried an auth proof, kept so that clients which still
+    /// build it (perfbench does) decode unchanged.
     Hello {
         auth_nonce: u64,
         auth_proof: String,
@@ -981,7 +924,11 @@ impl ClientMsg {
             }),
             Some("client_hello") => Ok(Self::Hello {
                 auth_nonce: v.get("auth_nonce").and_then(Value::as_u64).unwrap_or(0),
-                auth_proof: field_str(&v, "auth_proof")?,
+                auth_proof: v
+                    .get("auth_proof")
+                    .and_then(Value::as_str)
+                    .unwrap_or_default()
+                    .to_string(),
             }),
             Some("submit") => Ok(Self::Submit {
                 id: v.get("id").and_then(Value::as_str).map(String::from),
@@ -1042,11 +989,8 @@ pub struct ResultEnvelope {
     /// admission to first merged or restored cell). 0 for cache hits.
     pub queue_wait_ms: u64,
     /// Coordinator-lifetime submits refused by admission control (queue
-    /// full or a per-client quota).
+    /// full).
     pub rejected_submits: u64,
-    /// Coordinator-lifetime hellos (worker or client) that flunked the
-    /// shared-secret check.
-    pub auth_failures: u64,
     /// Coordinator-lifetime jobs torn down by `cancel` or an expired
     /// deadline.
     pub cancelled_jobs: u64,
@@ -1076,8 +1020,7 @@ impl ResultEnvelope {
              \"executed_cells\":{},\"checkpoint_cells\":{},\"checkpoint_skipped\":{},\
              \"speculations\":{},\"duplicate_cells\":{},\"evictions\":{},\
              \"queue_depth\":{},\"queue_wait_ms\":{},\"rejected_submits\":{},\
-             \"auth_failures\":{},\"cancelled_jobs\":{},\"workers\":[{}],\
-             \"document\":{}}}",
+             \"cancelled_jobs\":{},\"workers\":[{}],\"document\":{}}}",
             jstr(&self.id),
             jstr(&format!("{:#018x}", self.config_hash)),
             self.seed,
@@ -1093,7 +1036,6 @@ impl ResultEnvelope {
             self.queue_depth,
             self.queue_wait_ms,
             self.rejected_submits,
-            self.auth_failures,
             self.cancelled_jobs,
             workers.join(","),
             jstr(&self.document),
@@ -1105,7 +1047,7 @@ impl ResultEnvelope {
         match field_str(&v, "type")?.as_str() {
             "result" => {}
             "error" => return Err(field_str(&v, "message")?),
-            // Admission-control / auth refusal: surface the reason verbatim
+            // Admission-control refusal: surface the reason verbatim
             // so `rh-cli submit` exits nonzero with it on stderr.
             "reject" => return Err(format!("rejected: {}", field_str(&v, "reason")?)),
             other => return Err(format!("unexpected response type '{other}'")),
@@ -1157,7 +1099,6 @@ impl ResultEnvelope {
                 .get("rejected_submits")
                 .and_then(Value::as_u64)
                 .unwrap_or(0),
-            auth_failures: v.get("auth_failures").and_then(Value::as_u64).unwrap_or(0),
             cancelled_jobs: v.get("cancelled_jobs").and_then(Value::as_u64).unwrap_or(0),
             workers,
             document: field_str(&v, "document")?,
@@ -1174,10 +1115,9 @@ pub fn encode_error(id: &str, message: &str) -> String {
     )
 }
 
-/// Coordinator → client admission/auth refusal line. Distinct from an
-/// error: nothing went wrong — the coordinator chose not to take the work
-/// (`queue_full`, `client_job_quota`, `client_cell_quota`, `auth_failed`),
-/// and the client may retry later (except `auth_failed`).
+/// Coordinator → client admission refusal line. Distinct from an error:
+/// nothing went wrong — the coordinator chose not to take the work
+/// (`queue_full`), and the client may retry later.
 pub fn encode_reject(reason: &str) -> String {
     format!("{{\"type\":\"reject\",\"reason\":{}}}", jstr(reason))
 }
@@ -1197,11 +1137,10 @@ pub fn write_line<W: Write>(w: &mut W, line: &str) -> std::io::Result<()> {
 /// Longest line, in bytes before its newline, the coordinator keeps from a
 /// client or a worker; a longer one is drained without being kept and
 /// answered with an error naming the limit ([`line_too_long`]). 32 MiB
-/// admits every config the default cell quota (1 000 000 cells) admits: in
-/// shortest form an axis value costs at most 24 bytes (a 17-digit PARA
-/// probability in exponent notation plus its comma) and adds at least one
-/// cell, so such a config fits in 24 MB plus a few hundred bytes of fixed
-/// fields. Clients read the coordinator's lines unbounded: a large grid's
+/// admits every config of up to a million cells: in shortest form an axis
+/// value costs at most 24 bytes (a 17-digit PARA probability in exponent
+/// notation plus its comma) and adds at least one cell, so such a config
+/// fits in 24 MB plus a few hundred bytes of fixed fields. Clients read the coordinator's lines unbounded: a large grid's
 /// envelope is legitimately big.
 pub const MAX_LINE_BYTES: usize = 32 << 20;
 
@@ -1595,8 +1534,6 @@ mod tests {
             pid: 42,
             proto_version: PROTO_VERSION,
             config_epoch: 9,
-            auth_nonce: 0,
-            auth_proof: None,
         };
         assert!(matches!(
             FromWorker::decode(&hello.encode()).unwrap(),
@@ -1638,47 +1575,6 @@ mod tests {
             FromWorker::decode(&ack.encode()).unwrap(),
             FromWorker::CancelAck { job: 17, shard: 4 }
         ));
-    }
-
-    #[test]
-    fn authenticated_hello_round_trips() {
-        let proof = auth_proof("hunter2", 0xABCD);
-        let hello = FromWorker::Hello {
-            kernel: "scalar".into(),
-            pid: 7,
-            proto_version: PROTO_VERSION,
-            config_epoch: 0,
-            auth_nonce: 0xABCD,
-            auth_proof: Some(proof.clone()),
-        };
-        match FromWorker::decode(&hello.encode()).unwrap() {
-            FromWorker::Hello {
-                auth_nonce,
-                auth_proof,
-                ..
-            } => {
-                assert_eq!(auth_nonce, 0xABCD);
-                assert_eq!(auth_proof.as_deref(), Some(proof.as_str()));
-            }
-            other => panic!("decoded wrong variant: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn auth_proof_binds_token_and_nonce() {
-        let p = auth_proof("secret", 1);
-        assert_eq!(p, auth_proof("secret", 1), "proof must be deterministic");
-        assert_ne!(p, auth_proof("secret", 2), "nonce must move the proof");
-        assert_ne!(p, auth_proof("Secret", 1), "token must move the proof");
-        assert_eq!(p.len(), 16, "proofs are 16 hex digits");
-    }
-
-    #[test]
-    fn constant_time_eq_matches_plain_equality() {
-        assert!(constant_time_eq("abcd", "abcd"));
-        assert!(!constant_time_eq("abcd", "abce"));
-        assert!(!constant_time_eq("abcd", "abc"));
-        assert!(constant_time_eq("", ""));
     }
 
     #[test]
@@ -1725,20 +1621,23 @@ mod tests {
             }
             other => panic!("decoded wrong variant: {other:?}"),
         }
+        // The hello's fields are dead weight the coordinator ignores, but
+        // they still round-trip, and a bare hello decodes too.
         let hello = ClientMsg::Hello {
             auth_nonce: 9,
-            auth_proof: auth_proof("tok", 9),
+            auth_proof: "ab".into(),
         };
         match ClientMsg::decode(&hello.encode()).unwrap() {
             ClientMsg::Hello {
                 auth_nonce,
                 auth_proof,
-            } => {
-                assert_eq!(auth_nonce, 9);
-                assert_eq!(auth_proof, super::auth_proof("tok", 9));
-            }
+            } => assert_eq!((auth_nonce, auth_proof.as_str()), (9, "ab")),
             other => panic!("decoded wrong variant: {other:?}"),
         }
+        assert!(matches!(
+            ClientMsg::decode(r#"{"type":"client_hello"}"#).unwrap(),
+            ClientMsg::Hello { auth_nonce: 0, .. }
+        ));
         match ClientMsg::decode(&ClientMsg::Cancel { id: "j7".into() }.encode()).unwrap() {
             ClientMsg::Cancel { id } => assert_eq!(id, "j7"),
             other => panic!("decoded wrong variant: {other:?}"),
@@ -1763,7 +1662,6 @@ mod tests {
             queue_depth: 2,
             queue_wait_ms: 120,
             rejected_submits: 3,
-            auth_failures: 1,
             cancelled_jobs: 2,
             workers: vec![WorkerStat {
                 worker: "local-0".into(),
@@ -1785,7 +1683,6 @@ mod tests {
         assert_eq!(back.queue_depth, 2);
         assert_eq!(back.queue_wait_ms, 120);
         assert_eq!(back.rejected_submits, 3);
-        assert_eq!(back.auth_failures, 1);
         assert_eq!(back.cancelled_jobs, 2);
         assert_eq!(
             back.document, env.document,
@@ -1806,7 +1703,6 @@ mod tests {
         assert_eq!(env.queue_depth, 0);
         assert_eq!(env.queue_wait_ms, 0);
         assert_eq!(env.rejected_submits, 0);
-        assert_eq!(env.auth_failures, 0);
         assert_eq!(env.cancelled_jobs, 0);
     }
 
@@ -1904,8 +1800,6 @@ mod tests {
                 pid: 99,
                 proto_version: PROTO_VERSION,
                 config_epoch: 1,
-                auth_nonce: 0xFEED,
-                auth_proof: Some(auth_proof("tok", 0xFEED)),
             }
             .encode(),
             FromWorker::Heartbeat { job: 1, shard: 2 }.encode(),
@@ -1925,8 +1819,8 @@ mod tests {
             }
             .encode(),
             ClientMsg::Hello {
-                auth_nonce: 4,
-                auth_proof: auth_proof("tok", 4),
+                auth_nonce: 0,
+                auth_proof: String::new(),
             }
             .encode(),
             ResultEnvelope {
@@ -1945,7 +1839,6 @@ mod tests {
                 queue_depth: 1,
                 queue_wait_ms: 0,
                 rejected_submits: 0,
-                auth_failures: 0,
                 cancelled_jobs: 0,
                 workers: vec![],
                 document: format!("{{\"grid\":[{}]}}", result_to_json(&result)),

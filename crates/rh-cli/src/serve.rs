@@ -23,9 +23,11 @@
 //!   `served_from_cache` flag and coordinator-lifetime `cache_hits`
 //!   counter in the response envelope.
 //! * **Single-flight dedup**: a submit whose key matches an in-flight job
-//!   doesn't execute — it waits on that job and is served from the cache
-//!   the moment the primary lands (`coalesced: true`). N concurrent
-//!   identical requests cost one execution.
+//!   doesn't execute — it waits on that job and is served the primary's
+//!   document the moment it lands (`coalesced: true`, counted as a cache
+//!   hit). N concurrent identical requests cost one execution. A finished
+//!   job leaves the coordinator with its last waiter, so what outlives a
+//!   job is its document in the cache (and its journal on disk).
 //! * **Checkpoint journal**: with `--checkpoint-dir`, every merged cell is
 //!   appended to a checksummed jsonl file keyed by `(config_hash, seed)`,
 //!   one record per cell under its list position — the service's one
@@ -44,11 +46,10 @@
 //!   coordinator that falls behind stops draining, the worker's writes
 //!   stall, and the pipeline self-throttles — no unbounded buffering
 //!   anywhere.
-//! * **Admission control**: the job queue is bounded (`--max-pending-jobs`)
-//!   and each client identity is bounded in concurrent jobs and queued
-//!   cells; a submit over any bound gets a clean
-//!   `{"type":"reject","reason":...}` line instead of an unbounded wait,
-//!   observable via `rejected_submits` in later envelopes.
+//! * **Admission control**: the job queue is bounded (`--max-pending-jobs`);
+//!   a submit past the bound gets a clean
+//!   `{"type":"reject","reason":"queue_full"}` line instead of an unbounded
+//!   wait, observable via `rejected_submits` in later envelopes.
 //! * **Deadlines & cancellation**: `submit --job-deadline-ms` expires a
 //!   job that hasn't merged in time, and `rh-cli cancel <id>` kills one
 //!   mid-flight. Either way workers are told to abandon the job's cells
@@ -70,12 +71,12 @@
 //!   the default grid, but up to all six on the DDR4 reference grid, whose
 //!   units each span both patterns (a DDR4-grid table set is 6 MB); the
 //!   merge is slot-addressed, so any width yields byte-identical output.
-//! * **Authentication**: with `--auth-token-file`, worker hellos and
-//!   client sessions must carry a proof derived from the shared token and
-//!   a caller-chosen nonce ([`proto::auth_proof`], compared in constant
-//!   time). Failures are rejected cleanly and counted. Coordinator-spawned
-//!   stdio workers are exempt — the pipe itself is the trust boundary;
-//!   auth guards the TCP front door.
+//!
+//! The TCP listener checks no credentials: anyone who can reach `--listen`
+//! can submit, cancel, or attach a worker (and a worker's results are
+//! merged as they come). Vetting a connection covers only the protocol
+//! version, the config epoch, the first-line deadline and the line bound,
+//! so the listener belongs on loopback or a trusted network.
 
 use crate::cache::ResultCache;
 use crate::engine::RunResult;
@@ -158,18 +159,8 @@ pub struct ServeOptions {
     /// Admission bound: maximum unfinished jobs coordinator-wide; a submit
     /// past it is rejected with reason `queue_full`.
     pub max_pending_jobs: usize,
-    /// Per-client bound on concurrent unfinished jobs (`client_job_quota`).
-    pub max_jobs_per_client: usize,
-    /// Per-client bound on queued (not yet merged) cells across that
-    /// client's unfinished jobs (`client_cell_quota`).
-    pub max_cells_per_client: usize,
-    /// How long a fresh TCP connection gets to produce its first line
-    /// (also the auth-challenge deadline, since the proof rides that
-    /// first line).
+    /// How long a fresh TCP connection gets to produce its first line.
     pub handshake_timeout: Duration,
-    /// Shared secret for worker/client authentication; `None` (default)
-    /// accepts anyone, as before.
-    pub auth_token: Option<String>,
 }
 
 impl Default for ServeOptions {
@@ -187,10 +178,7 @@ impl Default for ServeOptions {
             config_epoch: 0,
             speculate_after: Some(Duration::from_secs(10)),
             max_pending_jobs: 64,
-            max_jobs_per_client: 16,
-            max_cells_per_client: 1_000_000,
             handshake_timeout: Duration::from_secs(10),
-            auth_token: None,
         }
     }
 }
@@ -237,8 +225,9 @@ struct Job {
     duplicate_cells: u64,
     /// Worker name → (the kernel its hello announced, cells contributed).
     workers: BTreeMap<String, (String, u64)>,
-    /// Which client identity admitted this job (quota accounting).
-    client: String,
+    /// Submits waiting on this job: its own plus each coalesced one. The
+    /// last to take the outcome removes the job ([`take_outcome`]).
+    waiters: usize,
     /// Wall-clock bound from `submit --job-deadline-ms`; an unmerged job
     /// past it is expired exactly like a cancel.
     deadline: Option<Instant>,
@@ -278,10 +267,8 @@ struct State {
     rejected_connections: u64,
     /// Workers refused for protocol-version or config-epoch skew.
     rejected_workers: u64,
-    /// Submits refused by admission control or quotas (or client auth).
+    /// Submits refused by admission control.
     rejected_submits: u64,
-    /// Worker hellos and client sessions refused for a bad auth proof.
-    auth_failures: u64,
     /// Jobs canceled by a client, an expired deadline, or a fault plan.
     cancelled_jobs: u64,
     /// Coordinator-lifetime merged-cell count (drives the
@@ -309,7 +296,6 @@ impl State {
             rejected_connections: 0,
             rejected_workers: 0,
             rejected_submits: 0,
-            auth_failures: 0,
             cancelled_jobs: 0,
             merged_cells_total: 0,
             shutting_down: false,
@@ -337,14 +323,8 @@ struct Inner {
     speculate_after: Option<Duration>,
     /// Admission bound on unfinished jobs coordinator-wide.
     max_pending_jobs: usize,
-    /// Per-client concurrent-job quota.
-    max_jobs_per_client: usize,
-    /// Per-client queued-cell quota.
-    max_cells_per_client: usize,
-    /// First-line (and auth-challenge) deadline for TCP connections.
+    /// First-line deadline for TCP connections.
     handshake_timeout: Duration,
-    /// Shared secret; `None` accepts unauthenticated peers.
-    auth_token: Option<String>,
     /// Coordinator-side `slow-client` fault: injected latency before each
     /// client reply.
     slow_client_delay: Option<Duration>,
@@ -377,10 +357,7 @@ impl Coordinator {
             fallback_after: opts.fallback_after,
             speculate_after: opts.speculate_after,
             max_pending_jobs: opts.max_pending_jobs.max(1),
-            max_jobs_per_client: opts.max_jobs_per_client.max(1),
-            max_cells_per_client: opts.max_cells_per_client.max(1),
             handshake_timeout: opts.handshake_timeout,
-            auth_token: opts.auth_token.clone(),
             slow_client_delay: opts.fault_plan.slow_client_delay(),
             cancel_after_cells: opts.fault_plan.cancel_after_cells(),
         });
@@ -495,32 +472,22 @@ impl Coordinator {
     }
 
     /// Submit one config and block until its envelope is ready (cache hit,
-    /// coalesced onto an in-flight twin, or executed). The in-process
-    /// caller is the `local` client identity with no deadline; rejections
-    /// surface as plain errors here.
+    /// coalesced onto an in-flight twin, or executed), with no deadline;
+    /// rejections surface as plain errors here.
     pub fn submit(&self, id: Option<String>, cfg: &SweepConfig) -> Result<ResultEnvelope, String> {
-        self.submit_detailed(id, cfg, "local", None)
+        self.submit_detailed(id, cfg, None)
             .map_err(SubmitError::into_message)
     }
 
-    /// [`Coordinator::submit`] with an explicit client identity and
-    /// optional deadline, distinguishing admission rejections from
-    /// execution failures.
+    /// [`Coordinator::submit`] with an optional deadline, distinguishing
+    /// admission rejections from execution failures.
     pub fn submit_detailed(
         &self,
         id: Option<String>,
         cfg: &SweepConfig,
-        client: &str,
         deadline_ms: Option<u64>,
     ) -> Result<ResultEnvelope, SubmitError> {
-        Inner::submit(&self.inner, id, cfg, client, deadline_ms)
-    }
-
-    /// Cancel a named in-flight job: queued leases are dropped, waiters get
-    /// an error, checkpointed cells survive for a later resubmit. Returns
-    /// false for unknown/finished ids.
-    pub fn cancel(&self, id: &str) -> bool {
-        cancel_by_name(&self.inner, id)
+        Inner::submit(&self.inner, id, cfg, deadline_ms)
     }
 
     /// Lifetime cache hits (the observable served-from-cache counter).
@@ -575,22 +542,13 @@ impl Coordinator {
             .count() as u64
     }
 
-    /// Submits refused by admission control, quotas, or client auth.
+    /// Submits refused by admission control.
     pub fn rejected_submits(&self) -> u64 {
         self.inner
             .state
             .lock()
             .expect("coordinator lock")
             .rejected_submits
-    }
-
-    /// Worker hellos and client sessions refused for a bad auth proof.
-    pub fn auth_failures(&self) -> u64 {
-        self.inner
-            .state
-            .lock()
-            .expect("coordinator lock")
-            .auth_failures
     }
 
     /// Jobs canceled by a client, an expired deadline, or a fault plan.
@@ -667,13 +625,12 @@ impl Drop for Coordinator {
     }
 }
 
-/// How a submit failed: refused at the door (admission control, quota,
-/// auth — the wire's `{"type":"reject"}` line), or admitted but failed to
-/// execute (the wire's `{"type":"error"}` line).
+/// How a submit failed: refused at the door by admission control (the
+/// wire's `{"type":"reject"}` line), or admitted but failed to execute (the
+/// wire's `{"type":"error"}` line).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SubmitError {
-    /// Machine-readable rejection reason (`queue_full`,
-    /// `client_job_quota`, `client_cell_quota`, `auth_failed`).
+    /// Machine-readable rejection reason (`queue_full`).
     Rejected(String),
     Failed(String),
 }
@@ -694,7 +651,6 @@ impl Inner {
         inner: &Arc<Inner>,
         id: Option<String>,
         cfg: &SweepConfig,
-        client: &str,
         deadline_ms: Option<u64>,
     ) -> Result<ResultEnvelope, SubmitError> {
         let key = proto::config_key(cfg);
@@ -716,73 +672,45 @@ impl Inner {
             return Ok(envelope(&id, key, &st, stats, document));
         }
 
-        // 2. Coalesce onto an identical in-flight job.
+        // 2. Coalesce onto an identical in-flight job, as one more of its
+        //    waiters, and serve the primary's document. It counts as a
+        //    cache hit (the primary put the document in the cache, though
+        //    another may have evicted it since), plus the coalesced marker.
         if let Some(&primary) = st.inflight.get(&key) {
-            loop {
-                let outcome = st
-                    .jobs
-                    .get(&primary)
-                    .and_then(|j| j.done.clone())
-                    .or_else(|| {
-                        st.shutting_down
-                            .then(|| Err("coordinator shutting down".into()))
-                    });
-                match outcome {
-                    Some(Ok(_)) => {
-                        // Served from the cache the primary just filled — a
-                        // real cache hit, plus the coalesced marker.
-                        let document = st
-                            .cache
-                            .get(key)
-                            .expect("primary job inserts before completing");
-                        let stats = EnvStats {
-                            served_from_cache: true,
-                            coalesced: true,
-                            ..EnvStats::default()
-                        };
-                        return Ok(envelope(&id, key, &st, stats, document));
-                    }
-                    Some(Err(e)) => return Err(SubmitError::Failed(e)),
-                    None => st = inner.done.wait(st).expect("coordinator lock"),
-                }
+            st.jobs
+                .get_mut(&primary)
+                .expect("an in-flight job is held")
+                .waiters += 1;
+            while st.jobs[&primary].done.is_none() {
+                st = inner.done.wait(st).expect("coordinator lock");
             }
+            let document = take_outcome(&mut st, primary).map_err(SubmitError::Failed)?;
+            st.cache.count_hit();
+            let stats = EnvStats {
+                served_from_cache: true,
+                coalesced: true,
+                ..EnvStats::default()
+            };
+            return Ok(envelope(&id, key, &st, stats, document));
         }
 
         // 3. Admission control. Only genuinely new work is gated: cache
-        //    hits and coalesced waits above cost no worker time. Reasons
-        //    are machine-readable — they travel the wire as
-        //    `{"type":"reject","reason":...}`.
-        let job_cells = cells.len();
-        let pending = st.jobs.values().filter(|j| j.done.is_none());
-        let (mut total, mut mine, mut my_cells) = (0usize, 0usize, 0usize);
-        for job in pending {
-            total += 1;
-            if job.client == client {
-                mine += 1;
-                my_cells += job.remaining;
-            }
-        }
-        let refused = if total >= inner.max_pending_jobs {
-            Some("queue_full")
-        } else if mine >= inner.max_jobs_per_client {
-            Some("client_job_quota")
-        } else if my_cells + job_cells > inner.max_cells_per_client {
-            Some("client_cell_quota")
-        } else {
-            None
-        };
-        if let Some(reason) = refused {
+        //    hits and coalesced waits above cost no worker time. The reason
+        //    is machine-readable — it travels the wire as
+        //    `{"type":"reject","reason":"queue_full"}`.
+        let pending = st.jobs.values().filter(|j| j.done.is_none()).count();
+        if pending >= inner.max_pending_jobs {
             st.rejected_submits += 1;
-            eprintln!("rh-serve: rejecting submit '{id}' from {client}: {reason}");
-            return Err(SubmitError::Rejected(reason.to_string()));
+            eprintln!("rh-serve: rejecting submit '{id}': queue_full");
+            return Err(SubmitError::Rejected("queue_full".to_string()));
         }
 
         // 4. New job.
         let job_id = st.next_job;
         st.next_job += 1;
         let mut job = Job {
-            slots: vec![None; job_cells],
-            remaining: job_cells,
+            slots: vec![None; cells.len()],
+            remaining: cells.len(),
             plan: Arc::clone(&plan),
             key,
             executed_cells: 0,
@@ -791,7 +719,7 @@ impl Inner {
             speculations: 0,
             duplicate_cells: 0,
             workers: BTreeMap::new(),
-            client: client.to_string(),
+            waiters: 1,
             deadline: deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms)),
             admitted_at: Instant::now(),
             queue_wait_ms: None,
@@ -802,8 +730,8 @@ impl Inner {
         }
 
         if job.remaining == 0 {
-            // Fully restored from the journal: no worker needed at all.
-            job.queue_wait_ms = Some(0);
+            // Fully restored from the journal: no worker needed, and
+            // nothing to hold — the job is never inserted.
             let document = finalize_document(&job);
             st.cache.put(key, document.clone());
             let stats = EnvStats {
@@ -811,10 +739,6 @@ impl Inner {
                 checkpoint_skipped: job.checkpoint_skipped,
                 ..EnvStats::default()
             };
-            job.done = Some(Ok(document.clone()));
-            st.jobs.insert(job_id, job);
-            st.named.insert(id.clone(), job_id);
-            inner.done.notify_all();
             return Ok(envelope(&id, key, &st, stats, document));
         }
 
@@ -869,68 +793,78 @@ impl Inner {
         let started = Instant::now();
         let job_deadline = st.jobs[&job_id].deadline;
         loop {
-            let outcome = st.jobs.get(&job_id).and_then(|j| j.done.clone());
-            match outcome {
-                Some(Ok(document)) => {
-                    let stats = EnvStats::from_job(&st.jobs[&job_id]);
-                    return Ok(envelope(&id, key, &st, stats, document));
+            if st.jobs[&job_id].done.is_some() {
+                let stats = EnvStats::from_job(&st.jobs[&job_id]);
+                let document = take_outcome(&mut st, job_id).map_err(SubmitError::Failed)?;
+                return Ok(envelope(&id, key, &st, stats, document));
+            }
+            if let Some(dl) = job_deadline {
+                if Instant::now() >= dl {
+                    cancel_job(
+                        inner,
+                        &mut st,
+                        job_id,
+                        &format!("job '{id}' deadline expired"),
+                    );
+                    continue;
                 }
-                Some(Err(e)) => return Err(SubmitError::Failed(e)),
-                None => {
-                    if let Some(dl) = job_deadline {
-                        if Instant::now() >= dl {
-                            cancel_job(
-                                inner,
-                                &mut st,
-                                job_id,
-                                &format!("job '{id}' deadline expired"),
-                            );
-                            continue;
-                        }
-                    }
-                    if let Some(deadline) = inner.fallback_after {
-                        if st.live_workers == 0 && started.elapsed() >= deadline {
-                            let mine: Vec<Lease> = st
-                                .queue
-                                .iter()
-                                .filter(|l| l.job == job_id)
-                                .cloned()
-                                .collect();
-                            if !mine.is_empty() {
-                                st.queue.retain(|l| l.job != job_id);
-                                eprintln!(
-                                    "rh-serve: no live worker after {deadline:?}; \
-                                     executing job {job_id} in-process"
-                                );
-                                drop(st);
-                                run_leases_in_process(inner, &mine);
-                                st = inner.state.lock().expect("coordinator lock");
-                                continue;
-                            }
-                        }
-                        st = inner
-                            .done
-                            .wait_timeout(st, FALLBACK_TICK)
-                            .expect("coordinator lock")
-                            .0;
-                    } else if let Some(dl) = job_deadline {
-                        // Bounded wait: nothing notifies on wall-clock
-                        // expiry, so sleep at most up to the deadline.
-                        let left = dl
-                            .saturating_duration_since(Instant::now())
-                            .max(Duration::from_millis(1));
-                        st = inner
-                            .done
-                            .wait_timeout(st, left)
-                            .expect("coordinator lock")
-                            .0;
-                    } else {
-                        st = inner.done.wait(st).expect("coordinator lock");
+            }
+            if let Some(deadline) = inner.fallback_after {
+                if st.live_workers == 0 && started.elapsed() >= deadline {
+                    let mine: Vec<Lease> = st
+                        .queue
+                        .iter()
+                        .filter(|l| l.job == job_id)
+                        .cloned()
+                        .collect();
+                    if !mine.is_empty() {
+                        st.queue.retain(|l| l.job != job_id);
+                        eprintln!(
+                            "rh-serve: no live worker after {deadline:?}; \
+                             executing job {job_id} in-process"
+                        );
+                        drop(st);
+                        run_leases_in_process(inner, &mine);
+                        st = inner.state.lock().expect("coordinator lock");
+                        continue;
                     }
                 }
+                st = inner
+                    .done
+                    .wait_timeout(st, FALLBACK_TICK)
+                    .expect("coordinator lock")
+                    .0;
+            } else if let Some(dl) = job_deadline {
+                // Bounded wait: nothing notifies on wall-clock expiry, so
+                // sleep at most up to the deadline.
+                let left = dl
+                    .saturating_duration_since(Instant::now())
+                    .max(Duration::from_millis(1));
+                st = inner
+                    .done
+                    .wait_timeout(st, left)
+                    .expect("coordinator lock")
+                    .0;
+            } else {
+                st = inner.done.wait(st).expect("coordinator lock");
             }
         }
     }
+}
+
+/// One waiter on a finished job takes its outcome. The last waiter removes
+/// the job from the job table and the name map, so a served job's slots,
+/// plan and document never outlive the submits that wait on it (the
+/// document lives on in the result cache); earlier waiters take a copy.
+fn take_outcome(st: &mut State, job_id: u64) -> JobOutcome {
+    let job = st.jobs.get_mut(&job_id).expect("a waiter holds its job");
+    job.waiters -= 1;
+    if job.waiters > 0 {
+        return job.done.clone().expect("the job is finished");
+    }
+    st.named.retain(|_, j| *j != job_id);
+    let job = st.jobs.remove(&job_id).expect("a waiter holds its job");
+    job.done.expect("the job is finished")
 }
 
 /// Per-job statistics carried into a response envelope.
@@ -995,7 +929,6 @@ fn envelope(
         queue_depth: st.jobs.values().filter(|j| j.done.is_none()).count() as u64,
         queue_wait_ms: stats.queue_wait_ms,
         rejected_submits: st.rejected_submits,
-        auth_failures: st.auth_failures,
         cancelled_jobs: st.cancelled_jobs,
         workers: stats.workers,
         document,
@@ -1298,20 +1231,9 @@ fn worker_handler<R: BufRead, W: Write>(
                 kernel,
                 proto_version,
                 config_epoch,
-                auth_nonce,
-                auth_proof,
                 ..
             }) => {
-                if !vet_worker(
-                    inner,
-                    name,
-                    proto_version,
-                    config_epoch,
-                    auth_nonce,
-                    auth_proof.as_deref(),
-                    &mut writer,
-                    local,
-                ) {
+                if !vet_worker(inner, name, proto_version, config_epoch, &mut writer, local) {
                     return;
                 }
                 kernel
@@ -1333,25 +1255,19 @@ fn worker_handler<R: BufRead, W: Write>(
     worker_session(inner, name, &kernel, &mut reader, &mut writer, local);
 }
 
-/// Vet a worker hello against this coordinator's protocol version, config
-/// epoch, and (for TCP-attached workers) the shared auth token. A mismatch
-/// gets a terminal `reject` line (so the worker exits instead of
-/// retrying), a log line, and a counter bump — and, for a locally-spawned
-/// worker, fails coordinator startup, since a local pool that can never
-/// attach is a configuration error. Local stdio workers skip the auth
-/// check: the coordinator spawned them itself over a private pipe.
-#[allow(clippy::too_many_arguments)]
+/// Vet a worker hello against this coordinator's protocol version and
+/// config epoch. A mismatch gets a terminal `reject` line (so the worker
+/// exits instead of retrying), a log line, and a counter bump — and, for a
+/// locally-spawned worker, fails coordinator startup, since a local pool
+/// that can never attach is a configuration error.
 fn vet_worker<W: Write>(
     inner: &Arc<Inner>,
     name: &str,
     proto_version: u64,
     config_epoch: u64,
-    auth_nonce: u64,
-    auth_proof: Option<&str>,
     writer: &mut W,
     local: bool,
 ) -> bool {
-    let mut auth_failed = false;
     let reason = if proto_version != PROTO_VERSION {
         Some(format!(
             "protocol version {proto_version} does not match coordinator version {PROTO_VERSION}"
@@ -1361,14 +1277,6 @@ fn vet_worker<W: Write>(
             "config epoch {config_epoch} does not match coordinator epoch {}",
             inner.config_epoch
         ))
-    } else if let Some(token) = inner.auth_token.as_ref().filter(|_| !local) {
-        let expected = proto::auth_proof(token, auth_nonce);
-        if auth_proof.is_some_and(|p| proto::constant_time_eq(p, &expected)) {
-            None
-        } else {
-            auth_failed = true;
-            Some("auth proof missing or invalid".to_string())
-        }
     } else {
         None
     };
@@ -1376,13 +1284,11 @@ fn vet_worker<W: Write>(
         return true;
     };
     eprintln!("rh-serve: rejecting worker {name}: {reason}");
-    {
-        let mut st = inner.state.lock().expect("coordinator lock");
-        st.rejected_workers += 1;
-        if auth_failed {
-            st.auth_failures += 1;
-        }
-    }
+    inner
+        .state
+        .lock()
+        .expect("coordinator lock")
+        .rejected_workers += 1;
     let _ = write_line(
         writer,
         &ToWorker::Reject {
@@ -1424,8 +1330,10 @@ fn worker_session<R: BufRead, W: Write>(
     let mut leased: HashSet<u64> = HashSet::new();
 
     loop {
-        // Dequeue one live lease (or exit on shutdown).
-        let lease = {
+        // Dequeue one live lease and its config (or exit on shutdown). The
+        // config is read under the lock that found the job live: a
+        // finished job leaves the table once its submit has its outcome.
+        let (lease, config) = {
             let mut st = inner.state.lock().expect("coordinator lock");
             loop {
                 if st.shutting_down {
@@ -1436,24 +1344,21 @@ fn worker_session<R: BufRead, W: Write>(
                     return;
                 }
                 match st.queue.pop_front() {
-                    Some(lease) => {
-                        let alive = st.jobs.get(&lease.job).is_some_and(|j| j.done.is_none());
-                        if alive {
-                            break lease;
+                    Some(lease) => match st.jobs.get(&lease.job) {
+                        Some(job) if job.done.is_none() => {
+                            let config = job.plan.config.clone();
+                            break (lease, config);
                         }
                         // Lease of a canceled/failed job: discard, keep looking.
-                    }
+                        _ => {}
+                    },
                     None => st = inner.work.wait(st).expect("coordinator lock"),
                 }
             }
         };
 
-        // Materialize the wire lease outside the lock (configs are small,
-        // but writes can block on back-pressure).
-        let config = inner.state.lock().expect("coordinator lock").jobs[&lease.job]
-            .plan
-            .config
-            .clone();
+        // Write the wire lease outside the lock: writes can block on
+        // back-pressure.
         let msg = ToWorker::Shard {
             job: lease.job,
             shard: lease.shard,
@@ -1530,10 +1435,12 @@ fn worker_session<R: BufRead, W: Write>(
                     }
                     let mut st = inner.state.lock().expect("coordinator lock");
                     record_cell(inner, &mut st, name, kernel, job, shard, index, result);
-                    // A cell for a canceled/expired/failed job means the
-                    // worker is still burning cells it can't use: tell it
-                    // to abandon the job mid-shard. The worker acks and
-                    // drops the rest of the lease — never requeued.
+                    // A cell for a canceled/expired/failed job, or for one
+                    // that finished and left the table (a straggler behind
+                    // its speculative twin), means the worker is burning
+                    // cells nobody can use: tell it to abandon the job
+                    // mid-shard. The worker acks and drops the rest of the
+                    // lease — never requeued.
                     let dead = st
                         .jobs
                         .get(&job)
@@ -1834,9 +1741,7 @@ fn accept_loop(inner: &Arc<Inner>, listener: &TcpListener) {
                 .map(|a| a.to_string())
                 .unwrap_or_else(|_| "unknown".to_string());
             // `--handshake-timeout-ms`: a connect-and-say-nothing peer must
-            // not pin a thread forever, and an authenticated first line
-            // (the proof rides the hello) must arrive within the same
-            // deadline.
+            // not pin a thread forever.
             let _ = stream.set_read_timeout(Some(inner.handshake_timeout));
             let Ok(read_half) = stream.try_clone() else {
                 return;
@@ -1887,27 +1792,16 @@ fn route_first<R: BufRead, W: Write>(
                 kernel,
                 proto_version,
                 config_epoch,
-                auth_nonce,
-                auth_proof,
                 ..
             }) => {
-                if vet_worker(
-                    inner,
-                    &name,
-                    proto_version,
-                    config_epoch,
-                    auth_nonce,
-                    auth_proof.as_deref(),
-                    writer,
-                    false,
-                ) {
+                if vet_worker(inner, &name, proto_version, config_epoch, writer, false) {
                     worker_session(inner, &name, &kernel, reader, writer, false);
                 }
             }
             _ => reject_connection(inner, peer, writer, "malformed worker hello"),
         }
     } else if parsed.is_ok() {
-        client_session(inner, peer, first, reader, writer);
+        client_session(inner, first, reader, writer);
     } else {
         reject_connection(inner, peer, writer, "first line is not a protocol message");
     }
@@ -1924,100 +1818,58 @@ fn reject_connection<W: Write>(inner: &Arc<Inner>, peer: &str, writer: &mut W, w
     let _ = write_line(writer, &encode_error("", why));
 }
 
-/// One client connection: handle its first line, then every further line
+/// One client connection: answer its first line, then every further line
 /// until EOF. Submits run to completion in order; a bad line yields an
-/// error envelope, not a dropped connection. When the coordinator holds an
-/// auth token, the session must open with a valid `client_hello` —
-/// anything else gets `{"type":"reject","reason":"auth_failed"}` and the
-/// connection is closed.
+/// error envelope, not a dropped connection.
 fn client_session<R: BufRead, W: Write>(
     inner: &Arc<Inner>,
-    peer: &str,
     first: &str,
     reader: &mut R,
     writer: &mut W,
 ) {
-    // Client identity for quota accounting: the peer IP (not IP:port — a
-    // client opening many connections is still one client). In-memory
-    // test transports pass a plain label through unchanged.
-    let client = peer.rsplit_once(':').map_or(peer, |(host, _)| host);
-    let mut authed = inner.auth_token.is_none();
-    let mut line = first.to_string();
+    let mut reply = client_reply(inner, first);
     loop {
-        let mut hangup = false;
-        let reply = match ClientMsg::decode(&line) {
-            Ok(ClientMsg::Hello {
-                auth_nonce,
-                auth_proof,
-            }) => match &inner.auth_token {
-                Some(token)
-                    if proto::constant_time_eq(
-                        &auth_proof,
-                        &proto::auth_proof(token, auth_nonce),
-                    ) =>
-                {
-                    authed = true;
-                    "{\"type\":\"hello_ok\"}".to_string()
-                }
-                Some(_) => {
-                    let mut st = inner.state.lock().expect("coordinator lock");
-                    st.auth_failures += 1;
-                    eprintln!("rh-serve: rejecting client {peer}: bad auth proof");
-                    hangup = true;
-                    proto::encode_reject("auth_failed")
-                }
-                // No token required: the hello is a harmless ping.
-                None => "{\"type\":\"hello_ok\"}".to_string(),
-            },
-            Ok(ClientMsg::Submit { .. }) | Ok(ClientMsg::Cancel { .. }) if !authed => {
-                let mut st = inner.state.lock().expect("coordinator lock");
-                st.auth_failures += 1;
-                st.rejected_submits += 1;
-                eprintln!("rh-serve: rejecting client {peer}: not authenticated");
-                hangup = true;
-                proto::encode_reject("auth_failed")
-            }
-            Ok(ClientMsg::Submit {
-                id,
-                config,
-                deadline_ms,
-            }) => {
-                let label = id.clone().unwrap_or_default();
-                match Inner::submit(inner, id, &config, client, deadline_ms) {
-                    Ok(env) => env.encode(),
-                    Err(SubmitError::Rejected(reason)) => proto::encode_reject(&reason),
-                    Err(SubmitError::Failed(e)) => encode_error(&label, &e),
-                }
-            }
-            Ok(ClientMsg::Cancel { id }) => {
-                let canceled = cancel_by_name(inner, &id);
-                format!(
-                    "{{\"type\":\"cancel_ack\",\"id\":{},\"canceled\":{canceled}}}",
-                    proto::jstr(&id)
-                )
-            }
-            Err(e) => encode_error("", &e),
-        };
         // `slow-client` chaos arm: a client that drains replies slowly.
         // Injected coordinator-side so the latency (and the back-pressure
         // it creates) is deterministic under test.
         if let Some(delay) = inner.slow_client_delay {
             std::thread::sleep(delay);
         }
-        if write_line(writer, &reply).is_err() || hangup {
+        if write_line(writer, &reply).is_err() {
             return;
         }
-        line = loop {
-            match read_line_bounded(reader, MAX_LINE_BYTES) {
-                Ok(Some(Line::Text(next))) => break next,
-                Ok(Some(Line::TooLong)) => {
-                    if write_line(writer, &encode_error("", &line_too_long())).is_err() {
-                        return;
-                    }
-                }
-                _ => return,
-            }
+        reply = match read_line_bounded(reader, MAX_LINE_BYTES) {
+            Ok(Some(Line::Text(next))) => client_reply(inner, &next),
+            Ok(Some(Line::TooLong)) => encode_error("", &line_too_long()),
+            _ => return,
         };
+    }
+}
+
+/// The reply to one client line, over TCP or stdin: a submit's envelope
+/// (or its reject or error line), a cancel's acknowledgement, and
+/// `hello_ok` for a hello, whose fields are ignored.
+fn client_reply(inner: &Arc<Inner>, line: &str) -> String {
+    match ClientMsg::decode(line) {
+        Ok(ClientMsg::Hello { .. }) => "{\"type\":\"hello_ok\"}".to_string(),
+        Ok(ClientMsg::Submit {
+            id,
+            config,
+            deadline_ms,
+        }) => {
+            let label = id.clone().unwrap_or_default();
+            match Inner::submit(inner, id, &config, deadline_ms) {
+                Ok(env) => env.encode(),
+                Err(SubmitError::Rejected(reason)) => proto::encode_reject(&reason),
+                Err(SubmitError::Failed(e)) => encode_error(&label, &e),
+            }
+        }
+        Ok(ClientMsg::Cancel { id }) => format!(
+            "{{\"type\":\"cancel_ack\",\"id\":{},\"canceled\":{}}}",
+            proto::jstr(&id),
+            cancel_by_name(inner, &id)
+        ),
+        Err(e) => encode_error("", &e),
     }
 }
 
@@ -2081,35 +1933,9 @@ pub fn run_serve(opts: ServeOptions) -> Result<(), String> {
     while let Some(line) =
         read_line_bounded(&mut reader, MAX_LINE_BYTES).map_err(|e| format!("stdin: {e}"))?
     {
-        let Line::Text(line) = line else {
-            let reply = encode_error("", &line_too_long());
-            write_line(&mut stdout, &reply).map_err(|e| format!("stdout: {e}"))?;
-            continue;
-        };
-        let reply = match ClientMsg::decode(&line) {
-            Ok(ClientMsg::Submit {
-                id,
-                config,
-                deadline_ms,
-            }) => {
-                let label = id.clone().unwrap_or_default();
-                match coordinator.submit_detailed(id, &config, "stdin", deadline_ms) {
-                    Ok(env) => env.encode(),
-                    Err(SubmitError::Rejected(reason)) => proto::encode_reject(&reason),
-                    Err(SubmitError::Failed(e)) => encode_error(&label, &e),
-                }
-            }
-            Ok(ClientMsg::Cancel { id }) => {
-                let canceled = coordinator.cancel(&id);
-                format!(
-                    "{{\"type\":\"cancel_ack\",\"id\":{},\"canceled\":{canceled}}}",
-                    proto::jstr(&id)
-                )
-            }
-            // The stdin operator started this process; auth guards the
-            // TCP front door, so a local hello is just acknowledged.
-            Ok(ClientMsg::Hello { .. }) => "{\"type\":\"hello_ok\"}".to_string(),
-            Err(e) => encode_error("", &e),
+        let reply = match line {
+            Line::Text(line) => client_reply(&coordinator.inner, &line),
+            Line::TooLong => encode_error("", &line_too_long()),
         };
         write_line(&mut stdout, &reply).map_err(|e| format!("stdout: {e}"))?;
     }
@@ -2129,9 +1955,6 @@ pub struct SubmitOptions {
     /// `--job-deadline-ms`: stamped onto every submitted config so the
     /// coordinator expires jobs that outlive it.
     pub deadline_ms: Option<u64>,
-    /// Shared secret (`--auth-token-file`): the session opens with an
-    /// authenticated `client_hello` before any submit.
-    pub auth_token: Option<String>,
 }
 
 /// Connect to the coordinator, bounded by `timeout` when one is set (the
@@ -2160,40 +1983,6 @@ fn connect_coordinator(connect: &str, timeout: Option<Duration>) -> Result<TcpSt
     Err(last)
 }
 
-/// Open a client session with an authenticated `client_hello` and wait for
-/// the coordinator's `hello_ok`; a reject fails the whole invocation
-/// before any work is sent.
-fn client_auth_handshake<R: BufRead, W: Write>(
-    reader: &mut R,
-    writer: &mut W,
-    token: &str,
-) -> Result<(), String> {
-    let nonce = rh_core::SplitMix64::new(rh_core::derive_seed(
-        0xC11E_47E5,
-        &[u64::from(std::process::id())],
-    ))
-    .next_u64();
-    let hello = ClientMsg::Hello {
-        auth_nonce: nonce,
-        auth_proof: proto::auth_proof(token, nonce),
-    };
-    write_line(writer, &hello.encode()).map_err(|e| format!("send hello: {e}"))?;
-    let reply = read_line(reader)
-        .map_err(|e| format!("recv hello_ok: {e}"))?
-        .ok_or("coordinator closed the connection during auth")?;
-    let v = proto::parse(&reply)?;
-    match v.get("type").and_then(proto::Value::as_str) {
-        Some("hello_ok") => Ok(()),
-        Some("reject") => Err(format!(
-            "authentication rejected: {}",
-            v.get("reason")
-                .and_then(proto::Value::as_str)
-                .unwrap_or("unknown reason")
-        )),
-        _ => Err(format!("unexpected auth reply: {reply}")),
-    }
-}
-
 /// `rh-cli submit`: read config lines from stdin, send each to the
 /// coordinator at `--connect`, print each returned **document** verbatim on
 /// stdout (so output byte-diffs directly against `rh-cli sweep`) with the
@@ -2206,14 +1995,6 @@ pub fn run_submit(opts: &SubmitOptions) -> Result<(), String> {
             .map_err(|e| format!("clone stream: {e}"))?,
     );
     let mut writer = stream;
-
-    // Authenticate first when a token was given: one client_hello carrying
-    // a seeded nonce and the shared-secret proof, answered by hello_ok (or
-    // a reject, which fails the whole run before any config is sent).
-    if let Some(token) = &opts.auth_token {
-        client_auth_handshake(&mut reader, &mut writer, token)?;
-    }
-
     let stdin = std::io::stdin();
     let mut input = stdin.lock();
     while let Some(line) = read_line(&mut input).map_err(|e| format!("stdin: {e}"))? {
@@ -2254,8 +2035,8 @@ pub fn run_submit(opts: &SubmitOptions) -> Result<(), String> {
         eprintln!(
             "rh-submit: id={} hash={:#018x} seed={} cached={} coalesced={} cache_hits={} \
              executed={} checkpointed={} ckpt_skipped={} speculations={} duplicates={} \
-             evictions={} queue_depth={} queue_wait_ms={} rejected={} auth_failures={} \
-             cancelled={} workers={}",
+             evictions={} queue_depth={} queue_wait_ms={} rejected={} cancelled={} \
+             workers={}",
             env.id,
             env.config_hash,
             env.seed,
@@ -2271,7 +2052,6 @@ pub fn run_submit(opts: &SubmitOptions) -> Result<(), String> {
             env.queue_depth,
             env.queue_wait_ms,
             env.rejected_submits,
-            env.auth_failures,
             env.cancelled_jobs,
             env.workers
                 .iter()
@@ -2294,7 +2074,6 @@ pub struct CancelOptions {
     /// The job id to cancel (the `id` given at submit time).
     pub id: String,
     pub timeout: Option<Duration>,
-    pub auth_token: Option<String>,
 }
 
 /// `rh-cli cancel`: ask the coordinator to kill one in-flight job. Exits
@@ -2308,9 +2087,6 @@ pub fn run_cancel(opts: &CancelOptions) -> Result<(), String> {
             .map_err(|e| format!("clone stream: {e}"))?,
     );
     let mut writer = stream;
-    if let Some(token) = &opts.auth_token {
-        client_auth_handshake(&mut reader, &mut writer, token)?;
-    }
     let msg = ClientMsg::Cancel {
         id: opts.id.clone(),
     };
@@ -2327,12 +2103,6 @@ pub fn run_cancel(opts: &CancelOptions) -> Result<(), String> {
             }
             _ => Err(format!("job '{}' is unknown or already finished", opts.id)),
         },
-        Some("reject") => Err(format!(
-            "cancel rejected: {}",
-            v.get("reason")
-                .and_then(proto::Value::as_str)
-                .unwrap_or("unknown reason")
-        )),
         _ => Err(format!("unexpected cancel reply: {reply}")),
     }
 }
@@ -2372,29 +2142,10 @@ mod tests {
             fallback_after: None,
             speculate_after: None,
             max_pending_jobs: usize::MAX,
-            max_jobs_per_client: usize::MAX,
-            max_cells_per_client: usize::MAX,
             handshake_timeout: Duration::from_secs(10),
-            auth_token: None,
             slow_client_delay: None,
             cancel_after_cells: None,
         }
-    }
-
-    /// [`test_inner`] with admission/auth knobs for the job-manager tests.
-    fn test_inner_custom(
-        auth_token: Option<String>,
-        max_pending_jobs: usize,
-        max_jobs_per_client: usize,
-        max_cells_per_client: usize,
-    ) -> Arc<Inner> {
-        Arc::new(Inner {
-            max_pending_jobs,
-            max_jobs_per_client,
-            max_cells_per_client,
-            auth_token,
-            ..bare_inner()
-        })
     }
 
     /// A fresh, empty job for `cfg` under `key`.
@@ -2412,7 +2163,7 @@ mod tests {
             speculations: 0,
             duplicate_cells: 0,
             workers: BTreeMap::new(),
-            client: "test-client".to_string(),
+            waiters: 1,
             deadline: None,
             admitted_at: Instant::now(),
             queue_wait_ms: None,
@@ -2502,8 +2253,6 @@ mod tests {
                     pid: 1,
                     proto_version: PROTO_VERSION + 1,
                     config_epoch: 0,
-                    auth_nonce: 0,
-                    auth_proof: None,
                 },
                 "protocol version",
             ),
@@ -2513,8 +2262,6 @@ mod tests {
                     pid: 1,
                     proto_version: PROTO_VERSION,
                     config_epoch: 3,
-                    auth_nonce: 0,
-                    auth_proof: None,
                 },
                 "config epoch",
             ),
@@ -2808,11 +2555,14 @@ mod tests {
 
     #[test]
     fn admission_rejects_past_the_queue_bound() {
-        let inner = test_inner_custom(None, 1, usize::MAX, usize::MAX);
+        let inner = Arc::new(Inner {
+            max_pending_jobs: 1,
+            ..bare_inner()
+        });
         let cfg = small_config();
         // One unfinished job occupies the whole queue.
         seed_job(&inner, &cfg);
-        match Inner::submit(&inner, Some("late".into()), &cfg, "someone-else", None) {
+        match Inner::submit(&inner, Some("late".into()), &cfg, None) {
             Err(SubmitError::Rejected(reason)) => assert_eq!(reason, "queue_full"),
             other => panic!("expected a queue_full reject, got {other:?}"),
         }
@@ -2822,33 +2572,13 @@ mod tests {
     }
 
     #[test]
-    fn per_client_quotas_reject_with_distinct_reasons() {
-        // Job quota: the seeded job already belongs to "test-client".
-        let inner = test_inner_custom(None, usize::MAX, 1, usize::MAX);
-        let cfg = small_config();
-        seed_job(&inner, &cfg);
-        match Inner::submit(&inner, None, &cfg, "test-client", None) {
-            Err(SubmitError::Rejected(reason)) => assert_eq!(reason, "client_job_quota"),
-            other => panic!("expected a client_job_quota reject, got {other:?}"),
-        }
-
-        // Cell quota: this 2-cell job alone exceeds a 1-cell allowance.
-        let inner = test_inner_custom(None, usize::MAX, usize::MAX, 1);
-        match Inner::submit(&inner, None, &cfg, "fresh-client", None) {
-            Err(SubmitError::Rejected(reason)) => assert_eq!(reason, "client_cell_quota"),
-            other => panic!("expected a client_cell_quota reject, got {other:?}"),
-        }
-        assert_eq!(inner.state.lock().unwrap().rejected_submits, 1);
-    }
-
-    #[test]
     fn deadline_expiry_cancels_the_job_and_fails_the_submit() {
         // No workers and no fallback: the job can only end via its
         // deadline, enforced by the waiting thread itself.
         let inner = test_inner();
         let cfg = small_config();
         let t0 = Instant::now();
-        let err = Inner::submit(&inner, Some("dl".into()), &cfg, "local", Some(60))
+        let err = Inner::submit(&inner, Some("dl".into()), &cfg, Some(60))
             .expect_err("the deadline must expire");
         assert!(t0.elapsed() >= Duration::from_millis(60));
         match err {
@@ -2949,7 +2679,7 @@ mod tests {
         let submitter = {
             let inner = Arc::clone(inner);
             let cfg = cfg.clone();
-            std::thread::spawn(move || Inner::submit(&inner, Some("split".into()), &cfg, "t", None))
+            std::thread::spawn(move || Inner::submit(&inner, Some("split".into()), &cfg, None))
         };
         let queued = {
             let mut st = inner.state.lock().unwrap();
@@ -3132,135 +2862,133 @@ mod tests {
         assert_eq!(requeued, vec![(11, vec![2, 3])]);
     }
 
-    #[test]
-    fn worker_auth_rejects_bad_proofs_and_accepts_good_ones() {
-        let inner = test_inner_custom(Some("sekrit".into()), usize::MAX, usize::MAX, usize::MAX);
-        let nonce = 0xDEAD_BEEF;
-        let good = proto::auth_proof("sekrit", nonce);
-        let mut out = Vec::new();
-        assert!(vet_worker(
-            &inner,
-            "w-good",
-            PROTO_VERSION,
-            0,
-            nonce,
-            Some(&good),
-            &mut out,
-            false,
-        ));
-        assert!(out.is_empty(), "an accepted hello gets no reject line");
-
-        // Wrong token and missing proof both fail closed.
-        let wrong = proto::auth_proof("not-sekrit", nonce);
-        let mut out = Vec::new();
-        assert!(!vet_worker(
-            &inner,
-            "w-wrong",
-            PROTO_VERSION,
-            0,
-            nonce,
-            Some(&wrong),
-            &mut out,
-            false,
-        ));
-        let reply = String::from_utf8(out).unwrap();
-        assert!(reply.contains("auth proof"), "got '{reply}'");
-        assert!(!vet_worker(
-            &inner,
-            "w-silent",
-            PROTO_VERSION,
-            0,
-            nonce,
-            None,
-            &mut Vec::new(),
-            false,
-        ));
-
-        // Local stdio workers are exempt: the pipe to a child this
-        // coordinator spawned is already a trust boundary.
-        assert!(vet_worker(
-            &inner,
-            "local-0",
-            PROTO_VERSION,
-            0,
-            0,
-            None,
-            &mut Vec::new(),
-            true,
-        ));
-
-        let st = inner.state.lock().unwrap();
-        assert_eq!(st.auth_failures, 2);
-        assert_eq!(st.rejected_workers, 2);
-    }
-
+    /// A client needs no hello: a session is served whatever its first
+    /// line, and a hello — here shaped the way perfbench's service client
+    /// builds it, nonce 0 and an empty proof, or with any other fields —
+    /// is answered `hello_ok` and changes nothing about what follows. (The
+    /// name dates from the shared-token auth the hello once carried.)
     #[test]
     fn client_sessions_authenticate_before_submitting() {
-        let inner = test_inner_custom(Some("sekrit".into()), usize::MAX, usize::MAX, usize::MAX);
-        let nonce = 7u64;
-
-        // A valid client hello is answered with hello_ok.
-        let hello = ClientMsg::Hello {
-            auth_nonce: nonce,
-            auth_proof: proto::auth_proof("sekrit", nonce),
-        };
-        let mut reader = Cursor::new(Vec::new());
+        let inner = test_inner();
+        let cancel = ClientMsg::Cancel { id: "nope".into() }.encode();
+        let ack = "{\"type\":\"cancel_ack\",\"id\":\"nope\",\"canceled\":false}\n";
+        for (nonce, proof) in [(0, ""), (7, "0123456789abcdef")] {
+            let hello = ClientMsg::Hello {
+                auth_nonce: nonce,
+                auth_proof: proof.into(),
+            };
+            let mut reader = Cursor::new(format!("{cancel}\n").into_bytes());
+            let mut out = Vec::new();
+            route_first(&inner, "peer", &hello.encode(), &mut reader, &mut out);
+            let reply = String::from_utf8(out).unwrap();
+            assert_eq!(reply, format!("{{\"type\":\"hello_ok\"}}\n{ack}"));
+        }
         let mut out = Vec::new();
         route_first(
             &inner,
-            "10.0.0.7:1234",
-            &hello.encode(),
-            &mut reader,
+            "peer",
+            &cancel,
+            &mut Cursor::new(Vec::new()),
             &mut out,
         );
-        let reply = String::from_utf8(out).unwrap();
-        assert!(reply.contains("hello_ok"), "got '{reply}'");
+        assert_eq!(String::from_utf8(out).unwrap(), ack);
+        assert_eq!(inner.state.lock().unwrap().rejected_connections, 0);
+    }
 
-        // A wrong proof gets a machine-readable auth_failed reject.
-        let bad = ClientMsg::Hello {
-            auth_nonce: nonce,
-            auth_proof: proto::auth_proof("guess", nonce),
+    /// A finished job leaves the coordinator with its last waiter, however
+    /// it was answered: executed, from the cache, or restored whole from
+    /// its journal (which is never inserted). Only the cache keeps the
+    /// document.
+    #[test]
+    fn finished_jobs_leave_the_coordinator() {
+        let dir = scratch("finished-jobs");
+        // No worker: every job runs on its submitting thread.
+        let coordinator = Coordinator::start(ServeOptions {
+            workers: 0,
+            fallback_after: Some(Duration::ZERO),
+            speculate_after: None,
+            cache_capacity: 1,
+            checkpoint_dir: Some(dir.clone()),
+            ..ServeOptions::default()
+        })
+        .expect("workerless coordinator starts when fallback is armed");
+        let config = |seed| SweepConfig {
+            seed,
+            ..small_config()
         };
-        let mut reader = Cursor::new(Vec::new());
-        let mut out = Vec::new();
-        route_first(
-            &inner,
-            "10.0.0.7:1235",
-            &bad.encode(),
-            &mut reader,
-            &mut out,
-        );
-        let reply = String::from_utf8(out).unwrap();
-        assert!(reply.contains("\"type\":\"reject\""), "got '{reply}'");
-        assert!(reply.contains("auth_failed"), "got '{reply}'");
+        // 1 and 2 execute (2 evicts 1 from the one-slot cache), 2 again is
+        // a cache hit, and 1 again is restored from its journal.
+        for (n, seed) in [1, 2, 2, 1].into_iter().enumerate() {
+            let env = coordinator
+                .submit(Some(format!("job-{n}")), &config(seed))
+                .expect("submit");
+            assert_eq!(
+                env.document,
+                json::render(&crate::sweep::run_sweep(&config(seed), 1).unwrap())
+            );
+            // Read under the lock, assert after it: a failing assertion
+            // must not poison the lock the coordinator's drop takes.
+            let held = {
+                let st = coordinator.inner.state.lock().unwrap();
+                (st.jobs.len(), st.named.len())
+            };
+            assert_eq!(held, (0, 0), "jobs and names held after submit {n}");
+        }
+        coordinator.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
-        // A submit on an unauthenticated session is refused outright — the
-        // config is never admitted, let alone executed.
-        let submit = ClientMsg::Submit {
-            id: Some("sneaky".into()),
-            config: small_config(),
-            deadline_ms: None,
+    /// A submit coalesced onto an in-flight primary is served the
+    /// primary's document even when the one-slot cache evicted it before
+    /// the waiter woke: the primary completes and a second document lands
+    /// in one lock scope. Both submits get the document, and the job leaves
+    /// with the second of them.
+    #[test]
+    fn coalesced_submit_survives_eviction_of_its_primarys_document() {
+        let inner = Arc::new(Inner {
+            state: Mutex::new(State::new(1)),
+            ..bare_inner()
+        });
+        let cfg = small_config();
+        let expected = json::render(&crate::sweep::run_sweep(&cfg, 1).unwrap());
+        let submit = |id: &str| {
+            let (inner, cfg, id) = (Arc::clone(&inner), cfg.clone(), id.to_string());
+            std::thread::spawn(move || Inner::submit(&inner, Some(id), &cfg, None))
         };
-        let mut reader = Cursor::new(Vec::new());
-        let mut out = Vec::new();
-        route_first(
-            &inner,
-            "10.0.0.7:1236",
-            &submit.encode(),
-            &mut reader,
-            &mut out,
-        );
-        let reply = String::from_utf8(out).unwrap();
-        assert!(reply.contains("auth_failed"), "got '{reply}'");
-
+        let primary = submit("primary");
+        let wait_for = |waiters: usize| loop {
+            let st = inner.state.lock().unwrap();
+            if st.jobs.values().any(|j| j.waiters == waiters) {
+                break *st.jobs.keys().next().unwrap();
+            }
+            drop(st);
+            std::thread::yield_now();
+        };
+        wait_for(1);
+        let coalesced = submit("coalesced");
+        let job_id = wait_for(2);
+        {
+            let mut st = inner.state.lock().unwrap();
+            for (index, result) in reference_results(&cfg).into_iter().enumerate() {
+                record_cell(&inner, &mut st, "w", "scalar", job_id, 0, index, result);
+            }
+            assert!(matches!(st.jobs[&job_id].done, Some(Ok(_))));
+            st.cache.put((0, 0), "another document".into());
+            assert_eq!(st.cache.evictions(), 1);
+        }
+        let primary = primary.join().unwrap().expect("the primary's envelope");
+        let coalesced = coalesced.join().unwrap().expect("the coalesced envelope");
+        assert_eq!(primary.document, expected);
+        assert_eq!(coalesced.document, expected);
+        assert!(!primary.coalesced && coalesced.coalesced && coalesced.served_from_cache);
         let st = inner.state.lock().unwrap();
-        assert_eq!(st.auth_failures, 2, "the bad hello and the bare submit");
-        assert!(st.jobs.is_empty(), "nothing was admitted");
+        assert_eq!(st.cache.hits(), 1, "the coalesced submit is a cache hit");
+        assert!(st.jobs.is_empty() && st.named.is_empty());
     }
 
     /// Envelope counters surface the job-manager state: evictions from the
-    /// result cache, rejected submits, auth failures, cancellations, and
-    /// the queue depth at answer time.
+    /// result cache, rejected submits, cancellations, and the queue depth
+    /// at answer time.
     #[test]
     fn envelope_carries_job_manager_counters() {
         let inner = test_inner();
@@ -3269,7 +2997,6 @@ mod tests {
         {
             let mut st = inner.state.lock().unwrap();
             st.rejected_submits = 3;
-            st.auth_failures = 2;
             st.cancelled_jobs = 1;
             st.jobs.get_mut(&job_id).unwrap().queue_wait_ms = Some(12);
         }
@@ -3277,7 +3004,6 @@ mod tests {
         let stats = EnvStats::from_job(&st.jobs[&job_id]);
         let env = envelope("e", (1, 2), &st, stats, "{}".to_string());
         assert_eq!(env.rejected_submits, 3);
-        assert_eq!(env.auth_failures, 2);
         assert_eq!(env.cancelled_jobs, 1);
         assert_eq!(env.queue_wait_ms, 12);
         assert_eq!(env.queue_depth, 1, "the seeded job is still unfinished");

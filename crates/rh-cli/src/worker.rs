@@ -21,10 +21,10 @@
 //! `--config-epoch`; a coordinator with a different version or epoch
 //! answers with a terminal `reject` line instead of a lease, and the worker
 //! exits nonzero — skew fails at attach time, never as garbage in a merge.
-//! With `--auth-token-file` the hello additionally carries a seeded nonce
-//! and a shared-secret proof ([`crate::proto::auth_proof`]); a coordinator
-//! holding a token rejects hellos that omit or flunk it, same terminal
-//! path. While a shard executes, a side thread pulses `heartbeat` lines
+//! The hello proves nothing about who the worker is: any process that can
+//! reach a coordinator's `--listen` address can attach and serve leases,
+//! so that address belongs on loopback or a trusted network. While a
+//! shard executes, a side thread pulses `heartbeat` lines
 //! (under the shared writer lock, so lines never interleave) letting the
 //! coordinator tell a long-running cell from a dead socket. With
 //! `--retry N`, a failed connect or a dropped connection is retried with
@@ -53,7 +53,7 @@
 
 use crate::exec::run_lease;
 use crate::faults::{CellFate, FaultPlan, LineFate};
-use crate::proto::{auth_proof, read_line, write_line, FromWorker, ToWorker, PROTO_VERSION};
+use crate::proto::{read_line, write_line, FromWorker, ToWorker, PROTO_VERSION};
 use rh_core::{derive_seed, Kernel, SplitMix64};
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};
@@ -83,9 +83,6 @@ pub struct WorkerOptions {
     pub retries: u32,
     /// Base of the exponential reconnect backoff.
     pub backoff_base_ms: u64,
-    /// Shared secret (the trimmed contents of `--auth-token-file`) proven
-    /// in the hello; `None` sends an unauthenticated hello.
-    pub auth_token: Option<String>,
 }
 
 impl Default for WorkerOptions {
@@ -96,7 +93,6 @@ impl Default for WorkerOptions {
             config_epoch: 0,
             retries: 0,
             backoff_base_ms: 200,
-            auth_token: None,
         }
     }
 }
@@ -111,8 +107,8 @@ pub enum SessionEnd {
     Eof,
     /// The fault plan's scheduled crash fired: die like a crash would.
     Crashed,
-    /// The coordinator refused the hello (version/epoch skew or a failed
-    /// auth proof). Terminal: retrying cannot heal it.
+    /// The coordinator refused the hello (version or epoch skew).
+    /// Terminal: retrying cannot heal it.
     Rejected(String),
 }
 
@@ -122,8 +118,6 @@ pub enum SessionEnd {
 pub struct SessionOptions {
     pub config_epoch: u64,
     pub heartbeat_interval: Duration,
-    /// Shared secret proven in the hello, if any.
-    pub auth_token: Option<String>,
 }
 
 impl Default for SessionOptions {
@@ -131,7 +125,6 @@ impl Default for SessionOptions {
         Self {
             config_epoch: 0,
             heartbeat_interval: Duration::from_millis(HEARTBEAT_MS),
-            auth_token: None,
         }
     }
 }
@@ -140,7 +133,6 @@ impl Default for SessionOptions {
 pub fn run_worker(opts: &WorkerOptions) -> Result<(), String> {
     let session = SessionOptions {
         config_epoch: opts.config_epoch,
-        auth_token: opts.auth_token.clone(),
         ..SessionOptions::default()
     };
     match &opts.connect {
@@ -382,14 +374,11 @@ where
         });
 
         let result = (|| {
-            let (auth_nonce, auth_proof) = hello_auth(session, plan);
             let hello = FromWorker::Hello {
                 kernel: Kernel::auto().name().to_string(),
                 pid: u64::from(std::process::id()),
                 proto_version: PROTO_VERSION,
                 config_epoch: session.config_epoch,
-                auth_nonce,
-                auth_proof,
             };
             send(&writer, plan, &hello.encode()).map_err(|e| format!("worker: hello: {e}"))?;
 
@@ -433,24 +422,6 @@ where
         unblock();
     }
     out
-}
-
-/// The auth fields of the hello: a seeded nonce plus the shared-secret
-/// proof, or nothing when no token was configured. The `wrong-token` fault
-/// arm deliberately derives the proof from a corrupted secret (well-formed,
-/// provably wrong), exercising the coordinator's reject path.
-fn hello_auth(session: &SessionOptions, plan: &FaultPlan) -> (u64, Option<String>) {
-    let nonce = SplitMix64::new(derive_seed(
-        plan.seed(),
-        &[u64::from(std::process::id()), 0xA07B],
-    ))
-    .next_u64();
-    match (&session.auth_token, plan.wrong_token()) {
-        (Some(token), false) => (nonce, Some(auth_proof(token, nonce))),
-        (Some(token), true) => (nonce, Some(auth_proof(&format!("{token}-wrong"), nonce))),
-        (None, true) => (nonce, Some(auth_proof("wrong-token-fault", nonce))),
-        (None, false) => (0, None),
-    }
 }
 
 /// Write one protocol line through the fault plan (which may drop or garble
@@ -730,7 +701,6 @@ mod tests {
         let session = SessionOptions {
             config_epoch: 7,
             heartbeat_interval: Duration::from_secs(3_600),
-            ..SessionOptions::default()
         };
         let mut plan = FaultPlan::default();
         worker_loop(
@@ -751,8 +721,6 @@ mod tests {
             pid,
             proto_version,
             config_epoch,
-            auth_nonce,
-            auth_proof,
         } = FromWorker::decode(&first).unwrap()
         else {
             panic!("first line must be hello");
@@ -761,8 +729,6 @@ mod tests {
         assert_eq!(pid, u64::from(std::process::id()));
         assert_eq!(proto_version, PROTO_VERSION);
         assert_eq!(config_epoch, 7);
-        assert_eq!(auth_nonce, 0, "no token configured, no nonce");
-        assert_eq!(auth_proof, None, "no token configured, no proof");
         // And the hello line is valid jsonl for the coordinator's parser.
         let reparsed = proto::parse(&first).unwrap();
         assert_eq!(
@@ -798,7 +764,6 @@ mod tests {
         let session = SessionOptions {
             config_epoch: 0,
             heartbeat_interval: Duration::from_millis(20),
-            ..SessionOptions::default()
         };
         // Stall 400ms after the first cell: the pulse thread gets ~20
         // chances to fire while the lease is active.
@@ -821,29 +786,6 @@ mod tests {
             })
             .count();
         assert!(beats >= 1, "a stalled shard must still pulse heartbeats");
-    }
-
-    /// Like [`drive_plan`] but with a caller-supplied session.
-    fn drive_session(
-        script: &[String],
-        mut plan: FaultPlan,
-        session: &SessionOptions,
-    ) -> (Vec<FromWorker>, SessionEnd) {
-        let input = script.join("\n") + "\n";
-        let mut out: Vec<u8> = Vec::new();
-        let end = worker_loop(
-            Cursor::new(input.into_bytes()),
-            &mut out,
-            session,
-            &mut plan,
-        )
-        .unwrap();
-        let msgs = String::from_utf8(out)
-            .unwrap()
-            .lines()
-            .map(|l| FromWorker::decode(l).unwrap())
-            .collect();
-        (msgs, end)
     }
 
     #[test]
@@ -919,59 +861,6 @@ mod tests {
                 .iter()
                 .any(|m| matches!(m, FromWorker::CancelAck { .. })),
             "nothing to acknowledge for a job this worker is not running"
-        );
-    }
-
-    #[test]
-    fn authenticated_hello_carries_a_valid_proof() {
-        let session = SessionOptions {
-            auth_token: Some("s3cret".into()),
-            ..quiet_session()
-        };
-        let (msgs, _) = drive_session(
-            &[ToWorker::Shutdown.encode()],
-            FaultPlan::default(),
-            &session,
-        );
-        let FromWorker::Hello {
-            auth_nonce,
-            auth_proof: proof,
-            ..
-        } = &msgs[0]
-        else {
-            panic!("first line must be hello");
-        };
-        assert_eq!(
-            proof.as_deref(),
-            Some(auth_proof("s3cret", *auth_nonce).as_str()),
-            "the proof must verify against the shared token and the nonce"
-        );
-    }
-
-    #[test]
-    fn wrong_token_fault_sends_a_provably_bad_proof() {
-        let session = SessionOptions {
-            auth_token: Some("s3cret".into()),
-            ..quiet_session()
-        };
-        let (msgs, _) = drive_session(
-            &[ToWorker::Shutdown.encode()],
-            FaultPlan::parse("wrong-token=1").unwrap(),
-            &session,
-        );
-        let FromWorker::Hello {
-            auth_nonce,
-            auth_proof: proof,
-            ..
-        } = &msgs[0]
-        else {
-            panic!("first line must be hello");
-        };
-        let proof = proof.as_deref().expect("the fault still sends a proof");
-        assert_ne!(
-            proof,
-            auth_proof("s3cret", *auth_nonce),
-            "the wrong-token fault must fail verification"
         );
     }
 }

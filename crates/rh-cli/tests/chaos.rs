@@ -452,7 +452,6 @@ fn submit_timeout_names_the_endpoint_and_fails_fast() {
         connect: "127.0.0.1:1".to_string(),
         timeout: Some(Duration::from_secs(2)),
         deadline_ms: None,
-        auth_token: None,
     };
     let err = run_submit(&opts).expect_err("nothing listens on port 1");
     assert!(err.contains("127.0.0.1:1"), "got: {err}");
