@@ -66,14 +66,20 @@
 //! Hot-path amortization across cells:
 //!
 //! * **Shared device tables**: the immutable seed-derived tables
-//!   ([`DeviceTables`]) are built once per distinct `(hc_first, data
+//!   ([`DeviceTables`]) are derived once per distinct `(hc_first, data
 //!   pattern, device seed)` up front and `Arc`-shared with every worker —
 //!   the sweep's common-random-number structure means all cells at one
-//!   `HC_first` and pattern share one table set instead of re-deriving
-//!   O(total_rows) thresholds per cell. Only each device group's first
-//!   member needs tables: the derived members' thresholds are recomputed
+//!   `HC_first` and pattern share one table set. A set's one per-row slab
+//!   (orientation and charged cells, 4 bytes per row) depends on the
+//!   pattern and the seed only, so it is built once per `(data pattern,
+//!   device seed)` and every `HC_first`'s set of that pattern is derived
+//!   from it in O(1) ([`DeviceTables::with_params`]); no set stores
+//!   thresholds, which are computed from each row's draw where they are
+//!   read. One slab on the default grid, two on the DDR4 reference grid,
+//!   and at most two in any lease of it. Only each device group's first
+//!   member needs tables: the derived members' thresholds are computed
 //!   from their rows' draws, for the few rows that settled, so a list of
-//!   units spanning the `HC_first` axis builds no table set for the values
+//!   units spanning the `HC_first` axis needs no table set for the values
 //!   it only derives.
 //! * **Per-worker device reuse**: each worker owns one [`DeviceState`], one
 //!   [`EngineScratch`] and one call-log buffer for every unit it runs.
@@ -88,19 +94,19 @@ use crate::sweep::{sweep_cells, SweepConfig};
 use rh_core::{CallLog, DataPattern, DeviceState, DeviceTables, Kernel, VictimModelParams};
 use rh_mitigations::MitigationSpec;
 use rh_workloads::WorkloadSpec;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::mem::Discriminant;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Shared immutable tables per distinct `(hc_first, data_pattern,
-/// device_seed)` device — the data pattern is part of the table identity
-/// because it scales the precomputed attenuation and the per-row
-/// charged-cell budgets. The threshold vector inside is pattern-invariant,
-/// so a multi-pattern sweep re-derives it once per pattern; that is a
-/// deliberate trade-off (a per-sweep O(total_rows) cost, dwarfed by cell
-/// execution) to keep `DeviceTables` a single self-contained `Arc` rather
-/// than a two-level sharing structure.
+/// device_seed)` device. The per-row slab inside (orientation and charged
+/// cells, 4 bytes per row) depends on the pattern and the seed only, so
+/// [`build_table_cache`] builds it once per `(data_pattern, device_seed)`
+/// and derives every `HC_first`'s set from it in O(1)
+/// ([`DeviceTables::with_params`]); the sets of one pattern and seed share
+/// it.
 pub(crate) type TableCache = BTreeMap<(u64, DataPattern, u64), Arc<DeviceTables>>;
 
 fn table_key(cell: &CellSpec) -> (u64, DataPattern, u64) {
@@ -141,20 +147,26 @@ fn commute_spacings(cell: &CellSpec) -> Vec<bool> {
 /// once each: each device group's first member's. The other members are
 /// derived from their group's run and read no tables, so a list of units
 /// that spans the `HC_first` axis builds only the table sets its device
-/// simulations use.
+/// simulations use. Each `(data_pattern, device_seed)` builds its per-row
+/// slab once, with its first set; its other `HC_first` values derive
+/// their sets from that one in O(1).
 pub(crate) fn build_table_cache(
     plan: &SweepPlan,
     cells: &[CellSpec],
     units: &[Unit],
 ) -> TableCache {
     let mut cache = TableCache::new();
+    let mut slabs: HashMap<(DataPattern, u64), Arc<DeviceTables>> = HashMap::new();
     for cell in units.iter().flatten().map(|group| &cells[group[0]]) {
         cache.entry(table_key(cell)).or_insert_with(|| {
-            DeviceTables::shared(
-                plan.config.geometry,
-                cell_params(plan, cell),
-                cell.seeds.device,
-            )
+            let params = cell_params(plan, cell);
+            match slabs.entry((cell.data_pattern, cell.seeds.device)) {
+                Entry::Occupied(slab) => slab.get().with_params(params),
+                Entry::Vacant(slot) => {
+                    DeviceTables::shared(plan.config.geometry, params, cell.seeds.device)
+                        .map(|tables| slot.insert(tables).clone())
+                }
+            }
             .expect("geometry and victim params are validated at plan time")
         });
     }
@@ -591,13 +603,23 @@ mod tests {
         (0..cells.len()).map(|pos| vec![vec![pos]]).collect()
     }
 
+    /// The per-row slabs a table cache holds: its sets, less each that
+    /// shares its slab with an earlier one.
+    fn slabs(cache: &TableCache) -> usize {
+        let sets: Vec<&Arc<DeviceTables>> = cache.values().collect();
+        (0..sets.len())
+            .filter(|&i| !sets[..i].iter().any(|set| set.shares_rows_with(sets[i])))
+            .count()
+    }
+
     #[test]
     fn table_cache_is_shared_per_device_not_per_cell() {
         let plan = tiny_plan();
         let tables = build_table_cache(&plan, &plan.grid, &units(&plan.grid));
         // 2 hc_first values × 1 pattern × 1 shared device seed — far fewer
-        // than cells.
+        // than cells — over one per-row slab.
         assert_eq!(tables.len(), 2);
+        assert_eq!(slabs(&tables), 1);
         assert!(plan.grid.len() > tables.len());
     }
 
@@ -619,6 +641,7 @@ mod tests {
         // 1 hc × 2 patterns: pattern-scaled attenuation/budgets must not be
         // shared across patterns.
         assert_eq!(tables.len(), 2);
+        assert_eq!(slabs(&tables), 2);
         let results = execute_cells(&plan, &plan.grid, 2);
         assert_eq!(results.len(), plan.grid.len());
     }
@@ -672,9 +695,36 @@ mod tests {
         assert_eq!(*post_ecc_flips, b.post_ecc_flips, "{what}");
     }
 
+    /// FNV-1a over the bits of every row's charge on `worker`'s device, in
+    /// flat row order: what no result field shows of a run.
+    fn charge_digest(worker: &Worker) -> u64 {
+        let device = worker.device.as_ref().expect("the worker ran a cell");
+        let g = *device.geometry();
+        let mut bytes = Vec::new();
+        for channel in 0..g.channels {
+            for rank in 0..g.ranks {
+                for bank in 0..g.banks {
+                    for row in 0..g.rows_per_bank {
+                        let addr = rh_core::RowAddr {
+                            channel,
+                            rank,
+                            bank,
+                            row,
+                        };
+                        bytes.extend(device.charge_of(addr).to_bits().to_le_bytes());
+                    }
+                }
+            }
+        }
+        crate::proto::fnv1a64(&bytes)
+    }
+
     /// Run every unit of `cells` on one worker whose call log stops past
     /// `cap` words, and every cell alone on a fresh worker; every result
-    /// must agree field for field. Returns the folded results, and whether
+    /// must agree field for field, and after each unit the worker's device
+    /// must hold, bit for bit, the charges its last group's first cell
+    /// leaves alone on a fresh worker (replayed or run, that device is the
+    /// last one the unit drove). Returns the folded results, and whether
     /// any unit's log was complete and any stopped at the cap.
     fn fold_against_alone(
         plan: &SweepPlan,
@@ -684,6 +734,7 @@ mod tests {
     ) -> (Vec<RunResult>, bool, bool) {
         let units = units(cells);
         let tables = build_table_cache(plan, cells, &units);
+        let alone_tables = build_table_cache(plan, cells, &alone(cells));
         let mut worker = Worker::with_kernel(Kernel::auto());
         worker.log = CallLog::with_cap(cap);
         let (mut replayed, mut stopped) = (false, false);
@@ -697,22 +748,34 @@ mod tests {
                 replayed |= worker.log.is_complete();
                 stopped |= !worker.log.is_complete();
             }
+            let last = unit.last().expect("a unit has a group")[0];
+            let mut fresh = Worker::with_kernel(Kernel::auto());
+            fresh.run_cell(plan, &cells[last], &alone_tables, false);
+            assert_eq!(
+                charge_digest(&worker),
+                charge_digest(&fresh),
+                "{what}: charges after the unit ending with cell {last}"
+            );
         }
         let folded: Vec<RunResult> = folded.into_iter().map(Option::unwrap).collect();
-        let tables = build_table_cache(plan, cells, &alone(cells));
         for (i, (cell, got)) in cells.iter().zip(&folded).enumerate() {
-            let alone = Worker::with_kernel(Kernel::auto()).run_cell(plan, cell, &tables, false);
+            let alone =
+                Worker::with_kernel(Kernel::auto()).run_cell(plan, cell, &alone_tables, false);
             assert_same_result(got, &alone, &format!("{what}, cell {i}"));
         }
         (folded, replayed, stopped)
     }
 
     /// The fold's exactness bar: every cell's folded result equals the
-    /// same cell simulated alone on a fresh device, field for field — at
-    /// benign fractions 0.25 and 1.0, with ECC off and on, over three data
-    /// patterns (replayed from the first one's call log, and with a log
-    /// too small for any unit, run pass by pass) and an unsorted `HC_first`
-    /// axis whose lowest value flips rows the next one does not.
+    /// same cell simulated alone on a fresh device, field for field, and
+    /// after each unit the device holds the charges its last cell leaves
+    /// alone — at benign fractions 0.25 and 1.0, with ECC off and on, over
+    /// three data patterns (replayed from the first one's call log, and
+    /// with a log too small for any unit, run pass by pass) and an unsorted
+    /// `HC_first` axis whose lowest value flips rows the next one does not.
+    /// The charges are what shows a replay of calls another device's
+    /// engine would not have issued: reordered runs move charges by ulps
+    /// that no flip count in these configs reveals.
     #[test]
     fn folded_units_match_each_cell_simulated_alone() {
         for benign_fraction in [0.25, 1.0] {
@@ -722,10 +785,11 @@ mod tests {
                     hc_firsts: vec![60, 40, 90, 2_000],
                     sides: vec![4],
                     para_probabilities: vec![0.0, GRID_PARA_P],
+                    // Solid records: its calls replay into the other two.
                     data_patterns: vec![
+                        DataPattern::Solid,
                         DataPattern::Legacy,
                         DataPattern::RowStripe,
-                        DataPattern::Solid,
                     ],
                     ecc_codeword_bits,
                     benign_fraction,
@@ -814,21 +878,24 @@ mod tests {
         );
     }
 
-    /// One executor pass per sweep builds each distinct `(HC_first,
+    /// One executor pass per sweep derives each distinct `(HC_first,
     /// pattern, device seed)` table set its simulations read once, the
     /// PARA sweep's included: 4 on the default grid, 6 on the DDR4
-    /// reference grid. A unit's derived members read none, so the cells
-    /// that fold (none, PARA, TRR) build only their lowest `HC_first`'s
+    /// reference grid; and it builds one per-row slab per pattern and
+    /// seed: 1 and 2. A unit's derived members read none, so the cells
+    /// that fold (none, PARA, TRR) need only their lowest `HC_first`'s
     /// set per pattern: 1 and 2.
     #[test]
     fn one_sweep_pass_builds_each_table_set_once() {
-        for (cfg, distinct, folding_sets) in
-            [(SweepConfig::default(), 4, 1), (ddr4_reference(), 6, 2)]
-        {
+        for (cfg, distinct, built, folding_sets) in [
+            (SweepConfig::default(), 4, 1, 1),
+            (ddr4_reference(), 6, 2, 2),
+        ] {
             let plan = SweepPlan::from_config(&cfg).unwrap();
             let cells = sweep_cells(&plan);
             let tables = build_table_cache(&plan, &cells, &units(&cells));
             assert_eq!(tables.len(), distinct);
+            assert_eq!(slabs(&tables), built);
             let folding: Vec<CellSpec> = cells
                 .into_iter()
                 .filter(|cell| !cell.mitigation.reads_hc_first())
@@ -841,20 +908,22 @@ mod tests {
     /// What a served lease builds: 16 consecutive units of the sweep's one
     /// cell list (a full lease) simulate cells of at most two `(HC_first,
     /// pattern)` table sets on the default grid, and of up to all six on
-    /// the DDR4 reference grid: each unit there spans both patterns, and
+    /// the DDR4 reference grid (each unit there spans both patterns, and
     /// the high-to-low `HC_first` axis puts a lowest-`HC_first` unit among
-    /// each value's blocks.
+    /// each value's blocks). Those sets hold one per-row slab per pattern:
+    /// at most 1 and 2.
     #[test]
     fn a_full_lease_of_units_builds_few_table_sets() {
-        for (cfg, most) in [(SweepConfig::default(), 2), (ddr4_reference(), 6)] {
+        for (cfg, sets, built) in [(SweepConfig::default(), 2, 1), (ddr4_reference(), 6, 2)] {
             let plan = SweepPlan::from_config(&cfg).unwrap();
             let cells = sweep_cells(&plan);
             let units = units(&cells);
-            let built = units
+            let leases: Vec<TableCache> = units
                 .chunks(16)
-                .map(|lease| build_table_cache(&plan, &cells, lease).len())
-                .max();
-            assert_eq!(built, Some(most));
+                .map(|lease| build_table_cache(&plan, &cells, lease))
+                .collect();
+            assert_eq!(leases.iter().map(BTreeMap::len).max(), Some(sets));
+            assert_eq!(leases.iter().map(slabs).max(), Some(built));
         }
     }
 

@@ -67,10 +67,11 @@
 //!   2 leases of 14 and 13. A lease never splits a unit, so the worker
 //!   runs each engine pass once. Units follow their first cell's plan
 //!   order and only each device group's first cell needs device tables,
-//!   so a full lease builds one or two `(hc_first, pattern)` table sets on
-//!   the default grid, but up to all six on the DDR4 reference grid, whose
-//!   units each span both patterns (a DDR4-grid table set is 6 MB); the
-//!   merge is slot-addressed, so any width yields byte-identical output.
+//!   whose one per-row slab is built once per data pattern and seed, so a
+//!   full lease builds one slab on the default grid and at most two on
+//!   the DDR4 reference grid, whose units each span both patterns (2 MB
+//!   each there); the merge is slot-addressed, so any width yields
+//!   byte-identical output.
 //!
 //! The TCP listener checks no credentials: anyone who can reach `--listen`
 //! can submit, cancel, or attach a worker (and a worker's results are
@@ -95,7 +96,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -255,6 +256,10 @@ struct State {
     /// the global EWMA on heterogeneous pools.
     worker_ewma_ms: HashMap<String, f64>,
     next_job: u64,
+    /// Number of the next id-less submit, which is answered as
+    /// `job-<number>`: every id-less submit takes one, whether it executes,
+    /// hits the cache or coalesces, so no two share an id.
+    next_unnamed: u64,
     next_shard: u64,
     /// Workers currently connected (past hello + vetting).
     live_workers: usize,
@@ -289,6 +294,7 @@ impl State {
             ewma_cell_millis: None,
             worker_ewma_ms: HashMap::new(),
             next_job: 0,
+            next_unnamed: 0,
             next_shard: 0,
             live_workers: 0,
             local_hellos: 0,
@@ -576,10 +582,18 @@ impl Coordinator {
     /// lease that settled on its last cell) finishes and exits cleanly.
     /// A worker that has not hung up within a grace period (3 s) is cut
     /// off: a local one is killed, which ends its handler's read.
+    ///
+    /// It takes every lock even if a thread panicked while holding it:
+    /// [`Drop`] calls this, and a panic there while a panic unwinds would
+    /// abort the process.
     pub fn shutdown(&self) {
         let deadline = Instant::now() + SHUTDOWN_GRACE;
         {
-            let mut st = self.inner.state.lock().expect("coordinator lock");
+            let mut st = self
+                .inner
+                .state
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
             if st.shutting_down {
                 return;
             }
@@ -599,11 +613,16 @@ impl Coordinator {
                     .inner
                     .done
                     .wait_timeout(st, left)
-                    .expect("coordinator lock")
+                    .unwrap_or_else(PoisonError::into_inner)
                     .0;
             }
         }
-        for child in self.children.lock().expect("children lock").iter_mut() {
+        for child in self
+            .children
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .iter_mut()
+        {
             // Reap a worker that hung up, or kill a wedged one.
             while matches!(child.try_wait(), Ok(None)) && Instant::now() < deadline {
                 std::thread::sleep(Duration::from_millis(5));
@@ -613,7 +632,12 @@ impl Coordinator {
                 let _ = child.wait();
             }
         }
-        for handle in self.handlers.lock().expect("handler lock").drain(..) {
+        for handle in self
+            .handlers
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .drain(..)
+        {
             let _ = handle.join();
         }
     }
@@ -660,7 +684,10 @@ impl Inner {
         if st.shutting_down {
             return Err(SubmitError::Failed("coordinator shutting down".to_string()));
         }
-        let id = id.unwrap_or_else(|| format!("job-{}", st.next_job));
+        let id = id.unwrap_or_else(|| {
+            st.next_unnamed += 1;
+            format!("job-{}", st.next_unnamed - 1)
+        });
 
         // 1. Cache: the in-memory LRU. What survives a restart is the
         //    checkpoint journal, restored in step 4.
@@ -941,10 +968,10 @@ fn envelope(
 /// `shard_cells` units. A job with at least one missing unit per worker
 /// thus gives every worker a lease, and no unit is ever cut in two (its
 /// members would each be simulated). Only each device group's first,
-/// lowest-`HC_first` member reads tables, so a chunk of consecutive units
-/// builds few table sets on a one-pattern job (see the module docs). With
-/// no worker attached yet (a TCP listener before the first hello) the job
-/// is cut as for one worker.
+/// lowest-`HC_first` member reads tables, and a lease builds one per-row
+/// slab per data pattern (see the module docs). With no worker attached
+/// yet (a TCP listener before the first hello) the job is cut as for one
+/// worker.
 fn lease_width(missing: usize, live_workers: usize, shard_cells: usize) -> usize {
     missing.div_ceil(live_workers.max(1)).clamp(1, shard_cells)
 }
@@ -2936,6 +2963,66 @@ mod tests {
         }
         coordinator.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Id-less submits never share an id: each takes the next number of
+    /// its own counter, whether it executes or is a cache hit. Before, an
+    /// id-less submit took the number of the next job admitted, so a cache
+    /// hit and the job executed after it were both answered `job-1`.
+    #[test]
+    fn id_less_submits_get_distinct_ids() {
+        let coordinator = Coordinator::start(ServeOptions {
+            workers: 0,
+            fallback_after: Some(Duration::ZERO),
+            speculate_after: None,
+            ..ServeOptions::default()
+        })
+        .expect("workerless coordinator starts when fallback is armed");
+        let config = |seed| SweepConfig {
+            seed,
+            ..small_config()
+        };
+        let envelopes: Vec<ResultEnvelope> = [1, 1, 5]
+            .into_iter()
+            .map(|seed| coordinator.submit(None, &config(seed)).expect("submit"))
+            .collect();
+        let served: Vec<bool> = envelopes.iter().map(|e| e.served_from_cache).collect();
+        assert_eq!(served, [false, true, false]);
+        let ids: Vec<&str> = envelopes.iter().map(|e| e.id.as_str()).collect();
+        assert_eq!(ids, ["job-0", "job-1", "job-2"]);
+        coordinator.shutdown();
+    }
+
+    /// Dropping a coordinator whose state lock a panicking thread poisoned,
+    /// while a panic unwinds (a failing assertion in a test that holds
+    /// one), ends with that panic: the drop's shutdown recovers the lock.
+    /// Before, it panicked on the poisoned lock inside the unwind, and the
+    /// process aborted.
+    #[test]
+    fn dropping_a_coordinator_with_a_poisoned_lock_during_a_panic_does_not_abort() {
+        let coordinator = Coordinator::start(ServeOptions {
+            workers: 0,
+            fallback_after: Some(Duration::ZERO),
+            speculate_after: None,
+            ..ServeOptions::default()
+        })
+        .expect("workerless coordinator starts when fallback is armed");
+        let inner = Arc::clone(&coordinator.inner);
+        let poisoner = std::thread::spawn(move || {
+            let _held = inner.state.lock().unwrap();
+            panic!("poisoning the coordinator's state lock");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(coordinator.inner.state.is_poisoned());
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+            let _held = coordinator;
+            panic!("a failing check while the coordinator is held");
+        }));
+        let payload = caught.expect_err("the closure panics");
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"a failing check while the coordinator is held")
+        );
     }
 
     /// A submit coalesced onto an in-flight primary is served the

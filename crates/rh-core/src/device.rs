@@ -10,11 +10,12 @@
 //! already recorded are permanent until the host rewrites the data, so flip
 //! counters are cumulative.
 //!
-//! Cell-to-cell variation: each row draws a threshold jitter factor at device
-//! construction from the seeded RNG. Keeping all randomness at construction
-//! (never per-activation) means two simulations with the same seed see
-//! byte-identical devices, which the CLI exploits for common-random-number
-//! comparisons across mitigation configurations.
+//! Cell-to-cell variation: each row's threshold carries a jitter factor
+//! from its draw of the device seed's stream (draw `i` for flat row `i`).
+//! Every draw is a pure function of the seed and the row, never of the
+//! run, so two simulations with the same seed see byte-identical devices,
+//! which the CLI exploits for common-random-number comparisons across
+//! mitigation configurations.
 //!
 //! ## Hot-path design
 //!
@@ -22,11 +23,18 @@
 //! amortized O(1):
 //!
 //! * **Shared tables** ([`DeviceTables`]): the immutable, seed-derived parts
-//!   of a device (per-row flip thresholds, the `coupling^(d-1)` attenuation
-//!   table and its whole-window quanta template) live in an `Arc` so every
-//!   experiment cell simulating the same device (common-random-number
-//!   sweeps share the device seed) reuses one O(total_rows) derivation
-//!   instead of repeating it per cell.
+//!   of a device (the per-row orientation and charged-cell words, the
+//!   threshold floor, the `coupling^(d-1)` attenuation table and its
+//!   whole-window quanta template) live in an `Arc` so every experiment
+//!   cell simulating the same device (common-random-number sweeps share the
+//!   device seed) reuses one derivation instead of repeating it per cell.
+//!   The one per-row slab, `meta` (4 bytes per row), depends on the data
+//!   pattern and the seed but not on `HC_first`, so it sits behind an `Arc`
+//!   of its own that every `HC_first`'s table set shares
+//!   ([`DeviceTables::with_params`] derives one in O(1)). No threshold is
+//!   stored: a row's threshold, `hc_first · (1 + jitter · u)`, is computed
+//!   from its draw `u` of the seed's threshold stream where it is read —
+//!   in the settle sweep, only for a lane whose charge reached the floor.
 //! * **Epoch-based lazy refresh**: `refresh_all` — the per-tREFW-window
 //!   full-device refresh — bumps a global epoch counter instead of zeroing
 //!   `total_rows` charges. A row's charge is valid only if its last-write
@@ -46,9 +54,9 @@
 //! * **Structure-of-arrays row state + swappable settle kernels**
 //!   ([`crate::kernel`]): per-row mutable state lives in parallel
 //!   `charge`/`epoch`/`flips` slabs (20 bytes per row), and the settle path
-//!   reads the per-row `threshold`/`meta` words in place from the shared
-//!   tables, so an activation's blast window is a handful of *contiguous
-//!   lanes per field* — exactly the shape SIMD wants. The
+//!   reads the per-row `meta` words in place from the shared tables, so an
+//!   activation's blast window is a handful of *contiguous lanes per field*
+//!   — exactly the shape SIMD wants. The
 //!   leak-accumulate-and-settle step over a window runs through a
 //!   [`Kernel`] selected once per device: an
 //!   autovectorization-friendly scalar loop or a runtime-detected AVX2
@@ -75,17 +83,17 @@
 //!   instead of stalling one activation at a time.
 //! * **One run, every `HC_first`** ([`DeviceState::flips_under`]): after
 //!   each settle sweep the device keeps each settled row's highest charge
-//!   in a sparse peak record — one hashed update per settled lane, nothing
-//!   per row that never crosses its threshold, capacity kept across
-//!   cells. Since a row's threshold is `hc_first · (1 + jitter · u)` with
-//!   the same draw `u` at every `HC_first`, and its flips are a monotone
-//!   function of the highest charge it settled at, that record and each
-//!   recorded row's threshold recomputed from its draw give exactly the
-//!   flips the same activation and refresh stream would have recorded at
-//!   any higher `HC_first` — no table set of that `HC_first` is needed.
-//!   The sweep executor simulates each group of cells that differ only in
-//!   `HC_first` (under a mitigation that never reads it) once, at the
-//!   lowest value, and derives the rest.
+//!   in a sparse peak record — one hashed update per lane that holds flips
+//!   and reached the floor, nothing per row that never crosses its
+//!   threshold, capacity kept across cells. Since a row's threshold is
+//!   `hc_first · (1 + jitter · u)` with the same draw `u` at every
+//!   `HC_first`, and its flips are a monotone function of the highest
+//!   charge it settled at, that record and each recorded row's threshold
+//!   computed from its draw give exactly the flips the same activation and
+//!   refresh stream would have recorded at any higher `HC_first` — no table
+//!   set of that `HC_first` is needed. The sweep executor simulates each
+//!   group of cells that differ only in `HC_first` (under a mitigation that
+//!   never reads it) once, at the lowest value, and derives the rest.
 //! * **One engine pass, every data pattern** ([`DeviceState::record_calls`],
 //!   [`DeviceState::replay`]): a recording device logs each call it takes
 //!   into a compact [`CallLog`] (a `u32` word per benign row, two per
@@ -133,9 +141,7 @@ use crate::call_log::{
 };
 use crate::ecc;
 use crate::geometry::{Geometry, RowAddr};
-use crate::kernel::{
-    expected_flips, leak_window, settles, Kernel, PeakRecord, VictimTally, Window,
-};
+use crate::kernel::{expected_flips, leak_window, Kernel, PeakRecord, VictimTally, Window};
 use crate::pattern::DataPattern;
 use crate::rng::{derive_seed, SplitMix64};
 use std::sync::Arc;
@@ -152,12 +158,24 @@ pub(crate) const ANTI_CELL_BIT: u32 = 1 << 31;
 pub(crate) const VULN_MASK: u32 = ANTI_CELL_BIT - 1;
 
 /// A row's flip threshold, `hc_first · (1 + jitter · u)`, for its draw `u`
-/// of the device seed's threshold stream (draw `i` for flat row `i`). The
-/// table build evaluates it for every row and
-/// [`DeviceState::flips_under`] for the rows it reads, so the two agree bit
-/// for bit; for a fixed `u` it is monotone in `hc_first`.
+/// of the device seed's threshold stream ([`row_draw`]). No table stores
+/// it: the settle sweep, [`DeviceTables::threshold_of`] and
+/// [`DeviceState::flips_under`] all evaluate this one expression from the
+/// row's draw, so they agree bit for bit. Every step rounds monotonically,
+/// so for a fixed `u` it is monotone in `hc_first`, and for a fixed
+/// `hc_first` and jitter it is monotone in `u`.
+#[inline(always)]
 fn row_threshold(hc_first: u64, jitter: f64, u: f64) -> f64 {
     hc_first as f64 * (1.0 + jitter * u)
+}
+
+/// Flat row `idx`'s draw of the threshold stream of device seed `seed`:
+/// the stream's draw `idx`, reached in O(1) by [`SplitMix64::skip`].
+#[inline(always)]
+fn row_draw(seed: u64, idx: u64) -> f64 {
+    let mut draw = SplitMix64::new(seed);
+    draw.skip(idx);
+    draw.next_f64()
 }
 
 /// Parameters of the victim model.
@@ -333,24 +351,35 @@ pub trait Device {
 /// Immutable, seed-derived per-device tables, shared between every
 /// experiment cell that simulates the same device.
 ///
-/// Construction is the only O(total_rows) step (threshold derivation); the
-/// sweep executor builds one table set per distinct `(params, seed)` pair
-/// and hands `Arc` clones to worker threads, so common-random-number cells
-/// stop re-deriving thresholds per cell.
+/// The one per-row slab is `meta` (4 bytes per row), which depends on the
+/// data pattern, `cells_per_row` and the seed, not on `HC_first`; it sits
+/// behind an `Arc` that every table set derived from this one with
+/// [`DeviceTables::with_params`] shares. No threshold is stored: a row's
+/// threshold is computed from its draw of the seed's threshold stream
+/// where it is read (`row_threshold`). Building a set from scratch
+/// ([`DeviceTables::new`]) costs one pass over the rows' draws and one over
+/// their orientations; deriving one for another `HC_first` of the same
+/// pattern costs O(1). The sweep executor builds one slab per distinct
+/// `(data pattern, seed)` and derives a set per `HC_first` from it, and
+/// hands `Arc` clones to worker threads.
 #[derive(Debug)]
 pub struct DeviceTables {
     geom: Geometry,
     params: VictimModelParams,
-    /// Seed the tables were derived from (also seeds the per-row ECC
-    /// placement streams, keeping post-ECC counts a pure seed function).
+    /// Seed the tables were derived from: it seeds the threshold stream
+    /// (draw `i` for flat row `i`), the orientation stream and the per-row
+    /// ECC placement streams, keeping every result a pure seed function.
     seed: u64,
-    /// Per-row flip threshold (hc_first with jitter), precomputed.
-    threshold: Vec<f64>,
-    /// Minimum of the `threshold` slab: the device-wide threshold floor the
-    /// kernels' accumulate pass compares against instead of loading per-lane
-    /// thresholds (see [`crate::kernel`] — a floor trip is necessary for any
-    /// real crossing, so gating the settle sweep on it is exact, and cold
-    /// windows never touch the threshold/meta/flips slabs).
+    /// Smallest and largest draw of the threshold stream over the device's
+    /// rows, from one streaming pass at [`DeviceTables::new`] (nothing per
+    /// row is kept). A row's threshold is monotone in its draw, so the
+    /// least threshold is the threshold of one of these two.
+    draw_range: [f64; 2],
+    /// The least row threshold: the device-wide threshold floor the
+    /// kernels' accumulate pass compares against (see [`crate::kernel`] —
+    /// a floor trip is necessary for any real crossing, so gating the
+    /// settle sweep on it is exact, and cold windows never touch the
+    /// meta/flips slabs or compute a draw).
     threshold_floor: f64,
     /// `atten[d - 1] = coupling_decay^(d - 1) * pattern_factor(d)` for `d`
     /// in `1..=blast_radius`, precomputed so the per-activation path never
@@ -383,8 +412,51 @@ pub struct DeviceTables {
     conflict_radius: u32,
     /// Per-row metadata word: true-/anti-cell orientation bit
     /// ([`ANTI_CELL_BIT`]) plus the charged-cell budget under the selected
-    /// data pattern ([`VULN_MASK`]).
-    meta: Vec<u32>,
+    /// data pattern ([`VULN_MASK`]). Shared with every table set derived
+    /// for the same pattern and `cells_per_row`.
+    meta: Arc<[u32]>,
+}
+
+/// Reject victim-model parameters no table set can hold: zero or over-wide
+/// `cells_per_row`, or an ECC codeword larger than a row.
+fn validate_params(params: &VictimModelParams) -> Result<(), String> {
+    if params.cells_per_row == 0 {
+        return Err("cells_per_row must be at least 1".to_string());
+    }
+    if params.cells_per_row > VULN_MASK {
+        return Err(format!(
+            "cells_per_row {} exceeds the 2^31 - 1 row-metadata budget",
+            params.cells_per_row
+        ));
+    }
+    if params.ecc_codeword_bits > params.cells_per_row {
+        return Err(format!(
+            "ECC codeword of {} bits exceeds the {} cells in a row",
+            params.ecc_codeword_bits, params.cells_per_row
+        ));
+    }
+    Ok(())
+}
+
+/// The per-row metadata slab of a device: each row's orientation and its
+/// charged cells under `params`' data pattern and `cells_per_row`.
+/// Orientation comes from its own seed-derived stream so the Section 5 axes
+/// never perturb the threshold stream — and so the true-/anti-cell layout
+/// is a pure function of the device seed, independent of `HC_first` and
+/// pattern (tested below).
+fn meta_slab(geom: Geometry, params: &VictimModelParams, seed: u64) -> Arc<[u32]> {
+    let mut orient_rng = SplitMix64::new(derive_seed(seed, &[CELL_ORIENTATION_STREAM]));
+    let rows_per_bank = geom.rows_per_bank;
+    (0..geom.total_rows() as usize)
+        .map(|i| {
+            let anti = orient_rng.next_u64() & 1 == 1;
+            let row = i as u32 % rows_per_bank;
+            let vuln = params
+                .data_pattern
+                .vulnerable_cells(params.cells_per_row, row, anti);
+            u32::from(anti) << 31 | vuln
+        })
+        .collect()
 }
 
 impl DeviceTables {
@@ -394,27 +466,62 @@ impl DeviceTables {
     /// larger than a row).
     pub fn new(geom: Geometry, params: VictimModelParams, seed: u64) -> Result<Self, String> {
         geom.validate()?;
-        if params.cells_per_row == 0 {
-            return Err("cells_per_row must be at least 1".to_string());
-        }
-        if params.cells_per_row > VULN_MASK {
-            return Err(format!(
-                "cells_per_row {} exceeds the 2^31 - 1 row-metadata budget",
-                params.cells_per_row
-            ));
-        }
-        if params.ecc_codeword_bits > params.cells_per_row {
-            return Err(format!(
-                "ECC codeword of {} bits exceeds the {} cells in a row",
-                params.ecc_codeword_bits, params.cells_per_row
-            ));
-        }
-        let n = geom.total_rows() as usize;
+        validate_params(&params)?;
         let mut rng = SplitMix64::new(seed);
-        let threshold: Vec<f64> = (0..n)
-            .map(|_| row_threshold(params.hc_first, params.threshold_jitter, rng.next_f64()))
-            .collect();
-        let threshold_floor = threshold.iter().copied().fold(f64::INFINITY, f64::min);
+        let draw_range =
+            (0..geom.total_rows()).fold([f64::INFINITY, f64::NEG_INFINITY], |[lo, hi], _| {
+                let u = rng.next_f64();
+                [lo.min(u), hi.max(u)]
+            });
+        let meta = meta_slab(geom, &params, seed);
+        Ok(Self::assemble(geom, params, seed, draw_range, meta))
+    }
+
+    /// A table set for `params` on this set's geometry and seed, behind an
+    /// `Arc`: O(1) when the data pattern and `cells_per_row` match this
+    /// set's, which then shares its metadata slab; else the slab is built
+    /// anew. Validates `params` like [`DeviceTables::new`]. Equal, in
+    /// every table and so in every device built on it, to
+    /// `DeviceTables::shared(geometry, params, seed)`.
+    pub fn with_params(&self, params: VictimModelParams) -> Result<Arc<Self>, String> {
+        validate_params(&params)?;
+        let meta = if params.data_pattern == self.params.data_pattern
+            && params.cells_per_row == self.params.cells_per_row
+        {
+            Arc::clone(&self.meta)
+        } else {
+            meta_slab(self.geom, &params, self.seed)
+        };
+        Ok(Arc::new(Self::assemble(
+            self.geom,
+            params,
+            self.seed,
+            self.draw_range,
+            meta,
+        )))
+    }
+
+    /// Whether this set and `other` share one metadata slab, because one
+    /// was derived from the other, or both from a third, by
+    /// [`DeviceTables::with_params`] (test/diagnostic hook: it counts the
+    /// per-row slabs a collection of sets holds).
+    pub fn shares_rows_with(&self, other: &DeviceTables) -> bool {
+        Arc::ptr_eq(&self.meta, &other.meta)
+    }
+
+    /// The tables of `params` around a metadata slab and the threshold
+    /// stream's draw range, both already derived from `geom` and `seed`.
+    fn assemble(
+        geom: Geometry,
+        params: VictimModelParams,
+        seed: u64,
+        draw_range: [f64; 2],
+        meta: Arc<[u32]>,
+    ) -> Self {
+        let threshold_floor = draw_range
+            .iter()
+            .map(|&u| row_threshold(params.hc_first, params.threshold_jitter, u))
+            .fold(f64::INFINITY, f64::min);
         let atten = params.attenuation();
         let radius = params.blast_radius as usize;
         let mut window_quanta = vec![0.0; 2 * radius + 1];
@@ -430,34 +537,18 @@ impl DeviceTables {
             .map(|(s, _)| s as u32)
             .max()
             .unwrap_or(0);
-        // Orientation comes from its own seed-derived stream so enabling
-        // the Section 5 axes never perturbs the threshold stream above —
-        // and so the true-/anti-cell layout is a pure function of the
-        // device seed, independent of hc_first/pattern (tested below).
-        let mut orient_rng = SplitMix64::new(derive_seed(seed, &[CELL_ORIENTATION_STREAM]));
-        let rows_per_bank = geom.rows_per_bank;
-        let meta = (0..n)
-            .map(|i| {
-                let anti = orient_rng.next_u64() & 1 == 1;
-                let row = i as u32 % rows_per_bank;
-                let vuln = params
-                    .data_pattern
-                    .vulnerable_cells(params.cells_per_row, row, anti);
-                u32::from(anti) << 31 | vuln
-            })
-            .collect();
-        Ok(Self {
+        Self {
             geom,
             params,
             seed,
-            threshold,
+            draw_range,
             threshold_floor,
             atten,
             window_quanta,
             commute_spacings,
             conflict_radius,
             meta,
-        })
+        }
     }
 
     /// Like [`DeviceTables::new`], wrapped for sharing across cells/threads.
@@ -477,9 +568,20 @@ impl DeviceTables {
         &self.params
     }
 
-    /// Flip threshold of a row (test/diagnostic hook).
+    /// Flip threshold of a row (test/diagnostic hook), from its draw.
     pub fn threshold_of(&self, addr: RowAddr) -> f64 {
-        self.threshold[self.geom.flat_index(addr)]
+        self.threshold_at(self.geom.flat_index(addr))
+    }
+
+    /// Flip threshold of flat row `idx`, from its draw: what the settle
+    /// sweep compares a lane's charge against.
+    #[inline(always)]
+    pub(crate) fn threshold_at(&self, idx: usize) -> f64 {
+        row_threshold(
+            self.params.hc_first,
+            self.params.threshold_jitter,
+            row_draw(self.seed, idx as u64),
+        )
     }
 
     /// Precomputed coupling attenuation at aggressor distance `d >= 1`
@@ -534,8 +636,9 @@ const PREFETCH_AHEAD: usize = 8;
 /// each per-row field is its own dense slab, so an activation's blast
 /// window is a contiguous lane range in every slab and the settle kernels
 /// ([`crate::kernel`]) stream it with SIMD loads. Immutable tables
-/// (thresholds, orientation and charged-cell budgets) are `Arc`-shared
-/// ([`DeviceTables`]) and read in place; refresh and the per-cell reset are
+/// (orientation and charged-cell budgets, the threshold floor) are
+/// `Arc`-shared ([`DeviceTables`]) and read in place, and thresholds are
+/// computed from each row's draw; refresh and the per-cell reset are
 /// epoch-based (see the module docs).
 #[derive(Debug, Clone)]
 pub struct DeviceState {
@@ -784,11 +887,12 @@ impl DeviceState {
         let window = Window {
             charge: &mut self.charge[lo..=hi],
             epoch: &mut self.epochs[lo..=hi],
-            threshold: &self.tables.threshold[lo..=hi],
             flips: &mut self.flips[lo..=hi],
             meta: &self.tables.meta[lo..=hi],
             quanta: &self.tables.window_quanta[r - below..=r + above],
             floor: self.tables.threshold_floor,
+            first: lo,
+            tables: &self.tables,
         };
         let swept = leak_window(
             self.kernel,
@@ -811,13 +915,27 @@ impl DeviceState {
     /// After a settle sweep over the window `lo..=hi`, keep each lane that
     /// settled in the peak record at its highest settled charge. Every lane
     /// of the window holds this epoch's charge, the one the sweep read.
+    ///
+    /// It needs no threshold: it records every lane that holds flips and
+    /// reaches the floor. A lane that settled in this sweep holds flips
+    /// (a settle leaves at least one) and reached its threshold, so the
+    /// floor. A lane recorded that did not settle in it holds flips from an
+    /// earlier settle of this cell (a reset clears them), whose charge the
+    /// record already holds, at or above its threshold; its charge now is
+    /// below that threshold (a lane with flips has charged cells, so at or
+    /// above it, it would have settled), so the record does not move. A
+    /// lane below the floor is below its threshold and its record, too.
+    ///
     /// It runs only after a sweep, which is rare, so it is kept out of
     /// line: the common activation pays one untaken branch for it.
     #[inline(never)]
     fn note_peaks(&mut self, lo: usize, hi: usize) {
-        let t = &self.tables;
-        for (idx, &c) in (lo..=hi).zip(&self.charge[lo..=hi]) {
-            if settles(c, t.threshold[idx], t.meta[idx]) {
+        let floor = self.tables.threshold_floor;
+        let lanes = (lo..=hi)
+            .zip(&self.charge[lo..=hi])
+            .zip(&self.flips[lo..=hi]);
+        for ((idx, &c), &flips) in lanes {
+            if flips > 0 && c >= floor {
                 // Flat indices stay below `MAX_TOTAL_ROWS` = 2^24.
                 let peak = self.peaks.entry(idx as u32).or_insert(c);
                 *peak = peak.max(c);
@@ -1008,10 +1126,10 @@ impl DeviceState {
     ///
     /// So each recorded row whose peak reaches its threshold at `hc_first`
     /// contributes that formula evaluated there, and no other row flips.
-    /// The threshold is recomputed from the row's draw (`SplitMix64::skip`
-    /// to it), bit-identical to the one a table build at `hc_first` holds.
-    /// Costs one pass over the record (the rows that settled here), plus
-    /// the ECC placement of the rows that flip there.
+    /// The threshold is computed from the row's draw, as the settle sweep
+    /// of a device at `hc_first` computes it. Costs one pass over the
+    /// record (the rows that settled here), plus the ECC placement of the
+    /// rows that flip there.
     ///
     /// Refuses a lower `HC_first`: its thresholds may sit below this run's,
     /// where nothing was recorded.
@@ -1029,9 +1147,8 @@ impl DeviceState {
         let mut flipped = Vec::new();
         for (&row, &peak) in &self.peaks {
             let idx = row as usize;
-            let mut draw = SplitMix64::new(t.seed);
-            draw.skip(u64::from(row));
-            let threshold = row_threshold(hc_first, p.threshold_jitter, draw.next_f64());
+            let threshold =
+                row_threshold(hc_first, p.threshold_jitter, row_draw(t.seed, idx as u64));
             let meta = t.meta[idx];
             let vuln = meta & VULN_MASK;
             if peak < threshold || vuln == 0 {
@@ -1287,13 +1404,24 @@ mod tests {
         assert_eq!(d.charge_of(RowAddr::bank_row(0, 15)), 0.0);
     }
 
+    /// Every row's threshold, bit for bit.
+    fn thresholds(t: &DeviceTables) -> Vec<u64> {
+        (0..t.geom.total_rows() as usize)
+            .map(|idx| t.threshold_at(idx).to_bits())
+            .collect()
+    }
+
     #[test]
     fn same_seed_same_thresholds() {
         let g = Geometry::tiny(64);
         let p = VictimModelParams::with_hc_first(5000);
         let a = DeviceTables::new(g, p, 123).unwrap();
         let b = DeviceTables::new(g, p, 123).unwrap();
-        assert_eq!(a.threshold, b.threshold);
+        assert_eq!(thresholds(&a), thresholds(&b));
+        assert_ne!(
+            thresholds(&a),
+            thresholds(&DeviceTables::new(g, p, 124).unwrap())
+        );
     }
 
     #[test]
@@ -1769,6 +1897,98 @@ mod tests {
         }
     }
 
+    /// A table set derived with `with_params` — from a set of the same
+    /// pattern (sharing its metadata slab) or of another pattern (building
+    /// its own) — drives a device exactly as a fresh `DeviceTables::shared`
+    /// of the same parameters does: every observable, every row's charge
+    /// bit for bit and the flips derived at a higher `HC_first`, across the
+    /// four patterns, ECC 0 and 128, and every kernel.
+    #[test]
+    fn a_derived_table_set_drives_a_device_like_a_fresh_build() {
+        let g = Geometry {
+            banks: 2,
+            ..Geometry::tiny(96)
+        };
+        let params = |pattern, hc, ecc| VictimModelParams {
+            data_pattern: pattern,
+            ecc_codeword_bits: ecc,
+            ..VictimModelParams::with_hc_first(hc)
+        };
+        let patterns = [
+            DataPattern::Legacy,
+            DataPattern::Solid,
+            DataPattern::Checkerboard,
+            DataPattern::RowStripe,
+        ];
+        for kernel in available_kernels() {
+            for ecc in [0, 128] {
+                for (i, &pattern) in patterns.iter().enumerate() {
+                    let want = params(pattern, 300, ecc);
+                    let same = DeviceTables::shared(g, params(pattern, 4_000, 0), 17).unwrap();
+                    let other = DeviceTables::shared(g, params(patterns[(i + 1) % 4], 300, 0), 17);
+                    let other = other.unwrap();
+                    let shared = same.with_params(want).unwrap();
+                    let rebuilt = other.with_params(want).unwrap();
+                    assert!(shared.shares_rows_with(&same) && !rebuilt.shares_rows_with(&other));
+                    let mut fresh = DeviceState::with_tables_and_kernel(
+                        DeviceTables::shared(g, want, 17).unwrap(),
+                        kernel,
+                    );
+                    drive(&mut fresh, 41, 6_000);
+                    let what = format!("{kernel} {pattern:?} ecc {ecc}");
+                    assert!(fresh.total_flips() > 0, "{what} must exercise flips");
+                    for (how, tables) in [("shared", shared), ("rebuilt", rebuilt)] {
+                        let mut derived = DeviceState::with_tables_and_kernel(tables, kernel);
+                        drive(&mut derived, 41, 6_000);
+                        let what = format!("{what} {how}");
+                        assert_same_device(&derived, &fresh, &what);
+                        assert_eq!(derived.flips_under(420), fresh.flips_under(420), "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// `with_params` validates like `new`, and shares the slab exactly when
+    /// the data pattern and `cells_per_row` match.
+    #[test]
+    fn with_params_validates_and_shares_only_a_matching_slab() {
+        let g = Geometry::tiny(64);
+        let p = VictimModelParams::with_hc_first(1000);
+        let base = DeviceTables::shared(g, p, 3).unwrap();
+        for bad in [
+            VictimModelParams {
+                cells_per_row: 0,
+                ..p
+            },
+            VictimModelParams {
+                ecc_codeword_bits: 10_000,
+                ..p
+            },
+        ] {
+            assert_eq!(
+                base.with_params(bad).unwrap_err(),
+                DeviceTables::new(g, bad, 3).unwrap_err()
+            );
+        }
+        let shares = |q: VictimModelParams| base.with_params(q).unwrap().shares_rows_with(&base);
+        assert!(shares(VictimModelParams {
+            hc_first: 7,
+            threshold_jitter: 0.5,
+            ecc_codeword_bits: 64,
+            ..p
+        }));
+        assert!(!shares(VictimModelParams {
+            cells_per_row: 4096,
+            ..p
+        }));
+        assert!(!shares(VictimModelParams {
+            data_pattern: DataPattern::Solid,
+            ..p
+        }));
+        assert!(!base.shares_rows_with(&DeviceTables::new(g, p, 3).unwrap()));
+    }
+
     /// A device asked for AVX2 runs it only where the CPU reports it, and
     /// says which kernel it runs.
     #[test]
@@ -1796,23 +2016,47 @@ mod tests {
         assert!(d.flips_under(500).is_ok() && d.flips_under(800).is_ok());
     }
 
-    /// `flips_under` recomputes a row's threshold from its draw of the
-    /// seed's stream; that must be the very value a table build at that
-    /// `HC_first` stores, for every row.
+    /// Threshold parity: a row's threshold, wherever it is read, is
+    /// `hc_first · (1 + jitter · u)` for the row's draw `u` of the seed's
+    /// stream (draw `i` for flat row `i`, taken here by stepping, not by
+    /// `skip`), bit for bit — on a table set built for its `HC_first` and
+    /// on one derived for it from another's slab, with and without jitter
+    /// — and the floor is the least of them.
     #[test]
     fn a_row_threshold_recomputed_from_its_draw_matches_the_table() {
-        let g = Geometry::tiny(300);
-        for hc in [1u64, 777, 139_000] {
-            let tables = DeviceTables::new(g, VictimModelParams::with_hc_first(hc), 31).unwrap();
-            for idx in 0..g.total_rows() {
-                let mut draw = SplitMix64::new(31);
-                draw.skip(idx);
-                let recomputed = row_threshold(hc, tables.params.threshold_jitter, draw.next_f64());
-                assert_eq!(
-                    recomputed.to_bits(),
-                    tables.threshold[idx as usize].to_bits(),
-                    "hc {hc} row {idx}"
-                );
+        let g = Geometry {
+            banks: 3,
+            ..Geometry::tiny(100)
+        };
+        let mut stream = SplitMix64::new(31);
+        let draws: Vec<f64> = (0..g.total_rows()).map(|_| stream.next_f64()).collect();
+        let base = DeviceTables::new(g, VictimModelParams::with_hc_first(5), 31).unwrap();
+        for jitter in [0.0, 0.25] {
+            for hc in [1u64, 777, 139_000] {
+                let params = VictimModelParams {
+                    threshold_jitter: jitter,
+                    ..VictimModelParams::with_hc_first(hc)
+                };
+                let built = DeviceTables::new(g, params, 31).unwrap();
+                let derived = base.with_params(params).unwrap();
+                for (what, tables) in [("built", &built), ("derived", &*derived)] {
+                    let mut least = f64::INFINITY;
+                    for (idx, &u) in draws.iter().enumerate() {
+                        let addr = RowAddr::bank_row(
+                            idx as u32 / g.rows_per_bank,
+                            idx as u32 % g.rows_per_bank,
+                        );
+                        let want = hc as f64 * (1.0 + jitter * u);
+                        let got = tables.threshold_of(addr);
+                        assert_eq!(got.to_bits(), want.to_bits(), "{what} hc {hc} row {idx}");
+                        least = least.min(got);
+                    }
+                    assert_eq!(
+                        tables.threshold_floor.to_bits(),
+                        least.to_bits(),
+                        "{what} hc {hc} jitter {jitter}"
+                    );
+                }
             }
         }
     }
@@ -1960,7 +2204,7 @@ mod tests {
             7,
         )
         .unwrap();
-        assert_eq!(legacy.threshold, striped.threshold);
+        assert_eq!(thresholds(&legacy), thresholds(&striped));
     }
 
     #[test]

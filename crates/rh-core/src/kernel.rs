@@ -3,7 +3,7 @@
 //! One activation (or a coalesced run of `n` identical activations) touches
 //! a contiguous *blast window* of rows around the aggressor. With the row
 //! state split into parallel slabs ([`crate::DeviceState`] holds
-//! `charge`/`epoch`/`flips` vectors and reads `threshold`/`meta` in place
+//! `charge`/`epoch`/`flips` vectors and reads the `meta` words in place
 //! from its shared tables), that window is a handful of contiguous lanes
 //! per field, and the per-lane update is the same short dataflow
 //! everywhere:
@@ -15,9 +15,12 @@
 //!    order per lane is exactly the order `n` separate activations would
 //!    have used, which is what keeps coalescing bit-exact);
 //! 3. **settle** — the rare branch: once charge crosses the lane's
-//!    threshold, deterministically reconcile its recorded flips. The
-//!    kernel reports whether it swept, so the device can note the settled
-//!    lanes' charges in its sparse peak record.
+//!    threshold, deterministically reconcile its recorded flips. No slab
+//!    holds thresholds: the sweep computes a lane's threshold from its
+//!    row's draw of the device seed's threshold stream, and only for a
+//!    lane whose charge reached the device-wide floor and that can still
+//!    gain a flip. The kernel reports whether it swept, so the device can
+//!    note the settled lanes' charges in its sparse peak record.
 //!
 //! Two interchangeable implementations sit behind the [`Kernel`] dispatch,
 //! selected once per device:
@@ -27,8 +30,8 @@
 //!   on non-x86-64 targets.
 //! * [`Kernel::Avx2`] — `std::arch::x86_64` intrinsics processing four
 //!   `f64` lanes per step: epoch compare + blend to zero stale lanes, `n`
-//!   vector adds, then a threshold compare whose movemask peels only the
-//!   (rare) crossing lanes into the scalar settle tail. Guarded by
+//!   vector adds, then a compare against the threshold floor whose
+//!   movemask gates the (rare) scalar settle sweep. Guarded by
 //!   `is_x86_feature_detected!` when a device is built — a device asked
 //!   for it on a CPU without AVX2 runs the scalar kernel — and bit-identical to the scalar kernel by
 //!   construction: the same adds in the same per-lane order, and zeroing a
@@ -47,10 +50,11 @@
 //! flipped at a higher `HC_first`. A lane's recorded flips are the
 //! `expected_flips` of the highest charge it settled at, because
 //! `expected_flips` is monotone in charge and charge only falls at a
-//! refresh. So after every sweep the device keeps each lane that
-//! `settles` in a sparse map from flat row index to its highest settled
-//! charge (`PeakRecord`): one hashed update per settled lane, and only
-//! lanes that crossed their threshold ever get an entry. The kernels do
+//! refresh. So after every sweep the device keeps each lane that settled
+//! in a sparse map from flat row index to its highest settled charge
+//! (`PeakRecord`): one hashed update per lane that holds flips and reached
+//! the floor (which needs no threshold; see `DeviceState::note_peaks`), and
+//! only lanes that crossed their threshold ever get an entry. The kernels do
 //! not touch the map: they only return whether they swept. That keeps the
 //! map out of `Window`, which every activation passes to a kernel by
 //! value; carrying it there measurably slowed every activation, settling
@@ -60,7 +64,7 @@
 //! [`crate::DeviceState::flips_under`] reads that `HC_first`'s flips off the
 //! record exactly.
 
-use crate::device::{ANTI_CELL_BIT, VULN_MASK};
+use crate::device::{DeviceTables, ANTI_CELL_BIT, VULN_MASK};
 use std::collections::HashMap;
 
 /// A settle kernel. Selected once per device ([`Kernel::auto`]); the
@@ -153,32 +157,35 @@ pub(crate) type PeakRecord = HashMap<u32, f64>;
 /// One blast window viewed through the SoA slabs: the same contiguous lane
 /// range sliced out of every per-row vector, plus the matching slice of the
 /// precomputed quanta template (the aggressor lane carries quantum `0.0`,
-/// so the kernels need no skip-the-aggressor branch).
+/// so the kernels need no skip-the-aggressor branch). Lane `i` is flat row
+/// `first + i`, whose threshold `tables` computes from the row's draw
+/// ([`DeviceTables::threshold_at`]); no slab holds thresholds.
 ///
-/// `floor` is the device-wide threshold floor (the minimum of the whole
-/// threshold slab). The accumulate pass compares charges against it instead
-/// of loading per-lane thresholds: since `floor <= t` for every lane, a
-/// lane crossing its real threshold always crosses the floor too, so the
-/// settle sweep (which re-checks `c >= t` per lane) can never be skipped
-/// when it would have acted. A false floor trip only costs a redundant
-/// sweep. The point is cache traffic: the overwhelmingly common
-/// cold-window case (benign traffic over the whole device) touches just
-/// the `charge` and `epoch` slabs — the `threshold`/`meta`/`flips` slabs
-/// stay untouched unless a crossing is actually plausible.
+/// `floor` is the device-wide threshold floor (the least row threshold).
+/// The accumulate pass compares charges against it: since `floor <= t` for
+/// every lane, a lane crossing its real threshold always crosses the floor
+/// too, so the settle sweep (which checks `c >= t` per lane) can never be
+/// skipped when it would have acted. A false floor trip only costs a
+/// redundant sweep. The point is cache traffic and arithmetic: the
+/// overwhelmingly common cold-window case (benign traffic over the whole
+/// device) touches just the `charge` and `epoch` slabs — the `meta`/`flips`
+/// slabs stay untouched and no draw is computed unless a crossing is
+/// actually plausible. The sweep computes a lane's draw only when its
+/// charge reaches the floor and it can still gain a flip.
 pub(crate) struct Window<'a> {
     pub charge: &'a mut [f64],
     pub epoch: &'a mut [u64],
-    pub threshold: &'a [f64],
     pub flips: &'a mut [u32],
     pub meta: &'a [u32],
     pub quanta: &'a [f64],
     pub floor: f64,
+    pub first: usize,
+    pub tables: &'a DeviceTables,
 }
 
 impl Window<'_> {
     fn len(&self) -> usize {
         debug_assert_eq!(self.charge.len(), self.epoch.len());
-        debug_assert_eq!(self.charge.len(), self.threshold.len());
         debug_assert_eq!(self.charge.len(), self.flips.len());
         debug_assert_eq!(self.charge.len(), self.meta.len());
         debug_assert_eq!(self.charge.len(), self.quanta.len());
@@ -206,8 +213,8 @@ pub(crate) fn expected_flips(c: f64, t: f64, vuln: u32, hc_first: u64, flip_slop
 /// the kernels can only disagree about *when* it runs, never about what it
 /// does; since expected flips are a monotone function of charge, running it
 /// once at a run's final charge equals running it after every activation.
-/// `vuln` (the lane's charged cells) is nonzero: a lane with nothing to
-/// flip never settles.
+/// The lane holds fewer flips than its charged cells: a lane with nothing
+/// left to flip is never settled.
 #[inline]
 fn settle_lane(
     c: f64,
@@ -234,30 +241,26 @@ fn settle_lane(
     }
 }
 
-/// Whether a lane with charge `c`, threshold `t` and metadata word `meta`
-/// settles: its charge has reached its threshold and it has charged cells
-/// to flip. The settle sweep reconciles exactly these lanes, and the device
-/// records exactly their charges in its peak record.
-#[inline(always)]
-pub(crate) fn settles(c: f64, t: f64, meta: u32) -> bool {
-    c >= t && meta & VULN_MASK != 0
-}
-
 /// The settle sweep both kernels share after their accumulate pass: walk
-/// the window once more and reconcile the (rare) lanes that [`settles`].
-/// Lanes are independent, so splitting accumulate and settle into two
-/// passes cannot change any value — it only keeps the branch out of the
-/// accumulate loop so that loop stays a straight-line vector body.
+/// the window once more and reconcile the (rare) lanes that settle — whose
+/// charge has reached their threshold and that have charged cells to flip.
+/// A lane below the floor is below its threshold too, and a lane that
+/// already holds a flip for each of its charged cells (none, for a lane
+/// without any) cannot gain one, so neither computes its draw; every other
+/// lane computes it once. Lanes are independent, so splitting accumulate
+/// and settle into two passes cannot change any value — it only keeps the
+/// branch out of the accumulate loop so that loop stays a straight-line
+/// vector body.
 #[inline(always)]
 fn settle_window(w: &mut Window<'_>, hc_first: u64, flip_slope: f64, tally: &mut VictimTally) {
-    for (((&c, &t), &meta), flips) in w
-        .charge
-        .iter()
-        .zip(w.threshold.iter())
-        .zip(w.meta.iter())
-        .zip(w.flips.iter_mut())
-    {
-        if settles(c, t, meta) {
+    let (floor, first, tables) = (w.floor, w.first, w.tables);
+    let lanes = w.charge.iter().zip(w.meta.iter()).zip(w.flips.iter_mut());
+    for (i, ((&c, &meta), flips)) in lanes.enumerate() {
+        if c < floor || *flips >= meta & VULN_MASK {
+            continue;
+        }
+        let t = tables.threshold_at(first + i);
+        if c >= t {
             settle_lane(c, t, meta, flips, hc_first, flip_slope, tally);
         }
     }

@@ -12,7 +12,8 @@
 //!   victim model parameterized by `HC_first` (the minimum hammer count that
 //!   induces the first bit flip) and a distance-attenuated blast radius,
 //!   with an allocation-free hot path: `Arc`-shared [`DeviceTables`]
-//!   (thresholds + attenuation), epoch-based O(1) `refresh_all`, and an
+//!   (per-row metadata + attenuation; thresholds computed from each row's
+//!   draw), epoch-based O(1) `refresh_all`, and an
 //!   incrementally-maintained flipped-row counter (see `device` module docs);
 //! * [`Device`] — the trait the engine drives, implemented by both the
 //!   optimized [`DeviceState`] and the retained eager reference
