@@ -19,12 +19,11 @@ USAGE:
     rh-cli configure --hc <N> --window <N> --target-pfail <P>
                      [--validate] [--trials <N>] [--seed <N>]
     rh-cli serve [--workers <N>] [--listen <ADDR>] [--cache-capacity <N>]
-                 [--checkpoint-dir <DIR>] [--shard-cells <N>] [--config-epoch <N>]
+                 [--checkpoint-dir <DIR>] [--shard-cells <N>]
                  [--fallback-after-ms <MS>] [--speculate-after-ms <MS>]
                  [--fault-plan <PLAN>] [--max-pending-jobs <N>]
-                 [--handshake-timeout-ms <MS>]
     rh-cli worker [--connect <ADDR>] [--fault-plan <PLAN>]
-                  [--config-epoch <N>] [--retry <N>] [--backoff-ms <MS>]
+                  [--retry <N>] [--backoff-ms <MS>]
     rh-cli submit --connect <ADDR> [--timeout <SECS>] [--job-deadline-ms <MS>]
     rh-cli cancel --connect <ADDR> --id <JOB> [--timeout <SECS>]
 
@@ -82,12 +81,15 @@ SERVE OPTIONS:
                             The listener checks no credentials: anyone who
                             can reach ADDR can submit, cancel, or attach a
                             worker, so keep it on loopback or a trusted
-                            network
+                            network. A connection has 10 s to send its
+                            first line; a worker whose hello names another
+                            protocol version or model id is rejected
     --cache-capacity <N>    result-cache size in documents (default 128)
     --checkpoint-dir <DIR>  the one durable store, a checksummed per-cell
                             journal: a resubmit, even to a restarted
                             coordinator, runs only the cells not on disk;
-                            damaged records are skipped and re-executed
+                            damaged records are skipped and re-executed,
+                            and journals another model id wrote are not read
     --shard-cells <N>       max units per shard lease (default 16): a
                             job's missing cells fold into units, one engine
                             pass each, as in sweep (cells that differ only
@@ -96,8 +98,6 @@ SERVE OPTIONS:
                             ceil(units / live workers), at most N, so every
                             worker gets a share of every job; merged output
                             is byte-identical at any N
-    --config-epoch <N>      config generation; worker hellos announcing a
-                            different epoch are rejected (default 0)
     --fallback-after-ms <MS> graceful degradation: a job stranded this long
                             with no live worker is executed in-process by
                             the submitting thread (default: off, fail fast)
@@ -113,8 +113,6 @@ SERVE OPTIONS:
     --max-pending-jobs <N>  admission bound: submits past N unfinished jobs
                             coordinator-wide get a clean reject naming
                             queue_full (default 64)
-    --handshake-timeout-ms <MS> how long a fresh TCP connection gets to
-                            produce its first protocol line (default 10000)
 
 WORKER OPTIONS:
     --connect <ADDR>        attach to a coordinator over TCP (default:
@@ -125,8 +123,6 @@ WORKER OPTIONS:
                             stall-after-cells=N, stall-ms=MS, drop-line=N,
                             garble-line=N, delay-connect-ms=MS, seed=S
                             (see docs/ARCHITECTURE.md, failure model)
-    --config-epoch <N>      config generation announced in the hello; must
-                            match the coordinator's (default 0)
     --retry <N>             reconnect attempts after a failed connect or a
                             dropped connection, with seeded exponential
                             backoff; a coordinator 'reject' is never
@@ -279,12 +275,6 @@ pub fn parse_serve_args(args: &[String]) -> Result<ServeInvocation, String> {
                     return Err("--shard-cells must be at least 1".to_string());
                 }
             }
-            "--config-epoch" => {
-                let v = value(&mut i, "--config-epoch")?;
-                opts.config_epoch = v
-                    .parse()
-                    .map_err(|_| format!("invalid --config-epoch '{v}'"))?;
-            }
             "--fallback-after-ms" => {
                 let v = value(&mut i, "--fallback-after-ms")?;
                 let ms: u64 = v
@@ -313,20 +303,6 @@ pub fn parse_serve_args(args: &[String]) -> Result<ServeInvocation, String> {
                 if opts.max_pending_jobs == 0 {
                     return Err("--max-pending-jobs must be at least 1".to_string());
                 }
-            }
-            "--handshake-timeout-ms" => {
-                let v = value(&mut i, "--handshake-timeout-ms")?;
-                let ms: u64 = v
-                    .parse()
-                    .map_err(|_| format!("invalid --handshake-timeout-ms '{v}'"))?;
-                if ms == 0 {
-                    return Err(
-                        "--handshake-timeout-ms must be at least 1 (a zero deadline \
-                         would reject every connection before its first line)"
-                            .to_string(),
-                    );
-                }
-                opts.handshake_timeout = std::time::Duration::from_millis(ms);
             }
             "-h" | "--help" => return Ok(ServeInvocation::Help),
             other => return Err(format!("unknown serve option '{other}'")),
@@ -366,12 +342,6 @@ pub fn parse_worker_args(args: &[String]) -> Result<WorkerInvocation, String> {
             "--connect" => opts.connect = Some(value(&mut i, "--connect")?),
             "--fault-plan" => {
                 opts.fault_plan = FaultPlan::parse(&value(&mut i, "--fault-plan")?)?;
-            }
-            "--config-epoch" => {
-                let v = value(&mut i, "--config-epoch")?;
-                opts.config_epoch = v
-                    .parse()
-                    .map_err(|_| format!("invalid --config-epoch '{v}'"))?;
             }
             "--retry" => {
                 let v = value(&mut i, "--retry")?;
@@ -837,12 +807,15 @@ mod tests {
                 "{bad:?} must be rejected"
             );
         }
-        // Each worker runs the settle kernel its own CPU picks.
-        let owned: Vec<String> = ["--kernel", "auto"].iter().map(|s| s.to_string()).collect();
-        assert_eq!(
-            parse_serve_args(&owned).unwrap_err(),
-            "unknown serve option '--kernel'"
-        );
+        // Each worker runs the settle kernel its own CPU picks, a worker's
+        // model id is compiled in, and the first-line deadline is a
+        // constant: none of them is a flag.
+        for flag in ["--kernel", "--config-epoch", "--handshake-timeout-ms"] {
+            assert_eq!(
+                parse_serve_args(&argv(&[flag, "1"])).unwrap_err(),
+                format!("unknown serve option '{flag}'")
+            );
+        }
     }
 
     #[test]
@@ -869,6 +842,8 @@ mod tests {
             // `--fault-plan crash-after-cells=N` is the one way to
             // schedule a crash.
             &["--exit-after-cells", "3"],
+            // The hello carries the compiled-in model id.
+            &["--config-epoch", "1"],
         ] {
             let owned: Vec<String> = bad.iter().map(|s| s.to_string()).collect();
             let err = parse_worker_args(&owned).unwrap_err();
@@ -895,8 +870,6 @@ mod tests {
     #[test]
     fn chaos_flags_parse_and_reject() {
         let owned: Vec<String> = [
-            "--config-epoch",
-            "7",
             "--fallback-after-ms",
             "250",
             "--speculate-after-ms",
@@ -909,7 +882,6 @@ mod tests {
         .collect();
         match parse_serve_args(&owned).unwrap() {
             ServeInvocation::Serve(o) => {
-                assert_eq!(o.config_epoch, 7);
                 assert_eq!(
                     o.fallback_after,
                     Some(std::time::Duration::from_millis(250))
@@ -958,8 +930,6 @@ mod tests {
             "127.0.0.1:9",
             "--fault-plan",
             "crash-after-cells=3,drop-line=2",
-            "--config-epoch",
-            "9",
             "--retry",
             "4",
             "--backoff-ms",
@@ -974,7 +944,6 @@ mod tests {
                     o.fault_plan,
                     FaultPlan::parse("crash-after-cells=3,drop-line=2").unwrap()
                 );
-                assert_eq!(o.config_epoch, 9);
                 assert_eq!(o.retries, 4);
                 assert_eq!(o.backoff_base_ms, 50);
             }
@@ -1008,27 +977,20 @@ mod tests {
 
     #[test]
     fn job_manager_serve_flags_parse_and_reject() {
-        let owned = argv(&["--max-pending-jobs", "3", "--handshake-timeout-ms", "1500"]);
-        match parse_serve_args(&owned).unwrap() {
-            ServeInvocation::Serve(o) => {
-                assert_eq!(o.max_pending_jobs, 3);
-                assert_eq!(o.handshake_timeout, std::time::Duration::from_millis(1500));
-            }
+        match parse_serve_args(&argv(&["--max-pending-jobs", "3"])).unwrap() {
+            ServeInvocation::Serve(o) => assert_eq!(o.max_pending_jobs, 3),
             ServeInvocation::Help => panic!("unexpected help"),
         }
         // Defaults: admission on with a generous bound.
         match parse_serve_args(&[]).unwrap() {
-            ServeInvocation::Serve(o) => {
-                assert_eq!(o.max_pending_jobs, 64);
-                assert_eq!(o.handshake_timeout, std::time::Duration::from_secs(10));
-            }
+            ServeInvocation::Serve(o) => assert_eq!(o.max_pending_jobs, 64),
             ServeInvocation::Help => panic!("unexpected help"),
         }
         for bad in [
             &["--max-pending-jobs", "0"][..],
             &["--max-pending-jobs", "x"],
-            // A zero handshake deadline would reject every connection.
-            &["--handshake-timeout-ms", "0"],
+            // The first-line deadline is a constant.
+            &["--handshake-timeout-ms", "1000"],
         ] {
             assert!(
                 parse_serve_args(&argv(bad)).is_err(),
@@ -1159,12 +1121,10 @@ mod tests {
             "--cache-capacity",
             "--checkpoint-dir",
             "--shard-cells",
-            "--config-epoch",
             "--fallback-after-ms",
             "--speculate-after-ms",
             "--fault-plan",
             "--max-pending-jobs",
-            "--handshake-timeout-ms",
             "--connect",
             "--retry",
             "--backoff-ms",
@@ -1179,6 +1139,8 @@ mod tests {
             "--max-cells-per-client",
             "--kernel",
             "--target-lease-ms",
+            "--config-epoch",
+            "--handshake-timeout-ms",
             "-",
         ];
         const VALUES: &[&str] = &[

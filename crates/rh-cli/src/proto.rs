@@ -59,7 +59,9 @@ use std::io::{BufRead, Write};
 /// cancel, so the mix is rejected. Version 3
 /// dropped the lease's list tag and kernel request: indices address the
 /// sweep's one cell list, which a v2 worker would read as the grid alone.
-pub const PROTO_VERSION: u64 = 3;
+/// Version 4 replaced the hello's operator-set config epoch with the
+/// worker's [`crate::MODEL_ID`].
+pub const PROTO_VERSION: u64 = 4;
 
 // ---------------------------------------------------------------------------
 // JSON value model + parser
@@ -525,12 +527,15 @@ pub fn config_to_json(cfg: &SweepConfig) -> String {
 }
 
 /// FNV-1a over raw bytes — the workspace's one content fingerprint, shared
-/// by the config hash and the checkpoint journal's records.
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
+/// by the config hash, the checkpoint journal's records and
+/// [`crate::MODEL_ID`].
+pub(crate) const fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
+    let mut i = 0;
+    while i < bytes.len() {
+        h ^= bytes[i] as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        i += 1;
     }
     h
 }
@@ -658,8 +663,8 @@ pub enum ToWorker {
         indices: Vec<usize>,
         config: SweepConfig,
     },
-    /// The coordinator refuses this worker (protocol-version or
-    /// config-epoch mismatch). Terminal: the worker must not retry the same
+    /// The coordinator refuses this worker (protocol-version or model-id
+    /// mismatch). Terminal: the worker must not retry the same
     /// coordinator — the skew will not heal on its own.
     Reject { reason: String },
     /// The named job was cancelled (client verb or expired deadline): the
@@ -731,17 +736,16 @@ pub enum FromWorker {
     /// the worker runs ([`rh_core::Kernel::auto`] on its CPU and
     /// environment, recorded per worker in the response envelope), and
     /// carries the handshake the coordinator vets before leasing —
-    /// [`PROTO_VERSION`] plus the operator-assigned `config_epoch`
-    /// (fleet-rollout generation; a worker started against yesterday's
-    /// config generation is cleanly rejected, not silently merged).
+    /// [`PROTO_VERSION`] plus the worker's [`crate::MODEL_ID`] (a worker
+    /// built with other simulation semantics is cleanly rejected, not
+    /// silently merged).
     Hello {
         kernel: String,
         pid: u64,
         /// Wire-protocol version; pre-versioning workers decode as 0.
         proto_version: u64,
-        /// Operator-assigned config generation; must equal the
-        /// coordinator's `--config-epoch`.
-        config_epoch: u64,
+        /// The worker's model id; must equal the coordinator's.
+        model: u64,
     },
     /// Liveness pulse emitted from a side thread while a shard executes, so
     /// the coordinator can tell a *computing* worker from a dead socket even
@@ -778,10 +782,10 @@ impl FromWorker {
                 kernel,
                 pid,
                 proto_version,
-                config_epoch,
+                model,
             } => format!(
                 "{{\"type\":\"hello\",\"role\":\"worker\",\"proto\":{proto_version},\
-                 \"config_epoch\":{config_epoch},\"kernel\":{},\"pid\":{pid}}}",
+                 \"model\":{model},\"kernel\":{},\"pid\":{pid}}}",
                 jstr(kernel)
             ),
             Self::Heartbeat { job, shard } => {
@@ -824,7 +828,7 @@ impl FromWorker {
                 // the coordinator's vetting rejects them cleanly instead of
                 // erroring out the whole line.
                 proto_version: v.get("proto").and_then(Value::as_u64).unwrap_or(0),
-                config_epoch: v.get("config_epoch").and_then(Value::as_u64).unwrap_or(0),
+                model: v.get("model").and_then(Value::as_u64).unwrap_or(0),
             }),
             "heartbeat" => Ok(Self::Heartbeat {
                 job: field_u64(&v, "job")?,
@@ -1533,14 +1537,14 @@ mod tests {
             kernel: "avx2".into(),
             pid: 42,
             proto_version: PROTO_VERSION,
-            config_epoch: 9,
+            model: crate::MODEL_ID,
         };
         assert!(matches!(
             FromWorker::decode(&hello.encode()).unwrap(),
             FromWorker::Hello {
                 pid: 42,
                 proto_version: PROTO_VERSION,
-                config_epoch: 9,
+                model: crate::MODEL_ID,
                 ..
             }
         ));
@@ -1550,10 +1554,10 @@ mod tests {
             FromWorker::Heartbeat { job: 4, shard: 8 }
         ));
         let reject = ToWorker::Reject {
-            reason: "epoch mismatch".into(),
+            reason: "model mismatch".into(),
         };
         match ToWorker::decode(&reject.encode()).unwrap() {
-            ToWorker::Reject { reason } => assert_eq!(reason, "epoch mismatch"),
+            ToWorker::Reject { reason } => assert_eq!(reason, "model mismatch"),
             other => panic!("decoded wrong variant: {other:?}"),
         }
         let done = FromWorker::ShardDone { job: 1, shard: 2 };
@@ -1715,17 +1719,17 @@ mod tests {
 
     #[test]
     fn pre_versioning_hello_decodes_as_version_zero() {
-        // The PR 7 hello shape, with no proto/config_epoch fields — it must
+        // The PR 7 hello shape, with no proto/model fields — it must
         // decode (so the coordinator can *vet* it) as version 0.
         let legacy = r#"{"type":"hello","role":"worker","kernel":"scalar","pid":1}"#;
         match FromWorker::decode(legacy).unwrap() {
             FromWorker::Hello {
                 proto_version,
-                config_epoch,
+                model,
                 ..
             } => {
                 assert_eq!(proto_version, 0);
-                assert_eq!(config_epoch, 0);
+                assert_eq!(model, 0);
             }
             other => panic!("decoded wrong variant: {other:?}"),
         }
@@ -1799,7 +1803,7 @@ mod tests {
                 kernel: "scalar".into(),
                 pid: 99,
                 proto_version: PROTO_VERSION,
-                config_epoch: 1,
+                model: 1,
             }
             .encode(),
             FromWorker::Heartbeat { job: 1, shard: 2 }.encode(),

@@ -29,9 +29,10 @@
 //!   job leaves the coordinator with its last waiter, so what outlives a
 //!   job is its document in the cache (and its journal on disk).
 //! * **Checkpoint journal**: with `--checkpoint-dir`, every merged cell is
-//!   appended to a checksummed jsonl file keyed by `(config_hash, seed)`,
-//!   one record per cell under its list position — the service's one
-//!   durable store. A resubmit after a crash, cancel, or coordinator
+//!   appended to a checksummed jsonl file named by [`crate::MODEL_ID`] and
+//!   `(config_hash, seed)`, one record per cell under its list position —
+//!   the service's one durable store; a journal another model wrote is
+//!   never read. A resubmit after a crash, cancel, or coordinator
 //!   restart loads the file, fills the slots it covers, and schedules only
 //!   the missing cells (`checkpoint_cells` in the envelope counts the
 //!   restored ones); a fully journaled key merges without a worker and
@@ -76,8 +77,8 @@
 //! The TCP listener checks no credentials: anyone who can reach `--listen`
 //! can submit, cancel, or attach a worker (and a worker's results are
 //! merged as they come). Vetting a connection covers only the protocol
-//! version, the config epoch, the first-line deadline and the line bound,
-//! so the listener belongs on loopback or a trusted network.
+//! version, the model id, the first-line deadline and the line bound, so
+//! the listener belongs on loopback or a trusted network.
 
 use crate::cache::ResultCache;
 use crate::engine::RunResult;
@@ -103,6 +104,10 @@ use std::time::{Duration, Instant};
 /// How long [`Coordinator::start`] waits for locally-spawned workers to say
 /// hello before giving up (covers debug-build startup on a loaded box).
 const HELLO_TIMEOUT: Duration = Duration::from_secs(60);
+
+/// How long a fresh TCP connection gets to produce its first line, so a
+/// peer that connects and says nothing cannot pin a thread forever.
+const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Straggler deadline = `max(speculate_after, EWMA-per-cell × FACTOR)`:
 /// a lease whose last progress is older than the deadline is speculatively
@@ -151,17 +156,12 @@ pub struct ServeOptions {
     /// live worker, the submitting thread claims the job's leases and
     /// executes them in-process. `None` (default) preserves fail-fast.
     pub fallback_after: Option<Duration>,
-    /// Config generation; a worker announcing a different epoch in its
-    /// hello is rejected before it can lease anything.
-    pub config_epoch: u64,
     /// Floor of the straggler deadline for speculative re-execution;
     /// `None` disables speculation.
     pub speculate_after: Option<Duration>,
     /// Admission bound: maximum unfinished jobs coordinator-wide; a submit
     /// past it is rejected with reason `queue_full`.
     pub max_pending_jobs: usize,
-    /// How long a fresh TCP connection gets to produce its first line.
-    pub handshake_timeout: Duration,
 }
 
 impl Default for ServeOptions {
@@ -176,10 +176,8 @@ impl Default for ServeOptions {
             worker_extra_args: Vec::new(),
             fault_plan: FaultPlan::default(),
             fallback_after: None,
-            config_epoch: 0,
             speculate_after: Some(Duration::from_secs(10)),
             max_pending_jobs: 64,
-            handshake_timeout: Duration::from_secs(10),
         }
     }
 }
@@ -270,7 +268,7 @@ struct State {
     /// Connections whose first line was not a decodable hello or client
     /// message (logged and dropped, never panicked on).
     rejected_connections: u64,
-    /// Workers refused for protocol-version or config-epoch skew.
+    /// Workers refused for protocol-version or model-id skew.
     rejected_workers: u64,
     /// Submits refused by admission control.
     rejected_submits: u64,
@@ -320,8 +318,6 @@ struct Inner {
     /// TCP listen mode: workers may attach later, so an empty pool blocks
     /// instead of failing jobs.
     allow_late_workers: bool,
-    /// Required `config_epoch` in worker hellos.
-    config_epoch: u64,
     /// In-process fallback deadline (`None` = fail fast, the pre-existing
     /// behavior).
     fallback_after: Option<Duration>,
@@ -329,8 +325,6 @@ struct Inner {
     speculate_after: Option<Duration>,
     /// Admission bound on unfinished jobs coordinator-wide.
     max_pending_jobs: usize,
-    /// First-line deadline for TCP connections.
-    handshake_timeout: Duration,
     /// Coordinator-side `slow-client` fault: injected latency before each
     /// client reply.
     slow_client_delay: Option<Duration>,
@@ -359,11 +353,9 @@ impl Coordinator {
             checkpoint_dir: opts.checkpoint_dir.clone(),
             shard_cells: opts.shard_cells.max(1),
             allow_late_workers: opts.listen.is_some(),
-            config_epoch: opts.config_epoch,
             fallback_after: opts.fallback_after,
             speculate_after: opts.speculate_after,
             max_pending_jobs: opts.max_pending_jobs.max(1),
-            handshake_timeout: opts.handshake_timeout,
             slow_client_delay: opts.fault_plan.slow_client_delay(),
             cancel_after_cells: opts.fault_plan.cancel_after_cells(),
         });
@@ -447,10 +439,6 @@ impl Coordinator {
     ) -> Result<(), String> {
         let mut cmd = Command::new(program);
         cmd.arg("worker");
-        // Locally-spawned workers inherit the coordinator's epoch so they
-        // pass their own hello vetting; test args come later and can
-        // override it (last flag wins) to exercise the rejection path.
-        cmd.args(["--config-epoch", &opts.config_epoch.to_string()]);
         if let Some(extra) = opts.worker_extra_args.get(index) {
             cmd.args(extra);
         }
@@ -515,8 +503,7 @@ impl Coordinator {
             .live_workers
     }
 
-    /// Workers refused at hello time for protocol-version or config-epoch
-    /// skew.
+    /// Workers refused at hello time for protocol-version or model-id skew.
     pub fn rejected_workers(&self) -> u64 {
         self.inner
             .state
@@ -1124,9 +1111,16 @@ fn finalize_document(job: &Job) -> String {
 // ---------------------------------------------------------------------------
 
 /// The journal of one key: a record per merged cell, each under its
-/// position in the sweep's cell list.
+/// position in the sweep's cell list. The name carries [`crate::MODEL_ID`],
+/// so this build never reads another model's journal: those cells
+/// re-execute.
 fn checkpoint_path(dir: &Path, key: (u64, u64)) -> PathBuf {
-    dir.join(format!("ckpt-{:016x}-{}.jsonl", key.0, key.1))
+    dir.join(format!(
+        "ckpt-{:016x}-{:016x}-{}.jsonl",
+        crate::MODEL_ID,
+        key.0,
+        key.1
+    ))
 }
 
 /// Checksum binding a checkpoint record's index to its result payload, so
@@ -1257,10 +1251,10 @@ fn worker_handler<R: BufRead, W: Write>(
             Ok(FromWorker::Hello {
                 kernel,
                 proto_version,
-                config_epoch,
+                model,
                 ..
             }) => {
-                if !vet_worker(inner, name, proto_version, config_epoch, &mut writer, local) {
+                if !vet_worker(inner, name, proto_version, model, &mut writer, local) {
                     return;
                 }
                 kernel
@@ -1283,15 +1277,15 @@ fn worker_handler<R: BufRead, W: Write>(
 }
 
 /// Vet a worker hello against this coordinator's protocol version and
-/// config epoch. A mismatch gets a terminal `reject` line (so the worker
-/// exits instead of retrying), a log line, and a counter bump — and, for a
-/// locally-spawned worker, fails coordinator startup, since a local pool
-/// that can never attach is a configuration error.
+/// [`crate::MODEL_ID`]. A mismatch gets a terminal `reject` line (so the
+/// worker exits instead of retrying), a log line, and a counter bump — and,
+/// for a locally-spawned worker, fails coordinator startup, since a local
+/// pool that can never attach is a configuration error.
 fn vet_worker<W: Write>(
     inner: &Arc<Inner>,
     name: &str,
     proto_version: u64,
-    config_epoch: u64,
+    model: u64,
     writer: &mut W,
     local: bool,
 ) -> bool {
@@ -1299,10 +1293,10 @@ fn vet_worker<W: Write>(
         Some(format!(
             "protocol version {proto_version} does not match coordinator version {PROTO_VERSION}"
         ))
-    } else if config_epoch != inner.config_epoch {
+    } else if model != crate::MODEL_ID {
         Some(format!(
-            "config epoch {config_epoch} does not match coordinator epoch {}",
-            inner.config_epoch
+            "model {model:#018x} does not match coordinator model {:#018x}",
+            crate::MODEL_ID
         ))
     } else {
         None
@@ -1767,9 +1761,7 @@ fn accept_loop(inner: &Arc<Inner>, listener: &TcpListener) {
                 .peer_addr()
                 .map(|a| a.to_string())
                 .unwrap_or_else(|_| "unknown".to_string());
-            // `--handshake-timeout-ms`: a connect-and-say-nothing peer must
-            // not pin a thread forever.
-            let _ = stream.set_read_timeout(Some(inner.handshake_timeout));
+            let _ = stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT));
             let Ok(read_half) = stream.try_clone() else {
                 return;
             };
@@ -1818,10 +1810,10 @@ fn route_first<R: BufRead, W: Write>(
             Ok(FromWorker::Hello {
                 kernel,
                 proto_version,
-                config_epoch,
+                model,
                 ..
             }) => {
-                if vet_worker(inner, &name, proto_version, config_epoch, writer, false) {
+                if vet_worker(inner, &name, proto_version, model, writer, false) {
                     worker_session(inner, &name, &kernel, reader, writer, false);
                 }
             }
@@ -2165,11 +2157,9 @@ mod tests {
             checkpoint_dir: None,
             shard_cells: 4,
             allow_late_workers: true,
-            config_epoch: 0,
             fallback_after: None,
             speculate_after: None,
             max_pending_jobs: usize::MAX,
-            handshake_timeout: Duration::from_secs(10),
             slow_client_delay: None,
             cancel_after_cells: None,
         }
@@ -2271,26 +2261,30 @@ mod tests {
     }
 
     #[test]
-    fn version_and_epoch_skew_get_a_terminal_reject_line() {
+    fn version_and_model_skew_get_a_terminal_reject_line() {
         let inner = test_inner();
+        let foreign = crate::MODEL_ID ^ 1;
         for (hello, needle) in [
             (
                 FromWorker::Hello {
                     kernel: "scalar".into(),
                     pid: 1,
                     proto_version: PROTO_VERSION + 1,
-                    config_epoch: 0,
+                    model: crate::MODEL_ID,
                 },
-                "protocol version",
+                "protocol version".to_string(),
             ),
             (
                 FromWorker::Hello {
                     kernel: "scalar".into(),
                     pid: 1,
                     proto_version: PROTO_VERSION,
-                    config_epoch: 3,
+                    model: foreign,
                 },
-                "config epoch",
+                format!(
+                    "model {foreign:#018x} does not match coordinator model {:#018x}",
+                    crate::MODEL_ID
+                ),
             ),
         ] {
             let mut reader = Cursor::new(Vec::new());
@@ -2300,7 +2294,7 @@ mod tests {
             let msg = ToWorker::decode(reply.trim()).expect("a decodable reject line");
             match msg {
                 ToWorker::Reject { reason } => {
-                    assert!(reason.contains(needle), "got reason '{reason}'");
+                    assert!(reason.contains(&needle), "got reason '{reason}'");
                 }
                 other => panic!("expected reject, got {other:?}"),
             }
@@ -2962,6 +2956,44 @@ mod tests {
             assert_eq!(held, (0, 0), "jobs and names held after submit {n}");
         }
         coordinator.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A journal is bound to the model that wrote it: renamed to another
+    /// model id's file name it is not read, so every cell re-executes to
+    /// `sweep`'s document; back under its own name it restores every cell.
+    #[test]
+    fn a_journal_of_another_model_is_not_read() {
+        let dir = scratch("foreign-model");
+        let cfg = small_config();
+        let expected = json::render(&crate::sweep::run_sweep(&cfg, 1).unwrap());
+        let total = sweep_cells(&SweepPlan::from_config(&cfg).unwrap()).len() as u64;
+        let submit = || {
+            let coordinator = Coordinator::start(ServeOptions {
+                workers: 0,
+                fallback_after: Some(Duration::ZERO),
+                speculate_after: None,
+                checkpoint_dir: Some(dir.clone()),
+                ..ServeOptions::default()
+            })
+            .expect("workerless coordinator starts when fallback is armed");
+            let env = coordinator.submit(None, &cfg).expect("submit");
+            coordinator.shutdown();
+            assert_eq!(env.document, expected);
+            assert_eq!(env.checkpoint_skipped, 0);
+            (env.executed_cells, env.checkpoint_cells)
+        };
+        assert_eq!(submit(), (total, 0), "the first run journals every cell");
+        let own = checkpoint_path(&dir, proto::config_key(&cfg));
+        let name = own.file_name().unwrap().to_str().unwrap();
+        let model = |id: u64| format!("ckpt-{id:016x}-");
+        assert!(name.starts_with(&model(crate::MODEL_ID)), "{name}");
+        let foreign = dir.join(name.replace(&model(crate::MODEL_ID), &model(!crate::MODEL_ID)));
+        std::fs::rename(&own, &foreign).unwrap();
+        assert_eq!(submit(), (total, 0), "another model's journal is not read");
+        // Over the journal the second run wrote.
+        std::fs::rename(&foreign, &own).unwrap();
+        assert_eq!(submit(), (0, total), "its own journal restores every cell");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

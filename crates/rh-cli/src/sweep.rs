@@ -7,7 +7,34 @@
 use crate::engine::RunResult;
 use crate::exec::execute_cells;
 use crate::plan::{CellSpec, SweepPlan};
+use crate::proto::fnv1a64;
 use rh_core::{DataPattern, Geometry, VictimModelParams};
+
+/// FNV-1a 64 digest of the default `sweep` document without its trailing
+/// newline, pinned by `tests/sweep_integration.rs` like the two below.
+pub const DEFAULT_SWEEP_DIGEST: u64 = 0xf431_0dff_944c_9af6;
+/// Digest of the DDR4 reference grid's document at 40K activations per cell.
+pub const DDR4_GRID_DIGEST: u64 = 0x276a_2390_9bef_afa3;
+/// Digest of the default grid's document over all four data patterns under
+/// 128-bit ECC, at 40K activations per cell.
+pub const FOUR_PATTERN_DIGEST: u64 = 0xd8c3_25ea_2153_6d06;
+
+/// The simulator's model id: FNV-1a over the little-endian bytes of the
+/// three pinned digests, in the order above. A change to what the simulator
+/// computes moves a pinned document, and re-pinning it moves this id, so a
+/// coordinator refuses a worker whose hello names another id and never
+/// reads a journal written under one (docs/ARCHITECTURE.md says what the
+/// three documents do not cover).
+pub const MODEL_ID: u64 = {
+    let digests = [DEFAULT_SWEEP_DIGEST, DDR4_GRID_DIGEST, FOUR_PATTERN_DIGEST];
+    let mut bytes = [0u8; 24];
+    let mut i = 0;
+    while i < bytes.len() {
+        bytes[i] = digests[i / 8].to_le_bytes()[i % 8];
+        i += 1;
+    }
+    fnv1a64(&bytes)
+};
 
 /// Configuration of one full sweep.
 #[derive(Debug, Clone)]

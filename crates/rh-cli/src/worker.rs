@@ -18,7 +18,7 @@
 //! ## Supervised lifecycle
 //!
 //! The hello carries [`crate::proto::PROTO_VERSION`] and the worker's
-//! `--config-epoch`; a coordinator with a different version or epoch
+//! [`crate::MODEL_ID`]; a coordinator with a different version or model
 //! answers with a terminal `reject` line instead of a lease, and the worker
 //! exits nonzero — skew fails at attach time, never as garbage in a merge.
 //! The hello proves nothing about who the worker is: any process that can
@@ -75,9 +75,6 @@ pub struct WorkerOptions {
     pub connect: Option<String>,
     /// Deterministic fault schedule for this worker's connections.
     pub fault_plan: FaultPlan,
-    /// Config generation announced in the hello; must match the
-    /// coordinator's `--config-epoch` or the worker is rejected.
-    pub config_epoch: u64,
     /// Reconnect attempts after a failed connect or dropped connection
     /// (`--connect` mode only). 0 = give up immediately, as before.
     pub retries: u32,
@@ -90,7 +87,6 @@ impl Default for WorkerOptions {
         Self {
             connect: None,
             fault_plan: FaultPlan::default(),
-            config_epoch: 0,
             retries: 0,
             backoff_base_ms: 200,
         }
@@ -107,7 +103,7 @@ pub enum SessionEnd {
     Eof,
     /// The fault plan's scheduled crash fired: die like a crash would.
     Crashed,
-    /// The coordinator refused the hello (version or epoch skew).
+    /// The coordinator refused the hello (version or model skew).
     /// Terminal: retrying cannot heal it.
     Rejected(String),
 }
@@ -116,14 +112,12 @@ pub enum SessionEnd {
 /// [`WorkerOptions`] so in-memory tests can pin the heartbeat cadence).
 #[derive(Debug, Clone)]
 pub struct SessionOptions {
-    pub config_epoch: u64,
     pub heartbeat_interval: Duration,
 }
 
 impl Default for SessionOptions {
     fn default() -> Self {
         Self {
-            config_epoch: 0,
             heartbeat_interval: Duration::from_millis(HEARTBEAT_MS),
         }
     }
@@ -131,10 +125,7 @@ impl Default for SessionOptions {
 
 /// Entry point for `rh-cli worker`.
 pub fn run_worker(opts: &WorkerOptions) -> Result<(), String> {
-    let session = SessionOptions {
-        config_epoch: opts.config_epoch,
-        ..SessionOptions::default()
-    };
+    let session = SessionOptions::default();
     match &opts.connect {
         Some(addr) => {
             let mut backoff_rng = SplitMix64::new(derive_seed(opts.fault_plan.seed(), &[0xB0FF]));
@@ -378,7 +369,7 @@ where
                 kernel: Kernel::auto().name().to_string(),
                 pid: u64::from(std::process::id()),
                 proto_version: PROTO_VERSION,
-                config_epoch: session.config_epoch,
+                model: crate::MODEL_ID,
             };
             send(&writer, plan, &hello.encode()).map_err(|e| format!("worker: hello: {e}"))?;
 
@@ -512,7 +503,6 @@ mod tests {
     fn quiet_session() -> SessionOptions {
         SessionOptions {
             heartbeat_interval: Duration::from_secs(3_600),
-            ..SessionOptions::default()
         }
     }
 
@@ -695,18 +685,14 @@ mod tests {
     }
 
     #[test]
-    fn hello_reports_kernel_version_and_epoch() {
+    fn hello_reports_kernel_version_and_model() {
         let input = ToWorker::Shutdown.encode() + "\n";
         let mut out: Vec<u8> = Vec::new();
-        let session = SessionOptions {
-            config_epoch: 7,
-            heartbeat_interval: Duration::from_secs(3_600),
-        };
         let mut plan = FaultPlan::default();
         worker_loop(
             Cursor::new(input.into_bytes()),
             &mut out,
-            &session,
+            &quiet_session(),
             &mut plan,
         )
         .unwrap();
@@ -720,7 +706,7 @@ mod tests {
             kernel,
             pid,
             proto_version,
-            config_epoch,
+            model,
         } = FromWorker::decode(&first).unwrap()
         else {
             panic!("first line must be hello");
@@ -728,7 +714,7 @@ mod tests {
         assert_eq!(kernel, Kernel::auto().name());
         assert_eq!(pid, u64::from(std::process::id()));
         assert_eq!(proto_version, PROTO_VERSION);
-        assert_eq!(config_epoch, 7);
+        assert_eq!(model, crate::MODEL_ID);
         // And the hello line is valid jsonl for the coordinator's parser.
         let reparsed = proto::parse(&first).unwrap();
         assert_eq!(
@@ -740,14 +726,14 @@ mod tests {
     #[test]
     fn reject_ends_the_session_without_retrying() {
         let reject = ToWorker::Reject {
-            reason: "config epoch 0 != coordinator epoch 3".into(),
+            reason: "model 0x0000000000000001 does not match coordinator model".into(),
         };
         let (msgs, end) = drive_plan(&[reject.encode()], FaultPlan::default());
         assert_eq!(msgs.len(), 1, "only the hello went out");
         let SessionEnd::Rejected(reason) = end else {
             panic!("expected rejection, got {end:?}");
         };
-        assert!(reason.contains("epoch"), "{reason}");
+        assert!(reason.contains("model"), "{reason}");
     }
 
     #[test]
@@ -762,7 +748,6 @@ mod tests {
         let input = [lease.encode(), ToWorker::Shutdown.encode()].join("\n") + "\n";
         let mut out: Vec<u8> = Vec::new();
         let session = SessionOptions {
-            config_epoch: 0,
             heartbeat_interval: Duration::from_millis(20),
         };
         // Stall 400ms after the first cell: the pulse thread gets ~20

@@ -5,14 +5,16 @@
 //! under a `--fault-plan`: crashed workers, dropped and garbled protocol
 //! lines, stalled stragglers (speculative re-execution), garbled and torn
 //! checkpoint journals, and workers arriving with the wrong protocol
-//! version or config epoch. Faults may
+//! version or model id. Faults may
 //! cost retransmits and duplicate work; they must never change the bytes.
 
+use rh_cli::proto::{ToWorker, PROTO_VERSION};
 use rh_cli::{
-    json, run_submit, run_sweep, run_worker, Coordinator, FaultPlan, ResultEnvelope, ServeOptions,
-    SubmitOptions, SweepConfig, SweepPlan, WorkerOptions,
+    json, run_submit, run_sweep, Coordinator, FaultPlan, ResultEnvelope, ServeOptions,
+    SubmitOptions, SweepConfig, SweepPlan, MODEL_ID,
 };
 use rh_core::Geometry;
+use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -72,7 +74,8 @@ fn crash_after_five_cells(dir: &Path) {
     coordinator.shutdown();
 }
 
-/// The job's one journal file under `dir` (`ckpt-<hash>-<seed>.jsonl`).
+/// The job's one journal file under `dir`
+/// (`ckpt-<model>-<hash>-<seed>.jsonl`).
 fn journal(dir: &Path) -> PathBuf {
     let files: Vec<PathBuf> = std::fs::read_dir(dir)
         .expect("checkpoint dir")
@@ -185,11 +188,12 @@ fn stalled_worker_is_speculated_and_bytes_are_unaffected() {
     assert_eq!(env.document, chaos_reference());
 }
 
-/// Tentpole 2 acceptance: a worker announcing a mismatched config epoch
-/// is cleanly rejected — terminal for the worker, invisible to the job,
-/// which the epoch-matched local worker completes byte-identically.
+/// A worker of another model (a hand-written hello with the current
+/// protocol version and a foreign model id) gets a terminal reject naming
+/// both ids before it can lease anything; the job never sees it, and the
+/// local worker of this build completes it byte-identically.
 #[test]
-fn epoch_mismatched_worker_is_rejected_without_affecting_the_job() {
+fn model_mismatched_worker_is_rejected_without_affecting_the_job() {
     let coordinator = Coordinator::start(ServeOptions {
         workers: 1,
         listen: Some("127.0.0.1:0".to_string()),
@@ -197,21 +201,26 @@ fn epoch_mismatched_worker_is_rejected_without_affecting_the_job() {
         ..ServeOptions::default()
     })
     .expect("start listener");
-    let addr = coordinator.local_addr().expect("bound").to_string();
+    let addr = coordinator.local_addr().expect("bound");
 
-    // A worker from another config generation attaches over TCP.
-    let skewed = std::thread::spawn(move || {
-        run_worker(&WorkerOptions {
-            connect: Some(addr),
-            config_epoch: 7,
-            ..WorkerOptions::default()
-        })
-    });
-    let err = skewed
-        .join()
-        .expect("worker thread")
-        .expect_err("epoch skew must be terminal for the worker");
-    assert!(err.contains("config epoch"), "got: {err}");
+    let foreign = MODEL_ID ^ 0x5A5A;
+    let stream = std::net::TcpStream::connect(addr).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = stream;
+    writeln!(
+        writer,
+        "{{\"type\":\"hello\",\"role\":\"worker\",\"proto\":{PROTO_VERSION},\
+         \"model\":{foreign},\"kernel\":\"scalar\",\"pid\":1}}"
+    )
+    .expect("send hello");
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("reply");
+    let ToWorker::Reject { reason } = ToWorker::decode(line.trim()).expect("a reject line") else {
+        panic!("expected a reject, got {line}");
+    };
+    for id in [foreign, MODEL_ID] {
+        assert!(reason.contains(&format!("{id:#018x}")), "got: {reason}");
+    }
     assert_eq!(coordinator.rejected_workers(), 1);
 
     let cfg = chaos_config();
@@ -220,7 +229,7 @@ fn epoch_mismatched_worker_is_rejected_without_affecting_the_job() {
     assert_eq!(env.document, chaos_reference());
     assert!(
         env.workers.iter().all(|w| w.worker == "local-0"),
-        "only the epoch-matched worker executes: {:?}",
+        "only this build's worker executes: {:?}",
         env.workers
     );
 }
@@ -403,8 +412,7 @@ fn cancel_mid_checkpoint_restore_leaves_no_restored_cell_leak() {
 /// must not leak into other submits' results.
 #[test]
 fn slow_client_fault_delays_replies_without_corrupting_them() {
-    use rh_cli::proto::{ClientMsg, ResultEnvelope};
-    use std::io::{BufRead, BufReader, Write};
+    use rh_cli::proto::ClientMsg;
 
     let cfg = chaos_config();
     let mut opts = opts_with_workers(1);

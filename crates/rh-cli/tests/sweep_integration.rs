@@ -1,7 +1,8 @@
 //! End-to-end sweep tests over a reduced grid (kept small so the debug-mode
 //! test suite stays fast).
 
-use rh_cli::{json, run_sweep, RunResult, SweepConfig, SweepOutput};
+use rh_cli::sweep::{DDR4_GRID_DIGEST, DEFAULT_SWEEP_DIGEST, FOUR_PATTERN_DIGEST};
+use rh_cli::{json, run_sweep, RunResult, SweepConfig, SweepOutput, MODEL_ID};
 use rh_core::{DataPattern, Geometry};
 
 /// Reduced grid: 3 HC_first × (2 classic + 2 many-sided) × 5 mitigations,
@@ -355,21 +356,34 @@ fn sweep_is_deterministic() {
 /// point: every change to the engine, the device model or the renderer must
 /// reproduce it exactly. The pinned value is the FNV-1a 64 digest of the
 /// document without its trailing newline, the same digest the benchmark's
-/// `sweep-default` canary checks.
+/// `sweep-default` canary checks. The three pinned digests are the inputs
+/// of `MODEL_ID`, so re-pinning any of them moves the model id.
 #[test]
 fn default_sweep_document_is_pinned() {
     let digest = document_digest(&SweepConfig::default());
-    assert_eq!(digest, 0xf431_0dff_944c_9af6, "digest {digest:#018x}");
+    assert_eq!(digest, DEFAULT_SWEEP_DIGEST, "digest {digest:#018x}");
 }
 
 /// FNV-1a 64 of the rendered sweep document without its trailing newline.
 fn document_digest(cfg: &SweepConfig) -> u64 {
     let doc = json::render(&run_sweep(cfg, 2).expect("valid config"));
-    doc.trim_end_matches('\n')
-        .bytes()
-        .fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        })
+    fnv1a64(doc.trim_end_matches('\n').bytes())
+}
+
+fn fnv1a64(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// `MODEL_ID` is the FNV-1a fold of the three pinned digests'
+/// little-endian bytes, in pin order: a literal id, or one that left a
+/// digest out, fails here.
+#[test]
+fn model_id_is_the_fold_of_the_pinned_digests() {
+    let digests = [DEFAULT_SWEEP_DIGEST, DDR4_GRID_DIGEST, FOUR_PATTERN_DIGEST];
+    let fold = fnv1a64(digests.iter().flat_map(|d| d.to_le_bytes()));
+    assert_eq!(MODEL_ID, fold, "MODEL_ID {MODEL_ID:#018x}");
 }
 
 /// The Section-5 document on a DDR4-class device: 16 banks × 32K rows,
@@ -402,7 +416,7 @@ fn ddr4_reference_document_is_pinned() {
         },
     };
     let digest = document_digest(&cfg);
-    assert_eq!(digest, 0x276a_2390_9bef_afa3, "digest {digest:#018x}");
+    assert_eq!(digest, DDR4_GRID_DIGEST, "digest {digest:#018x}");
 }
 
 /// The default grid over all four data patterns under 128-bit ECC, at 40K
@@ -427,7 +441,7 @@ fn four_pattern_document_is_pinned() {
         ..SweepConfig::default()
     };
     let digest = document_digest(&cfg);
-    assert_eq!(digest, 0xd8c3_25ea_2153_6d06, "digest {digest:#018x}");
+    assert_eq!(digest, FOUR_PATTERN_DIGEST, "digest {digest:#018x}");
 }
 
 /// A reader that has gone away is an error, not a crash: with its stdout
