@@ -47,6 +47,11 @@ SWEEP OPTIONS:
                             byte-identical for any value (default: all cores)
     -h, --help              print this help
 
+A config is refused before it is planned, here and when served, if a list
+holds more than 4096 values (MAX_AXIS_VALUES) or its plan would hold more
+than 16384 cells (MAX_PLAN_CELLS): hc x patterns x (2 + sides) x 5
+mitigations, plus one cell per --para-p value.
+
 The victim-settle kernel is AVX2 where the CPU has it, else scalar; setting
 RH_FORCE_SCALAR (to anything but empty or 0) forces scalar. Output is
 byte-identical under either.
@@ -697,6 +702,14 @@ mod tests {
     fn list_parsing_tolerates_spacing_and_trailing_commas() {
         let a = parse(&["--hc", " 100 , 200 ,"]).unwrap();
         assert_eq!(a.config.hc_firsts, vec![100, 200]);
+    }
+
+    /// The help names both request caps with their values.
+    #[test]
+    fn help_names_the_request_caps() {
+        use crate::sweep::{MAX_AXIS_VALUES, MAX_PLAN_CELLS};
+        assert!(USAGE.contains(&format!("{MAX_AXIS_VALUES} values (MAX_AXIS_VALUES)")));
+        assert!(USAGE.contains(&format!("{MAX_PLAN_CELLS} cells (MAX_PLAN_CELLS)")));
     }
 
     #[test]

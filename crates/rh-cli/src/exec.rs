@@ -975,4 +975,16 @@ mod tests {
         let plan = tiny_plan();
         assert!(execute_cells(&plan, &[], 4).is_empty());
     }
+
+    /// A worker re-plans its lease through the coordinator's check, so it
+    /// refuses a config past the cell cap before expanding it.
+    #[test]
+    fn a_lease_past_the_cell_cap_is_refused() {
+        let config = SweepConfig {
+            hc_firsts: (1..=1_200).collect(),
+            ..tiny_plan().config
+        };
+        let err = run_lease(&config, &[0]).err().expect("past the cap");
+        assert!(err.contains("(MAX_PLAN_CELLS)"), "{err}");
+    }
 }

@@ -147,15 +147,29 @@ fn workload_axis(sides: &[usize]) -> Vec<WorkloadSpec> {
     axis
 }
 
+/// The cells [`SweepPlan::from_config`] expands a normalized `cfg` into,
+/// counted from its axis lengths without expanding them:
+/// `hc × patterns × (2 + sides) × mitigations + para_p`. `None` when the
+/// count overflows.
+pub(crate) fn cell_count(cfg: &SweepConfig) -> Option<usize> {
+    cfg.hc_firsts
+        .len()
+        .checked_mul(cfg.data_patterns.len())?
+        .checked_mul(cfg.sides.len().checked_add(2)?)?
+        .checked_mul(mitigation_axis().len())?
+        .checked_add(cfg.para_probabilities.len())
+}
+
 impl SweepPlan {
-    /// Validate `cfg` and expand it into executable cells. The config is
-    /// normalized exactly once, here ([`SweepConfig::normalized`]) — so
-    /// duplicate axis values collapse, the PARA sweep runs in
-    /// ascending-probability order, and the plan's `config` field is what
-    /// reporters must emit.
+    /// Validate `cfg` and expand it into executable cells. Validation
+    /// comes first, so an axis or a plan past its cap is refused before it
+    /// is normalized or expanded. The config is normalized exactly once,
+    /// here ([`SweepConfig::normalized`]) — so duplicate axis values
+    /// collapse, the PARA sweep runs in ascending-probability order, and
+    /// the plan's `config` field is what reporters must emit.
     pub fn from_config(cfg: &SweepConfig) -> Result<Self, String> {
-        let cfg = cfg.normalized();
         cfg.validate()?;
+        let cfg = cfg.normalized();
         let workloads = workload_axis(&cfg.sides);
         for w in &workloads {
             w.validate(&cfg.geometry)?;
@@ -321,6 +335,59 @@ mod tests {
         assert_eq!(
             plan.para_sweep[0].seeds.workload,
             double_cell.seeds.workload
+        );
+    }
+
+    /// `cell_count` is what the expansion holds, and it is taken over the
+    /// normalized axes: duplicates do not count.
+    #[test]
+    fn cell_count_is_the_expanded_plans_length() {
+        let mut four_patterns = cfg();
+        four_patterns.data_patterns = vec![
+            DataPattern::Legacy,
+            DataPattern::Solid,
+            DataPattern::Checkerboard,
+            DataPattern::RowStripe,
+            DataPattern::Solid,
+        ];
+        for c in [cfg(), SweepConfig::default(), four_patterns] {
+            let plan = SweepPlan::from_config(&c).unwrap();
+            let cells = plan.grid.len() + plan.para_sweep.len();
+            assert_eq!(cell_count(&plan.config), Some(cells));
+        }
+    }
+
+    /// Each cap admits a config at its bound and refuses one past it,
+    /// naming the cap; duplicates count against the axis cap, not the
+    /// plan's.
+    #[test]
+    fn caps_refuse_one_past_their_bound() {
+        use crate::sweep::{MAX_AXIS_VALUES, MAX_PLAN_CELLS};
+        let mut c = SweepConfig {
+            hc_firsts: vec![2_000],
+            sides: (2..).take((MAX_PLAN_CELLS - 4) / 5 - 2).collect(),
+            para_probabilities: vec![0.0, 0.001, 0.002, 0.003],
+            ..SweepConfig::default()
+        };
+        assert_eq!(cell_count(&c), Some(MAX_PLAN_CELLS));
+        assert_eq!(c.validate(), Ok(()));
+        c.para_probabilities.push(0.004);
+        let err = c.validate().unwrap_err();
+        assert!(
+            err.contains("16385 cells") && err.contains("MAX_PLAN_CELLS"),
+            "{err}"
+        );
+
+        let mut c = SweepConfig {
+            hc_firsts: vec![2_000; MAX_AXIS_VALUES],
+            ..SweepConfig::default()
+        };
+        assert_eq!(c.validate(), Ok(()));
+        c.hc_firsts.push(2_000);
+        let err = c.validate().unwrap_err();
+        assert!(
+            err.contains("hc_firsts holds 4097") && err.contains("MAX_AXIS_VALUES"),
+            "{err}"
         );
     }
 

@@ -148,12 +148,28 @@ impl Value {
     }
 }
 
-/// Parse one JSON document (trailing whitespace allowed, nothing else).
+/// Most values one parsed document may hold, counting every array
+/// element, object field and scalar. A parsed value costs tens of bytes
+/// against the one or two of its text, so this bounds a line's memory far
+/// below what the 32 MiB [`MAX_LINE_BYTES`] would allow, while a lease at
+/// [`crate::sweep::MAX_PLAN_CELLS`] indices with four full axes holds
+/// about half of it.
+pub const MAX_JSON_VALUES: usize = 1 << 16;
+
+/// Deepest nesting of arrays and objects one parsed document may have.
+/// The parser recurses per level, so without a bound a line of `[`s
+/// overflows the stack; no protocol message nests deeper than 3.
+pub const MAX_JSON_DEPTH: usize = 64;
+
+/// Parse one JSON document (trailing whitespace allowed, nothing else),
+/// refusing one past [`MAX_JSON_VALUES`] or [`MAX_JSON_DEPTH`].
 pub fn parse(input: &str) -> Result<Value, String> {
     let mut p = Parser {
         src: input,
         bytes: input.as_bytes(),
         pos: 0,
+        values: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -168,6 +184,10 @@ struct Parser<'a> {
     src: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Values parsed so far, against [`MAX_JSON_VALUES`].
+    values: usize,
+    /// Arrays and objects open at `pos`, against [`MAX_JSON_DEPTH`].
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -195,9 +215,18 @@ impl Parser<'_> {
     }
 
     fn value(&mut self) -> Result<Value, String> {
+        self.values += 1;
+        if self.values > MAX_JSON_VALUES {
+            return Err(format!(
+                "JSON document holds more than {MAX_JSON_VALUES} values (MAX_JSON_VALUES)"
+            ));
+        }
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_JSON_DEPTH => Err(format!(
+                "JSON document nests deeper than {MAX_JSON_DEPTH} levels (MAX_JSON_DEPTH)"
+            )),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => self.string().map(Value::Str),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -210,6 +239,13 @@ impl Parser<'_> {
             )),
             None => Err("unexpected end of input".to_string()),
         }
+    }
+
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, text: &str, v: Value) -> Result<Value, String> {
@@ -1231,6 +1267,24 @@ mod tests {
 
     fn hash_of(json: &str) -> u64 {
         config_hash(&config_from_value(&parse(json).unwrap()).unwrap())
+    }
+
+    /// A document past either bound is refused by name, however short its
+    /// line: 200,000 `[`s overflowed the parser's stack and aborted the
+    /// coordinator before the depth bound.
+    #[test]
+    fn parse_refuses_documents_past_its_depth_and_value_bounds() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_JSON_DEPTH)).is_ok());
+        for line in [nested(MAX_JSON_DEPTH + 1), "[".repeat(200_000)] {
+            let err = parse(&line).unwrap_err();
+            assert!(err.contains("(MAX_JSON_DEPTH)"), "{err}");
+        }
+        let zeros = |n: usize| format!("[{}]", vec!["0"; n].join(","));
+        // The array itself is one of the values.
+        assert!(parse(&zeros(MAX_JSON_VALUES - 1)).is_ok());
+        let err = parse(&zeros(MAX_JSON_VALUES)).unwrap_err();
+        assert!(err.contains("(MAX_JSON_VALUES)"), "{err}");
     }
 
     #[test]

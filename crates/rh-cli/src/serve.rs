@@ -109,6 +109,11 @@ const HELLO_TIMEOUT: Duration = Duration::from_secs(60);
 /// peer that connects and says nothing cannot pin a thread forever.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
 
+/// Prefix of the ids given to id-less submits (`@0`, `@1`, ...). A client
+/// id that starts with it is refused, so no client can take a generated
+/// id; `@` needs no quoting in a shell, as in `rh-cli cancel --id @0`.
+const GENERATED_ID_PREFIX: &str = "@";
+
 /// Straggler deadline = `max(speculate_after, EWMA-per-cell × FACTOR)`:
 /// a lease whose last progress is older than the deadline is speculatively
 /// re-leased. The factor leaves an order of magnitude of headroom over the
@@ -255,7 +260,7 @@ struct State {
     worker_ewma_ms: HashMap<String, f64>,
     next_job: u64,
     /// Number of the next id-less submit, which is answered as
-    /// `job-<number>`: every id-less submit takes one, whether it executes,
+    /// `@<number>`: every id-less submit takes one, whether it executes,
     /// hits the cache or coalesces, so no two share an id.
     next_unnamed: u64,
     next_shard: u64,
@@ -664,8 +669,17 @@ impl Inner {
         cfg: &SweepConfig,
         deadline_ms: Option<u64>,
     ) -> Result<ResultEnvelope, SubmitError> {
-        let key = proto::config_key(cfg);
+        if let Some(id) = id
+            .as_deref()
+            .filter(|id| id.starts_with(GENERATED_ID_PREFIX))
+        {
+            return Err(SubmitError::Failed(format!(
+                "job id '{id}' starts with '{GENERATED_ID_PREFIX}', which is reserved for \
+                 the ids of id-less submits"
+            )));
+        }
         let plan = Arc::new(SweepPlan::from_config(cfg).map_err(SubmitError::Failed)?);
+        let key = proto::config_key(&plan.config);
         let cells = sweep_cells(&plan);
         let mut st = inner.state.lock().expect("coordinator lock");
         if st.shutting_down {
@@ -673,7 +687,7 @@ impl Inner {
         }
         let id = id.unwrap_or_else(|| {
             st.next_unnamed += 1;
-            format!("job-{}", st.next_unnamed - 1)
+            format!("{GENERATED_ID_PREFIX}{}", st.next_unnamed - 1)
         });
 
         // 1. Cache: the in-memory LRU. What survives a restart is the
@@ -3021,7 +3035,43 @@ mod tests {
         let served: Vec<bool> = envelopes.iter().map(|e| e.served_from_cache).collect();
         assert_eq!(served, [false, true, false]);
         let ids: Vec<&str> = envelopes.iter().map(|e| e.id.as_str()).collect();
-        assert_eq!(ids, ["job-0", "job-1", "job-2"]);
+        assert_eq!(ids, ["@0", "@1", "@2"]);
+        coordinator.shutdown();
+    }
+
+    /// A client cannot take a generated id: over the stdin and TCP reply
+    /// path, a submit named `job-0` keeps its name, the id-less submit
+    /// after it is answered `@0`, and a client id in the `@` namespace gets
+    /// an error line. Before, generated ids were `job-<n>`, and the two
+    /// submits were both answered `job-0`.
+    #[test]
+    fn client_ids_never_collide_with_generated_ids() {
+        let coordinator = Coordinator::start(ServeOptions {
+            workers: 0,
+            fallback_after: Some(Duration::ZERO),
+            speculate_after: None,
+            ..ServeOptions::default()
+        })
+        .expect("workerless coordinator starts when fallback is armed");
+        let reply = |id: Option<&str>| {
+            let submit = ClientMsg::Submit {
+                id: id.map(String::from),
+                config: small_config(),
+                deadline_ms: None,
+            };
+            client_reply(&coordinator.inner, &submit.encode())
+        };
+        let ids: Vec<String> = [Some("job-0"), None]
+            .into_iter()
+            .map(|id| ResultEnvelope::decode(&reply(id)).expect("an envelope").id)
+            .collect();
+        assert_eq!(ids, ["job-0", "@0"]);
+        let refused = reply(Some("@0"));
+        assert!(
+            refused.starts_with("{\"type\":\"error\",\"id\":\"@0\"")
+                && refused.contains("reserved"),
+            "{refused}"
+        );
         coordinator.shutdown();
     }
 

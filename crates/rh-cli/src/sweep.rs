@@ -9,6 +9,17 @@ use crate::exec::execute_cells;
 use crate::plan::{CellSpec, SweepPlan};
 use crate::proto::fnv1a64;
 use rh_core::{DataPattern, Geometry, VictimModelParams};
+use std::collections::HashSet;
+use std::hash::Hash;
+
+/// Longest list one axis of a [`SweepConfig`] may hold, duplicates
+/// included. [`SweepConfig::validate`] refuses a longer axis before
+/// anything walks it.
+pub const MAX_AXIS_VALUES: usize = 4_096;
+
+/// Most cells one plan may hold, the grid and the PARA sweep together. A
+/// [`CellSpec`] is 112 bytes, so a plan at the cap is under 2 MB.
+pub const MAX_PLAN_CELLS: usize = 16_384;
 
 /// FNV-1a 64 digest of the default `sweep` document without its trailing
 /// newline, pinned by `tests/sweep_integration.rs` like the two below.
@@ -91,31 +102,33 @@ impl Default for SweepConfig {
     }
 }
 
-/// Order-preserving deduplication.
-fn dedup_in_order<T: PartialEq + Copy>(values: &[T]) -> Vec<T> {
-    let mut out: Vec<T> = Vec::with_capacity(values.len());
-    for &v in values {
-        if !out.contains(&v) {
-            out.push(v);
-        }
-    }
-    out
+/// Order-preserving deduplication of the values whose `key` is equal, in
+/// linear expected time.
+fn dedup_in_order<T: Copy, K: Eq + Hash>(values: &[T], key: impl Fn(T) -> K) -> Vec<T> {
+    let mut seen = HashSet::with_capacity(values.len());
+    values
+        .iter()
+        .copied()
+        .filter(|&v| seen.insert(key(v)))
+        .collect()
 }
 
 impl SweepConfig {
     /// The canonical form of the config: duplicate axis values collapsed
     /// (order-preserving for `hc_firsts`/`sides`) and PARA probabilities
     /// sorted ascending so the monotonicity sweep runs along the physical
-    /// axis. Called in exactly one place — [`SweepPlan::from_config`],
-    /// which carries the result in its `config` field for reporters — so
-    /// the emitted config always describes exactly the grid that ran.
+    /// axis. [`SweepPlan::from_config`] carries the result in its `config`
+    /// field for reporters, so the emitted config always describes exactly
+    /// the grid that ran.
     pub fn normalized(&self) -> Self {
-        let mut para_probabilities = dedup_in_order(&self.para_probabilities);
+        // Probabilities are equal by value, so -0.0 and 0.0 are one.
+        let mut para_probabilities =
+            dedup_in_order(&self.para_probabilities, |p| (p + 0.0).to_bits());
         para_probabilities.sort_by(|a, b| a.total_cmp(b));
         Self {
-            hc_firsts: dedup_in_order(&self.hc_firsts),
-            sides: dedup_in_order(&self.sides),
-            data_patterns: dedup_in_order(&self.data_patterns),
+            hc_firsts: dedup_in_order(&self.hc_firsts, |v| v),
+            sides: dedup_in_order(&self.sides, |v| v),
+            data_patterns: dedup_in_order(&self.data_patterns, |v| v),
             para_probabilities,
             ..self.clone()
         }
@@ -129,8 +142,24 @@ impl SweepConfig {
         self.ecc_codeword_bits != 0 || self.data_patterns != vec![DataPattern::Legacy]
     }
 
-    /// Semantic validation shared by the CLI and [`SweepPlan::from_config`].
+    /// Semantic validation shared by the CLI, the wire decoder and
+    /// [`SweepPlan::from_config`]. It bounds the work before any of it is
+    /// allocated: every axis to [`MAX_AXIS_VALUES`] first, then the plan
+    /// to [`MAX_PLAN_CELLS`].
     pub fn validate(&self) -> Result<(), String> {
+        for (axis, len) in [
+            ("hc_firsts", self.hc_firsts.len()),
+            ("sides", self.sides.len()),
+            ("para_probabilities", self.para_probabilities.len()),
+            ("data_patterns", self.data_patterns.len()),
+        ] {
+            if len > MAX_AXIS_VALUES {
+                return Err(format!(
+                    "{axis} holds {len} values, over the cap of {MAX_AXIS_VALUES} per axis \
+                     (MAX_AXIS_VALUES)"
+                ));
+            }
+        }
         self.geometry.validate()?;
         if self.activations == 0 {
             return Err("activations must be at least 1".to_string());
@@ -175,7 +204,14 @@ impl SweepConfig {
                 VictimModelParams::DEFAULT_CELLS_PER_ROW
             ));
         }
-        Ok(())
+        match crate::plan::cell_count(&self.normalized()) {
+            Some(cells) if cells <= MAX_PLAN_CELLS => Ok(()),
+            cells => Err(format!(
+                "the plan would hold {} cells, over the cap of {MAX_PLAN_CELLS} cells per \
+                 plan (MAX_PLAN_CELLS)",
+                cells.map_or_else(|| "more than usize::MAX".to_string(), |n| n.to_string())
+            )),
+        }
     }
 }
 

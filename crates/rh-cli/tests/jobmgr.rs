@@ -7,7 +7,7 @@
 //! document is byte-identical to the in-process sweep, and every reject and
 //! expiry is observable in the envelope counters.
 
-use rh_cli::proto::ClientMsg;
+use rh_cli::proto::{ClientMsg, ResultEnvelope};
 use rh_cli::serve::SubmitError;
 use rh_cli::{json, run_cancel, run_sweep, CancelOptions, Coordinator, ServeOptions, SweepConfig};
 use rh_core::Geometry;
@@ -251,4 +251,91 @@ fn cache_evictions_are_surfaced_in_the_envelope() {
     );
     assert_eq!(coordinator.evictions(), b.evictions);
     coordinator.shutdown();
+}
+
+/// The 72 KB line that once aborted the coordinator: 10,000 `hc_firsts`,
+/// `sides` 2..=2048 and all four data patterns, a plan of 409.8M cells
+/// (45.9 GB of `CellSpec`s), in `json.dumps`' default spacing.
+fn oversized_submit() -> String {
+    let list = |values: Vec<String>| values.join(", ");
+    let line = format!(
+        "{{\"type\": \"submit\", \"id\": \"big\", \"config\": {{\"hc_firsts\": [{}], \
+         \"sides\": [{}], \"data_patterns\": [\"legacy\", \"solid\", \"checkerboard\", \
+         \"rowstripe\"]}}}}",
+        list((1_000..11_000).map(|v: u64| v.to_string()).collect()),
+        list((2..=2_048).map(|v: u64| v.to_string()).collect()),
+    );
+    assert_eq!(line.len() / 1_000, 72, "{} bytes", line.len());
+    line
+}
+
+/// The replies to the oversized line and to a job after it: an error
+/// naming the axis cap, then the job's envelope, byte-identical to `sweep`.
+fn assert_refused_then_served(refusal: &str, envelope: &str) {
+    assert!(
+        refusal.starts_with("{\"type\":\"error\"") && refusal.contains("MAX_AXIS_VALUES"),
+        "{refusal}"
+    );
+    let env = ResultEnvelope::decode(envelope.trim()).expect("the next job is served");
+    assert_eq!(env.document, reference(30));
+}
+
+/// A request is bounded before it allocates: the oversized line gets an
+/// error naming the cap, over stdin and over TCP, and the coordinator
+/// serves the next submit. Both coordinators are child processes, so an
+/// abort shows up as their exit status (134 before the caps), not as the
+/// death of this test binary.
+#[test]
+fn an_oversized_request_is_refused_and_the_next_job_is_served() {
+    let job = ClientMsg::Submit {
+        id: Some("next".into()),
+        config: job_config(30),
+        deadline_ms: None,
+    }
+    .encode();
+
+    let mut serve = Command::new(worker_bin())
+        .args(["serve", "--workers", "1"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawn serve");
+    let mut stdin = serve.stdin.take().expect("piped stdin");
+    write!(stdin, "{}\n{job}\n", oversized_submit()).expect("send");
+    drop(stdin);
+    let out = serve.wait_with_output().expect("serve exits");
+    assert!(out.status.success(), "{:?}", out.status);
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let replies: Vec<&str> = stdout.lines().collect();
+    assert_eq!(replies.len(), 2, "{stdout}");
+    assert_refused_then_served(replies[0], replies[1]);
+
+    let mut serve = Command::new(worker_bin())
+        .args(["serve", "--workers", "1", "--listen", "127.0.0.1:0"])
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn serve");
+    let mut log = BufReader::new(serve.stderr.take().expect("piped stderr"));
+    let mut line = String::new();
+    let addr = loop {
+        line.clear();
+        assert!(
+            log.read_line(&mut line).expect("serve's log") > 0,
+            "no address"
+        );
+        if let Some(addr) = line.trim().strip_prefix("rh-serve: listening on ") {
+            break addr.to_string();
+        }
+    };
+    let mut stream = TcpStream::connect(&addr).expect("connect");
+    write!(stream, "{}\n{job}\n", oversized_submit()).expect("send");
+    let mut reader = BufReader::new(stream);
+    let (mut refusal, mut envelope) = (String::new(), String::new());
+    reader.read_line(&mut refusal).expect("refusal");
+    reader.read_line(&mut envelope).expect("envelope");
+    let alive = serve.try_wait().expect("status").is_none();
+    let _ = serve.kill();
+    let _ = serve.wait();
+    assert!(alive, "the coordinator outlives the oversized line");
+    assert_refused_then_served(&refusal, &envelope);
 }
