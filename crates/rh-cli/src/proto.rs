@@ -1176,11 +1176,13 @@ pub fn write_line<W: Write>(w: &mut W, line: &str) -> std::io::Result<()> {
 
 /// Longest line, in bytes before its newline, the coordinator keeps from a
 /// client or a worker; a longer one is drained without being kept and
-/// answered with an error naming the limit ([`line_too_long`]). 32 MiB
-/// admits every config of up to a million cells: in shortest form an axis
-/// value costs at most 24 bytes (a 17-digit PARA probability in exponent
-/// notation plus its comma) and adds at least one cell, so such a config
-/// fits in 24 MB plus a few hundred bytes of fixed fields. Clients read the coordinator's lines unbounded: a large grid's
+/// answered with an error naming the limit ([`line_too_long`]). 32 MiB is
+/// far above any config the caps admit: in shortest form an axis value
+/// costs at most 24 bytes (a 17-digit PARA probability in exponent
+/// notation plus its comma), so four axes of
+/// [`crate::sweep::MAX_AXIS_VALUES`] values fit in 400 KB; within the
+/// bound, [`MAX_JSON_VALUES`] limits what a line costs once parsed.
+/// Clients read the coordinator's lines unbounded: a large grid's
 /// envelope is legitimately big.
 pub const MAX_LINE_BYTES: usize = 32 << 20;
 

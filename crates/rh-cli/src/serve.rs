@@ -51,6 +51,10 @@
 //!   a submit past the bound gets a clean
 //!   `{"type":"reject","reason":"queue_full"}` line instead of an unbounded
 //!   wait, observable via `rejected_submits` in later envelopes.
+//! * **Request bounds and ids**: a line past the parser's bounds or a
+//!   config past [`SweepConfig::validate`]'s caps gets an `error` line
+//!   before anything is planned. Id-less submits are answered `@<n>`, and
+//!   a client id that starts with `@` is refused.
 //! * **Deadlines & cancellation**: `submit --job-deadline-ms` expires a
 //!   job that hasn't merged in time, and `rh-cli cancel <id>` kills one
 //!   mid-flight. Either way workers are told to abandon the job's cells
@@ -77,8 +81,8 @@
 //! The TCP listener checks no credentials: anyone who can reach `--listen`
 //! can submit, cancel, or attach a worker (and a worker's results are
 //! merged as they come). Vetting a connection covers only the protocol
-//! version, the model id, the first-line deadline and the line bound, so
-//! the listener belongs on loopback or a trusted network.
+//! version, the model id, the first-line deadline and the request bounds,
+//! so the listener belongs on loopback or a trusted network.
 
 use crate::cache::ResultCache;
 use crate::engine::RunResult;
