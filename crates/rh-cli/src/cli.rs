@@ -23,7 +23,6 @@ USAGE:
                  [--fallback-after-ms <MS>] [--speculate-after-ms <MS>]
                  [--fault-plan <PLAN>] [--max-pending-jobs <N>]
     rh-cli worker [--connect <ADDR>] [--fault-plan <PLAN>]
-                  [--retry <N>] [--backoff-ms <MS>]
     rh-cli submit --connect <ADDR> [--timeout <SECS>] [--job-deadline-ms <MS>]
     rh-cli cancel --connect <ADDR> --id <JOB> [--timeout <SECS>]
 
@@ -106,11 +105,11 @@ SERVE OPTIONS:
     --fallback-after-ms <MS> graceful degradation: a job stranded this long
                             with no live worker is executed in-process by
                             the submitting thread (default: off, fail fast)
-    --speculate-after-ms <MS> floor of the straggler deadline; a lease with
-                            no progress past max(floor, 16x the EWMA cell
-                            time) is re-leased to another worker and the
-                            duplicate results asserted bit-identical
-                            (default 10000; 0 disables speculation)
+    --speculate-after-ms <MS> straggler deadline: a lease that delivers no
+                            cell for MS is re-leased once to another worker
+                            and the duplicate results asserted
+                            bit-identical (default 10000; 0 disables
+                            speculation)
     --fault-plan <PLAN>     coordinator-side fault injection; the useful
                             directives here are cancel-after-cells=N (cancel
                             the owning job after the Nth merged cell) and
@@ -122,17 +121,14 @@ SERVE OPTIONS:
 WORKER OPTIONS:
     --connect <ADDR>        attach to a coordinator over TCP (default:
                             speak the jsonl protocol over stdio, as when
-                            spawned by serve)
+                            spawned by serve); the worker never reconnects
+                            and exits nonzero when the connect fails or
+                            the connection breaks
     --fault-plan <PLAN>     deterministic fault schedule, comma-separated
                             key=value directives: crash-after-cells=N,
                             stall-after-cells=N, stall-ms=MS, drop-line=N,
-                            garble-line=N, delay-connect-ms=MS, seed=S
+                            garble-line=N, seed=S
                             (see docs/ARCHITECTURE.md, failure model)
-    --retry <N>             reconnect attempts after a failed connect or a
-                            dropped connection, with seeded exponential
-                            backoff; a coordinator 'reject' is never
-                            retried (default 0)
-    --backoff-ms <MS>       base of the reconnect backoff (default 200)
 
 SUBMIT OPTIONS:
     --connect <ADDR>        coordinator address (required)
@@ -347,19 +343,6 @@ pub fn parse_worker_args(args: &[String]) -> Result<WorkerInvocation, String> {
             "--connect" => opts.connect = Some(value(&mut i, "--connect")?),
             "--fault-plan" => {
                 opts.fault_plan = FaultPlan::parse(&value(&mut i, "--fault-plan")?)?;
-            }
-            "--retry" => {
-                let v = value(&mut i, "--retry")?;
-                opts.retries = v.parse().map_err(|_| format!("invalid --retry '{v}'"))?;
-            }
-            "--backoff-ms" => {
-                let v = value(&mut i, "--backoff-ms")?;
-                opts.backoff_base_ms = v
-                    .parse()
-                    .map_err(|_| format!("invalid --backoff-ms '{v}'"))?;
-                if opts.backoff_base_ms == 0 {
-                    return Err("--backoff-ms must be at least 1".to_string());
-                }
             }
             "-h" | "--help" => return Ok(WorkerInvocation::Help),
             other => return Err(format!("unknown worker option '{other}'")),
@@ -857,6 +840,9 @@ mod tests {
             &["--exit-after-cells", "3"],
             // The hello carries the compiled-in model id.
             &["--config-epoch", "1"],
+            // A worker never reconnects: relaunching it is the recovery.
+            &["--retry", "1"],
+            &["--backoff-ms", "1"],
         ] {
             let owned: Vec<String> = bad.iter().map(|s| s.to_string()).collect();
             let err = parse_worker_args(&owned).unwrap_err();
@@ -943,10 +929,6 @@ mod tests {
             "127.0.0.1:9",
             "--fault-plan",
             "crash-after-cells=3,drop-line=2",
-            "--retry",
-            "4",
-            "--backoff-ms",
-            "50",
         ]
         .iter()
         .map(|s| s.to_string())
@@ -957,13 +939,16 @@ mod tests {
                     o.fault_plan,
                     FaultPlan::parse("crash-after-cells=3,drop-line=2").unwrap()
                 );
-                assert_eq!(o.retries, 4);
-                assert_eq!(o.backoff_base_ms, 50);
             }
             WorkerInvocation::Help => panic!("unexpected help"),
         }
-        assert!(parse_worker_args(&["--backoff-ms".into(), "0".into()]).is_err());
         assert!(parse_worker_args(&["--fault-plan".into(), "drop-line=0".into()]).is_err());
+        // Nothing schedules a delayed greeting.
+        let err = parse_worker_args(&argv(&["--fault-plan", "delay-connect-ms=1"])).unwrap_err();
+        assert!(
+            err.starts_with("fault-plan: unknown directive 'delay-connect-ms'"),
+            "got '{err}'"
+        );
 
         let owned: Vec<String> = ["--connect", "127.0.0.1:9", "--timeout", "5"]
             .iter()
@@ -1139,8 +1124,6 @@ mod tests {
             "--fault-plan",
             "--max-pending-jobs",
             "--connect",
-            "--retry",
-            "--backoff-ms",
             "--timeout",
             "--job-deadline-ms",
             "--id",
@@ -1154,6 +1137,8 @@ mod tests {
             "--target-lease-ms",
             "--config-epoch",
             "--handshake-timeout-ms",
+            "--retry",
+            "--backoff-ms",
             "-",
         ];
         const VALUES: &[&str] = &[
@@ -1183,6 +1168,7 @@ mod tests {
             "solid,rowstripe",
             "crash-after-cells=0",
             "wrong-token=1",
+            "delay-connect-ms=1",
             "drop-line=1,seed=9",
             "=",
             "127.0.0.1:0",

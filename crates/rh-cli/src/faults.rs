@@ -12,19 +12,18 @@
 //!
 //! | directive | side | effect |
 //! |---|---|---|
-//! | `seed=N` | worker | seeds garbled-line prefixes and reconnect backoff jitter |
+//! | `seed=N` | worker | seeds the kept length of a garbled line |
 //! | `crash-after-cells=N` | worker | drop the connection after streaming the N-th cell |
 //! | `stall-after-cells=N` | worker | sleep `stall-ms` once, after the N-th cell |
 //! | `stall-ms=MS` | worker | duration of the injected stall (default 1000) |
 //! | `drop-line=N` | worker | silently drop the N-th outgoing protocol line |
 //! | `garble-line=N` | worker | corrupt the N-th outgoing protocol line |
-//! | `delay-connect-ms=MS` | worker | sleep before connecting / greeting |
 //! | `cancel-after-cells=N` | coordinator | cancel a job the moment its N-th cell merges |
 //! | `slow-client=MS` | coordinator | stall each client reply by MS (a slow-reading client) |
 //!
-//! Line counts cover the worker's *protocol* lines (hello, cells,
-//! shard_done, fail) in stream order; heartbeats ride a side thread and are
-//! deliberately excluded so the numbering stays deterministic. Garbled
+//! Line counts cover every line the worker sends (hello, cells,
+//! shard_done, fail, cancel_ack) in stream order, so the numbering is the
+//! same on every run. Garbled
 //! lines are rewritten to start with `#`, which can never begin valid JSON
 //! — a garble must always look like corruption to the peer, never decode as
 //! a *different* valid message (that would silently poison the merge
@@ -32,9 +31,6 @@
 
 use rh_core::{derive_seed, SplitMix64};
 use std::time::Duration;
-
-/// Seed used when the spec does not carry an explicit `seed=` directive.
-const DEFAULT_SEED: u64 = 0xFA17_F1A6;
 
 /// Default injected stall duration when `stall-ms` is omitted.
 const DEFAULT_STALL_MS: u64 = 1_000;
@@ -71,7 +67,6 @@ pub struct FaultPlan {
     stall_millis: Option<u64>,
     drop_lines: Vec<u64>,
     garble_lines: Vec<u64>,
-    delay_connect_millis: u64,
     cancel_after_cells: Option<u64>,
     slow_client_millis: u64,
     // Runtime counters (1-based: the first cell/line is number 1).
@@ -99,15 +94,13 @@ impl FaultPlan {
                 "stall-ms" => plan.stall_millis = Some(num("stall-ms")?),
                 "drop-line" => plan.drop_lines.push(num("drop-line")?),
                 "garble-line" => plan.garble_lines.push(num("garble-line")?),
-                "delay-connect-ms" => plan.delay_connect_millis = num("delay-connect-ms")?,
                 "cancel-after-cells" => plan.cancel_after_cells = Some(num("cancel-after-cells")?),
                 "slow-client" => plan.slow_client_millis = num("slow-client")?,
                 other => {
                     return Err(format!(
                         "fault-plan: unknown directive '{other}' (expected seed, \
                          crash-after-cells, stall-after-cells, stall-ms, drop-line, \
-                         garble-line, delay-connect-ms, cancel-after-cells, \
-                         slow-client)"
+                         garble-line, cancel-after-cells, slow-client)"
                     ))
                 }
             }
@@ -139,14 +132,8 @@ impl FaultPlan {
             && self.stall_after_cells.is_none()
             && self.drop_lines.is_empty()
             && self.garble_lines.is_empty()
-            && self.delay_connect_millis == 0
             && self.cancel_after_cells.is_none()
             && self.slow_client_millis == 0
-    }
-
-    /// Delay to apply before connecting / greeting the coordinator.
-    pub fn connect_delay(&self) -> Option<Duration> {
-        (self.delay_connect_millis > 0).then(|| Duration::from_millis(self.delay_connect_millis))
     }
 
     /// Account one streamed cell and report the scheduled fate. If a stall
@@ -163,16 +150,6 @@ impl FaultPlan {
             return CellFate::Crash;
         }
         CellFate::Continue
-    }
-
-    /// The plan's seed — shared with other seeded mechanisms (reconnect
-    /// backoff jitter) so one `seed=` directive pins the whole schedule.
-    pub fn seed(&self) -> u64 {
-        if self.seed == 0 {
-            DEFAULT_SEED
-        } else {
-            self.seed
-        }
     }
 
     /// Account one outgoing protocol line and report its fate.
@@ -227,12 +204,10 @@ mod tests {
     fn full_spec_round_trips_every_directive() {
         let plan = FaultPlan::parse(
             "seed=7, crash-after-cells=5, stall-after-cells=2, stall-ms=250, \
-             drop-line=3, garble-line=4, delay-connect-ms=10, \
-             cancel-after-cells=6, slow-client=20",
+             drop-line=3, garble-line=4, cancel-after-cells=6, slow-client=20",
         )
         .unwrap();
         assert!(!plan.is_empty());
-        assert_eq!(plan.connect_delay(), Some(Duration::from_millis(10)));
         assert_eq!(plan.cancel_after_cells(), Some(6));
         assert_eq!(plan.slow_client_delay(), Some(Duration::from_millis(20)));
     }

@@ -60,8 +60,10 @@ use std::io::{BufRead, Write};
 /// dropped the lease's list tag and kernel request: indices address the
 /// sweep's one cell list, which a v2 worker would read as the grid alone.
 /// Version 4 replaced the hello's operator-set config epoch with the
-/// worker's [`crate::MODEL_ID`].
-pub const PROTO_VERSION: u64 = 4;
+/// worker's [`crate::MODEL_ID`]. Version 5 dropped the hello's process id
+/// (which a v4 coordinator requires) and the worker's liveness pulse, and
+/// made the hello's `proto` and `model` fields required.
+pub const PROTO_VERSION: u64 = 5;
 
 // ---------------------------------------------------------------------------
 // JSON value model + parser
@@ -777,17 +779,11 @@ pub enum FromWorker {
     /// silently merged).
     Hello {
         kernel: String,
-        pid: u64,
-        /// Wire-protocol version; pre-versioning workers decode as 0.
+        /// Wire-protocol version; must equal the coordinator's.
         proto_version: u64,
         /// The worker's model id; must equal the coordinator's.
         model: u64,
     },
-    /// Liveness pulse emitted from a side thread while a shard executes, so
-    /// the coordinator can tell a *computing* worker from a dead socket even
-    /// when the current cell is long. Excluded from fault-plan line
-    /// numbering and never advances lease progress.
-    Heartbeat { job: u64, shard: u64 },
     /// One completed cell (its position in the sweep's cell list), streamed
     /// as soon as it finishes.
     Cell {
@@ -816,17 +812,13 @@ impl FromWorker {
         match self {
             Self::Hello {
                 kernel,
-                pid,
                 proto_version,
                 model,
             } => format!(
                 "{{\"type\":\"hello\",\"role\":\"worker\",\"proto\":{proto_version},\
-                 \"model\":{model},\"kernel\":{},\"pid\":{pid}}}",
+                 \"model\":{model},\"kernel\":{}}}",
                 jstr(kernel)
             ),
-            Self::Heartbeat { job, shard } => {
-                format!("{{\"type\":\"heartbeat\",\"job\":{job},\"shard\":{shard}}}")
-            }
             Self::Cell {
                 job,
                 shard,
@@ -859,16 +851,8 @@ impl FromWorker {
         match field_str(&v, "type")?.as_str() {
             "hello" => Ok(Self::Hello {
                 kernel: field_str(&v, "kernel")?,
-                pid: field_u64(&v, "pid")?,
-                // Absent on pre-versioning workers: decode as version 0 so
-                // the coordinator's vetting rejects them cleanly instead of
-                // erroring out the whole line.
-                proto_version: v.get("proto").and_then(Value::as_u64).unwrap_or(0),
-                model: v.get("model").and_then(Value::as_u64).unwrap_or(0),
-            }),
-            "heartbeat" => Ok(Self::Heartbeat {
-                job: field_u64(&v, "job")?,
-                shard: field_u64(&v, "shard")?,
+                proto_version: field_u64(&v, "proto")?,
+                model: field_u64(&v, "model")?,
             }),
             "cell" => Ok(Self::Cell {
                 job: field_u64(&v, "job")?,
@@ -954,12 +938,23 @@ impl ClientMsg {
         }
     }
 
-    pub fn decode(line: &str) -> Result<Self, String> {
-        let v = parse(line)?;
+    /// Decode one client line. A refusal is `(id, message)`, `id` being
+    /// the one the line names (empty when it names none or does not
+    /// parse), so that the error line answering a refused submit carries
+    /// its id.
+    pub fn decode(line: &str) -> Result<Self, (String, String)> {
+        let v = parse(line).map_err(|e| (String::new(), e))?;
+        Self::from_value(&v).map_err(|e| {
+            let id = v.get("id").and_then(Value::as_str).unwrap_or_default();
+            (id.to_string(), e)
+        })
+    }
+
+    fn from_value(v: &Value) -> Result<Self, String> {
         match v.get("type").and_then(Value::as_str) {
             None => Ok(Self::Submit {
                 id: None,
-                config: config_from_value(&v)?,
+                config: config_from_value(v)?,
                 deadline_ms: None,
             }),
             Some("client_hello") => Ok(Self::Hello {
@@ -972,11 +967,11 @@ impl ClientMsg {
             }),
             Some("submit") => Ok(Self::Submit {
                 id: v.get("id").and_then(Value::as_str).map(String::from),
-                config: config_from_value(field(&v, "config")?)?,
+                config: config_from_value(field(v, "config")?)?,
                 deadline_ms: v.get("deadline_ms").and_then(Value::as_u64),
             }),
             Some("cancel") => Ok(Self::Cancel {
-                id: field_str(&v, "id")?,
+                id: field_str(v, "id")?,
             }),
             Some(other) => Err(format!("unknown client message type '{other}'")),
         }
@@ -1591,23 +1586,16 @@ mod tests {
 
         let hello = FromWorker::Hello {
             kernel: "avx2".into(),
-            pid: 42,
             proto_version: PROTO_VERSION,
             model: crate::MODEL_ID,
         };
         assert!(matches!(
             FromWorker::decode(&hello.encode()).unwrap(),
             FromWorker::Hello {
-                pid: 42,
                 proto_version: PROTO_VERSION,
                 model: crate::MODEL_ID,
                 ..
             }
-        ));
-        let beat = FromWorker::Heartbeat { job: 4, shard: 8 };
-        assert!(matches!(
-            FromWorker::decode(&beat.encode()).unwrap(),
-            FromWorker::Heartbeat { job: 4, shard: 8 }
         ));
         let reject = ToWorker::Reject {
             reason: "model mismatch".into(),
@@ -1773,21 +1761,23 @@ mod tests {
         assert!(err.contains("queue_full"), "reason must survive: {err}");
     }
 
+    /// A hello must name its protocol version and model id: one without
+    /// either (the shape workers sent before the hello was versioned) is
+    /// malformed, and the error names the missing field.
     #[test]
-    fn pre_versioning_hello_decodes_as_version_zero() {
-        // The PR 7 hello shape, with no proto/model fields — it must
-        // decode (so the coordinator can *vet* it) as version 0.
-        let legacy = r#"{"type":"hello","role":"worker","kernel":"scalar","pid":1}"#;
-        match FromWorker::decode(legacy).unwrap() {
-            FromWorker::Hello {
-                proto_version,
-                model,
-                ..
-            } => {
-                assert_eq!(proto_version, 0);
-                assert_eq!(model, 0);
-            }
-            other => panic!("decoded wrong variant: {other:?}"),
+    fn hello_without_version_or_model_is_refused() {
+        for (line, missing) in [
+            (
+                r#"{"type":"hello","role":"worker","kernel":"scalar"}"#,
+                "'proto'",
+            ),
+            (
+                r#"{"type":"hello","role":"worker","proto":5,"kernel":"scalar"}"#,
+                "'model'",
+            ),
+        ] {
+            let err = FromWorker::decode(line).unwrap_err();
+            assert!(err.contains(missing), "{line}: {err}");
         }
     }
 
@@ -1857,12 +1847,10 @@ mod tests {
             ToWorker::Shutdown.encode(),
             FromWorker::Hello {
                 kernel: "scalar".into(),
-                pid: 99,
                 proto_version: PROTO_VERSION,
                 model: 1,
             }
             .encode(),
-            FromWorker::Heartbeat { job: 1, shard: 2 }.encode(),
             FromWorker::Cell {
                 job: 1,
                 shard: 2,

@@ -43,6 +43,11 @@
 //!   requeues the lease minus the cells that already streamed back; another
 //!   worker re-executes only the remainder. Determinism makes re-execution
 //!   harmless by construction.
+//! * **Straggler speculation**: a lease that has delivered no cell for
+//!   `--speculate-after-ms` (10 s by default; 0 disables it) has its
+//!   missing cells re-leased once, under a fresh shard id, while the
+//!   original stays out; whichever copy delivers a cell first fills the
+//!   slot, and the other must agree with it bit for bit.
 //! * **Back-pressure**: all transports are blocking pipes/TCP streams. A
 //!   coordinator that falls behind stops draining, the worker's writes
 //!   stall, and the pipeline self-throttles — no unbounded buffering
@@ -118,15 +123,6 @@ const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
 /// id; `@` needs no quoting in a shell, as in `rh-cli cancel --id @0`.
 const GENERATED_ID_PREFIX: &str = "@";
 
-/// Straggler deadline = `max(speculate_after, EWMA-per-cell × FACTOR)`:
-/// a lease whose last progress is older than the deadline is speculatively
-/// re-leased. The factor leaves an order of magnitude of headroom over the
-/// observed cell time so normal jitter never triggers a duplicate.
-const SPECULATE_EWMA_FACTOR: f64 = 16.0;
-
-/// EWMA smoothing for the observed per-cell wall time.
-const EWMA_ALPHA: f64 = 0.3;
-
 /// Polling cadence of the in-process fallback waiter.
 const FALLBACK_TICK: Duration = Duration::from_millis(25);
 
@@ -165,7 +161,8 @@ pub struct ServeOptions {
     /// live worker, the submitting thread claims the job's leases and
     /// executes them in-process. `None` (default) preserves fail-fast.
     pub fallback_after: Option<Duration>,
-    /// Floor of the straggler deadline for speculative re-execution;
+    /// Straggler deadline: a lease whose last cell (or, before its first,
+    /// the lease itself) is older than this is speculatively re-executed;
     /// `None` disables speculation.
     pub speculate_after: Option<Duration>,
     /// Admission bound: maximum unfinished jobs coordinator-wide; a submit
@@ -205,15 +202,13 @@ type JobOutcome = Result<String, String>;
 
 /// A lease currently executing on a worker, tracked for supervision: the
 /// speculation supervisor re-leases the still-missing cells of any entry
-/// whose `last_progress` (cell arrival or heartbeat) has gone stale.
+/// whose `last_progress` (when the lease went out, then each cell arrival)
+/// is older than the straggler deadline.
 struct ActiveLease {
     lease: Lease,
     last_progress: Instant,
     /// Already re-leased once; never speculate the same lease twice.
     speculated: bool,
-    /// Which worker holds the lease — keys the per-worker EWMA the
-    /// straggler deadline prefers over the global one.
-    worker: String,
 }
 
 struct Job {
@@ -256,12 +251,6 @@ struct State {
     inflight: HashMap<(u64, u64), u64>,
     /// Shard id → supervision record for every lease out on a worker.
     active: HashMap<u64, ActiveLease>,
-    /// Smoothed per-cell wall time (milliseconds), fed by cell arrivals;
-    /// the adaptive half of the straggler deadline.
-    ewma_cell_millis: Option<f64>,
-    /// Per-worker smoothed cell time — sharper straggler deadlines than
-    /// the global EWMA on heterogeneous pools.
-    worker_ewma_ms: HashMap<String, f64>,
     next_job: u64,
     /// Number of the next id-less submit, which is answered as
     /// `@<number>`: every id-less submit takes one, whether it executes,
@@ -298,8 +287,6 @@ impl State {
             cache: ResultCache::new(cache_capacity),
             inflight: HashMap::new(),
             active: HashMap::new(),
-            ewma_cell_millis: None,
-            worker_ewma_ms: HashMap::new(),
             next_job: 0,
             next_unnamed: 0,
             next_shard: 0,
@@ -330,7 +317,7 @@ struct Inner {
     /// In-process fallback deadline (`None` = fail fast, the pre-existing
     /// behavior).
     fallback_after: Option<Duration>,
-    /// Speculation floor (`None` = no speculation).
+    /// Straggler deadline (`None` = no speculation).
     speculate_after: Option<Duration>,
     /// Admission bound on unfinished jobs coordinator-wide.
     max_pending_jobs: usize,
@@ -1022,14 +1009,16 @@ fn run_leases_in_process(inner: &Arc<Inner>, leases: &[Lease]) {
 }
 
 /// The speculation supervisor: ticks while the coordinator is alive,
-/// re-leasing the still-missing cells of any active lease whose progress
-/// (cell arrival or heartbeat) is older than the adaptive deadline — the
-/// per-worker EWMA when that worker has history, else the global one.
-/// Determinism makes the duplicate execution harmless; [`record_cell`]
-/// asserts the duplicates really are bit-exact.
+/// re-leasing the still-missing cells of any active lease, not yet
+/// speculated, whose last progress (the lease going out, then each cell
+/// arrival) is at least `--speculate-after-ms` old. Determinism makes the
+/// duplicate execution harmless; [`record_cell`] asserts the duplicates
+/// really are bit-exact.
 fn supervise_stragglers(inner: &Arc<Inner>) {
-    let floor = inner.speculate_after.expect("supervisor requires a floor");
-    let tick = (floor / 8).max(Duration::from_millis(25));
+    let deadline = inner
+        .speculate_after
+        .expect("supervisor requires a deadline");
+    let tick = (deadline / 8).max(Duration::from_millis(25));
     let mut st = inner.state.lock().expect("coordinator lock");
     loop {
         if st.shutting_down {
@@ -1039,23 +1028,7 @@ fn supervise_stragglers(inner: &Arc<Inner>) {
         let stale: Vec<u64> = st
             .active
             .iter()
-            .filter(|(_, a)| {
-                if a.speculated {
-                    return false;
-                }
-                let ewma = st
-                    .worker_ewma_ms
-                    .get(&a.worker)
-                    .copied()
-                    .or(st.ewma_cell_millis);
-                let deadline = match ewma {
-                    Some(ms) => {
-                        floor.max(Duration::from_millis((ms * SPECULATE_EWMA_FACTOR) as u64))
-                    }
-                    None => floor,
-                };
-                now.duration_since(a.last_progress) >= deadline
-            })
+            .filter(|(_, a)| !a.speculated && now.duration_since(a.last_progress) >= deadline)
             .map(|(&shard, _)| shard)
             .collect();
         for shard in stale {
@@ -1270,7 +1243,6 @@ fn worker_handler<R: BufRead, W: Write>(
                 kernel,
                 proto_version,
                 model,
-                ..
             }) => {
                 if !vet_worker(inner, name, proto_version, model, &mut writer, local) {
                     return;
@@ -1278,7 +1250,7 @@ fn worker_handler<R: BufRead, W: Write>(
                 kernel
             }
             _ => {
-                register_spawn_failure(inner, name, "first message was not hello", local);
+                register_spawn_failure(inner, name, "first line was not a valid hello", local);
                 return;
             }
         },
@@ -1296,9 +1268,9 @@ fn worker_handler<R: BufRead, W: Write>(
 
 /// Vet a worker hello against this coordinator's protocol version and
 /// [`crate::MODEL_ID`]. A mismatch gets a terminal `reject` line (so the
-/// worker exits instead of retrying), a log line, and a counter bump — and,
-/// for a locally-spawned worker, fails coordinator startup, since a local
-/// pool that can never attach is a configuration error.
+/// worker exits), a log line, and a counter bump — and, for a
+/// locally-spawned worker, fails coordinator startup, since a local pool
+/// that can never attach is a configuration error.
 fn vet_worker<W: Write>(
     inner: &Arc<Inner>,
     name: &str,
@@ -1379,7 +1351,7 @@ fn worker_session<R: BufRead, W: Write>(
                     drop(st);
                     let _ = write_line(writer, &ToWorker::Shutdown.encode());
                     drain_to_end(reader, Instant::now() + SHUTDOWN_GRACE);
-                    worker_gone(inner, name, local);
+                    worker_gone(inner, name);
                     return;
                 }
                 match st.queue.pop_front() {
@@ -1406,7 +1378,7 @@ fn worker_session<R: BufRead, W: Write>(
         };
         if write_line(writer, &msg.encode()).is_err() {
             requeue(inner, &lease);
-            worker_gone(inner, name, local);
+            worker_gone(inner, name);
             return;
         }
         leased.insert(lease.shard);
@@ -1420,7 +1392,6 @@ fn worker_session<R: BufRead, W: Write>(
                     lease: lease.clone(),
                     last_progress: Instant::now(),
                     speculated: false,
-                    worker: name.to_string(),
                 },
             );
         }
@@ -1443,7 +1414,7 @@ fn worker_session<R: BufRead, W: Write>(
                     st.active.remove(&lease.shard);
                     drop(st);
                     requeue(inner, &lease);
-                    worker_gone(inner, name, local);
+                    worker_gone(inner, name);
                     return;
                 }
             };
@@ -1497,7 +1468,7 @@ fn worker_session<R: BufRead, W: Write>(
                         && write_line(writer, &ToWorker::Cancel { job }.encode()).is_err()
                     {
                         requeue(inner, &lease);
-                        worker_gone(inner, name, local);
+                        worker_gone(inner, name);
                         return;
                     }
                     if settled {
@@ -1514,13 +1485,6 @@ fn worker_session<R: BufRead, W: Write>(
                     if shard == lease.shard {
                         break;
                     }
-                }
-                FromWorker::Heartbeat { .. } => {
-                    // Liveness only: the pulse proves the socket (and the
-                    // read loop) is alive. It deliberately does NOT reset
-                    // the speculation clock — a worker that beats but
-                    // delivers no cells is exactly the straggler the
-                    // supervisor exists to route around.
                 }
                 FromWorker::ShardDone { job: _, shard } => {
                     leased.remove(&shard);
@@ -1605,21 +1569,11 @@ fn record_cell(
     index: usize,
     result: RunResult,
 ) {
-    // Supervision bookkeeping first: this arrival is progress for its
-    // shard, and its wall time feeds the straggler deadline's EWMAs
-    // (global and per-worker).
+    // This arrival is progress for its shard: it restarts the straggler
+    // clock.
     let now = Instant::now();
     if let Some(active) = st.active.get_mut(&shard) {
-        let sample_ms = now.duration_since(active.last_progress).as_secs_f64() * 1e3;
         active.last_progress = now;
-        let fold = |prev: Option<f64>| match prev {
-            Some(prev) => EWMA_ALPHA * sample_ms + (1.0 - EWMA_ALPHA) * prev,
-            None => sample_ms,
-        };
-        st.ewma_cell_millis = Some(fold(st.ewma_cell_millis));
-        let per_worker = st.worker_ewma_ms.get(worker).copied();
-        st.worker_ewma_ms
-            .insert(worker.to_string(), fold(per_worker));
     }
 
     let Some(job) = st.jobs.get_mut(&job_id) else {
@@ -1727,7 +1681,7 @@ fn requeue(inner: &Arc<Inner>, lease: &Lease) {
 /// ever attach, and in-process fallback is off, pending jobs fail fast
 /// instead of hanging (with fallback on, the submitting threads pick the
 /// stranded leases up themselves).
-fn worker_gone(inner: &Arc<Inner>, name: &str, _local: bool) {
+fn worker_gone(inner: &Arc<Inner>, name: &str) {
     let mut st = inner.state.lock().expect("coordinator lock");
     st.live_workers = st.live_workers.saturating_sub(1);
     // A shutdown waits for the pool to empty.
@@ -1829,7 +1783,6 @@ fn route_first<R: BufRead, W: Write>(
                 kernel,
                 proto_version,
                 model,
-                ..
             }) => {
                 if vet_worker(inner, &name, proto_version, model, writer, false) {
                     worker_session(inner, &name, &kernel, reader, writer, false);
@@ -1885,7 +1838,8 @@ fn client_session<R: BufRead, W: Write>(
 
 /// The reply to one client line, over TCP or stdin: a submit's envelope
 /// (or its reject or error line), a cancel's acknowledgement, and
-/// `hello_ok` for a hello, whose fields are ignored.
+/// `hello_ok` for a hello, whose fields are ignored. A line that is refused
+/// is answered with an error line under the id it names.
 fn client_reply(inner: &Arc<Inner>, line: &str) -> String {
     match ClientMsg::decode(line) {
         Ok(ClientMsg::Hello { .. }) => "{\"type\":\"hello_ok\"}".to_string(),
@@ -1906,7 +1860,7 @@ fn client_reply(inner: &Arc<Inner>, line: &str) -> String {
             proto::jstr(&id),
             cancel_by_name(inner, &id)
         ),
-        Err(e) => encode_error("", &e),
+        Err((id, e)) => encode_error(&id, &e),
     }
 }
 
@@ -2286,7 +2240,6 @@ mod tests {
             (
                 FromWorker::Hello {
                     kernel: "scalar".into(),
-                    pid: 1,
                     proto_version: PROTO_VERSION + 1,
                     model: crate::MODEL_ID,
                 },
@@ -2295,7 +2248,6 @@ mod tests {
             (
                 FromWorker::Hello {
                     kernel: "scalar".into(),
-                    pid: 1,
                     proto_version: PROTO_VERSION,
                     model: foreign,
                 },
@@ -2322,23 +2274,35 @@ mod tests {
         assert_eq!(st.live_workers, 0);
     }
 
-    /// A pre-versioning hello (no proto field) decodes as version 0 and is
-    /// rejected by the same vetting, not crashed on.
+    /// A worker hello without a protocol version or model id (the shape
+    /// workers sent before the hello was versioned) is malformed: over TCP
+    /// it gets an error line and counts as a rejected connection, not a
+    /// rejected worker; from a local worker it fails start-up.
     #[test]
-    fn legacy_hello_is_rejected_as_version_zero() {
+    fn unversioned_hello_is_a_malformed_hello() {
         let inner = test_inner();
+        let unversioned = "{\"type\":\"hello\",\"role\":\"worker\",\"kernel\":\"scalar\"}";
         let mut reader = Cursor::new(Vec::new());
         let mut out = Vec::new();
-        route_first(
-            &inner,
-            "peer",
-            "{\"type\":\"hello\",\"role\":\"worker\",\"kernel\":\"scalar\",\"pid\":7}",
-            &mut reader,
-            &mut out,
-        );
+        route_first(&inner, "peer", unversioned, &mut reader, &mut out);
         let reply = String::from_utf8(out).unwrap();
-        assert!(reply.contains("protocol version 0"), "got '{reply}'");
-        assert_eq!(inner.state.lock().unwrap().rejected_workers, 1);
+        assert!(
+            reply.starts_with("{\"type\":\"error\"") && reply.contains("malformed worker hello"),
+            "got '{reply}'"
+        );
+        {
+            let st = inner.state.lock().unwrap();
+            assert_eq!(st.rejected_connections, 1);
+            assert_eq!(st.rejected_workers, 0);
+            assert_eq!(st.live_workers, 0);
+        }
+        let mut out = Vec::new();
+        let local = Cursor::new(format!("{unversioned}\n").into_bytes());
+        worker_handler(&inner, "local-0", local, &mut out, true);
+        let st = inner.state.lock().unwrap();
+        let failed = st.spawn_failed.as_deref().expect("a start-up failure");
+        assert!(failed.starts_with("local-0: "), "got '{failed}'");
+        assert_eq!(st.live_workers, 0);
     }
 
     #[test]
@@ -2528,7 +2492,6 @@ mod tests {
                 lease,
                 last_progress: Instant::now(),
                 speculated: false,
-                worker: "w1".to_string(),
             },
         );
         speculate(&inner, &mut st, 0);
@@ -2561,6 +2524,79 @@ mod tests {
             );
         }
         drop(st);
+    }
+
+    /// The straggler rule itself, through the supervisor thread: with a
+    /// 10 s deadline, of three active leases only the one whose last cell
+    /// is 11 s old and that was never speculated gets a twin, and the twin
+    /// holds just that lease's missing cells. The fresh lease and the stale
+    /// one already speculated are left alone.
+    #[test]
+    fn supervisor_speculates_only_an_unspeculated_lease_past_the_deadline() {
+        let inner = Arc::new(Inner {
+            speculate_after: Some(Duration::from_secs(10)),
+            ..bare_inner()
+        });
+        let cfg = small_config();
+        let (job_id, results) = seed_job(&inner, &cfg);
+        assert!(results.len() >= 9);
+        let stale = Instant::now()
+            .checked_sub(Duration::from_secs(11))
+            .expect("the clock reads past 11 s");
+        {
+            let mut st = inner.state.lock().unwrap();
+            st.next_shard = 3;
+            for (shard, indices, last_progress, speculated) in [
+                (0, vec![0, 1, 2], stale, false),
+                (1, vec![3, 4, 5], Instant::now(), false),
+                (2, vec![6, 7, 8], stale, true),
+            ] {
+                let lease = Lease {
+                    job: job_id,
+                    shard,
+                    indices,
+                };
+                let active = ActiveLease {
+                    lease,
+                    last_progress,
+                    speculated,
+                };
+                st.active.insert(shard, active);
+            }
+            // The stale lease delivered its first cell long ago.
+            let job = st.jobs.get_mut(&job_id).unwrap();
+            job.slots[0] = Some(results[0].clone());
+            job.remaining -= 1;
+        }
+        let supervisor = {
+            let inner = Arc::clone(&inner);
+            std::thread::spawn(move || supervise_stragglers(&inner))
+        };
+        let give_up = Instant::now() + Duration::from_secs(30);
+        let mut st = inner.state.lock().unwrap();
+        while st.queue.is_empty() && Instant::now() < give_up {
+            st = inner
+                .work
+                .wait_timeout(st, Duration::from_millis(50))
+                .unwrap()
+                .0;
+        }
+        st.shutting_down = true;
+        inner.work.notify_all();
+        drop(st);
+        supervisor.join().expect("the supervisor exits on shutdown");
+
+        let st = inner.state.lock().unwrap();
+        let twins: Vec<&Lease> = st.queue.iter().collect();
+        assert_eq!(twins.len(), 1, "exactly one twin: {twins:?}");
+        assert_eq!(twins[0].indices, [1, 2], "the stale lease's missing cells");
+        assert_eq!(twins[0].shard, 3, "under a fresh shard id");
+        assert_eq!(st.jobs[&job_id].speculations, 1);
+        assert!(st.active[&0].speculated);
+        assert!(
+            !st.active[&1].speculated,
+            "a fresh lease is not a straggler"
+        );
     }
 
     /// Graceful degradation end to end: a coordinator with no workers and
@@ -2657,7 +2693,6 @@ mod tests {
                     },
                     last_progress: Instant::now(),
                     speculated: false,
-                    worker: "w1".to_string(),
                 },
             );
         }
@@ -3077,6 +3112,40 @@ mod tests {
             "{refused}"
         );
         coordinator.shutdown();
+    }
+
+    /// A refused submit that names its id is answered under that id, for
+    /// a config past `MAX_AXIS_VALUES` and for an unknown config field, so
+    /// a client pipelining named submits can tell which one was refused. A
+    /// line that does not parse names no id.
+    #[test]
+    fn a_refused_named_submit_keeps_its_id() {
+        let inner = test_inner();
+        let axis: Vec<String> = (1..=crate::sweep::MAX_AXIS_VALUES as u64 + 1)
+            .map(|hc| hc.to_string())
+            .collect();
+        for (id, config, needle) in [
+            (
+                "big",
+                format!("{{\"hc_firsts\":[{}]}}", axis.join(",")),
+                "MAX_AXIS_VALUES",
+            ),
+            ("odd", "{\"bogus\":1}".to_string(), "unknown config field"),
+        ] {
+            let line = format!("{{\"type\":\"submit\",\"id\":\"{id}\",\"config\":{config}}}");
+            let reply = client_reply(&inner, &line);
+            let v = proto::parse(&reply).unwrap();
+            assert_eq!(v.get("type").and_then(proto::Value::as_str), Some("error"));
+            assert_eq!(v.get("id").and_then(proto::Value::as_str), Some(id));
+            let message = v.get("message").and_then(proto::Value::as_str).unwrap();
+            assert!(message.contains(needle), "{id}: {message}");
+        }
+        let reply = client_reply(&inner, "{\"type\":\"submit\",\"id\":\"cut\"");
+        assert!(
+            reply.starts_with("{\"type\":\"error\",\"id\":\"\""),
+            "{reply}"
+        );
+        assert!(inner.state.lock().unwrap().jobs.is_empty());
     }
 
     /// Dropping a coordinator whose state lock a panicking thread poisoned,

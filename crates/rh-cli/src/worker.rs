@@ -23,12 +23,12 @@
 //! exits nonzero — skew fails at attach time, never as garbage in a merge.
 //! The hello proves nothing about who the worker is: any process that can
 //! reach a coordinator's `--listen` address can attach and serve leases,
-//! so that address belongs on loopback or a trusted network. While a
-//! shard executes, a side thread pulses `heartbeat` lines
-//! (under the shared writer lock, so lines never interleave) letting the
-//! coordinator tell a long-running cell from a dead socket. With
-//! `--retry N`, a failed connect or a dropped connection is retried with
-//! seeded, capped exponential backoff — but a `reject` is never retried.
+//! so that address belongs on loopback or a trusted network. A worker
+//! never reconnects: it runs one session and exits, nonzero when the
+//! connect fails or the connection breaks, 0 when the coordinator says
+//! `shutdown` or hangs up. The coordinator requeues whatever a lost
+//! worker's lease had not delivered, and relaunching the worker is the
+//! recovery.
 //!
 //! ## Mid-shard cancellation
 //!
@@ -43,9 +43,8 @@
 //! ## Fault injection
 //!
 //! `--fault-plan` (see [`crate::faults`]) schedules deterministic crashes
-//! (`crash-after-cells=N`), injected stalls, dropped/garbled protocol
-//! lines, and delayed greetings. Heartbeats are exempt from line counting
-//! so the schedule stays deterministic regardless of timing.
+//! (`crash-after-cells=N`), injected stalls, and dropped/garbled protocol
+//! lines, each at a fixed count of cells or lines.
 //!
 //! The worker runs the settle kernel [`rh_core::Kernel::auto`] picks on its
 //! own CPU and environment (`RH_FORCE_SCALAR` forces scalar) and names it
@@ -54,43 +53,20 @@
 use crate::exec::run_lease;
 use crate::faults::{CellFate, FaultPlan, LineFate};
 use crate::proto::{read_line, write_line, FromWorker, ToWorker, PROTO_VERSION};
-use rh_core::{derive_seed, Kernel, SplitMix64};
+use rh_core::Kernel;
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
-
-/// Interval between heartbeat pulses while a shard is executing.
-const HEARTBEAT_MS: u64 = 500;
-
-/// Ceiling for one reconnect backoff step.
-const BACKOFF_CAP_MS: u64 = 10_000;
 
 /// Parsed `rh-cli worker` options.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct WorkerOptions {
     /// Coordinator address to attach to over TCP; `None` means the worker
     /// was spawned by a local coordinator and speaks over stdio.
     pub connect: Option<String>,
-    /// Deterministic fault schedule for this worker's connections.
+    /// Deterministic fault schedule for this worker's connection.
     pub fault_plan: FaultPlan,
-    /// Reconnect attempts after a failed connect or dropped connection
-    /// (`--connect` mode only). 0 = give up immediately, as before.
-    pub retries: u32,
-    /// Base of the exponential reconnect backoff.
-    pub backoff_base_ms: u64,
-}
-
-impl Default for WorkerOptions {
-    fn default() -> Self {
-        Self {
-            connect: None,
-            fault_plan: FaultPlan::default(),
-            retries: 0,
-            backoff_base_ms: 200,
-        }
-    }
 }
 
 /// How a worker session over one connection ended.
@@ -98,96 +74,37 @@ impl Default for WorkerOptions {
 pub enum SessionEnd {
     /// The coordinator said `shutdown`: done for good.
     Shutdown,
-    /// The coordinator hung up without a shutdown (crash or restart) — a
-    /// reconnect candidate when retries remain.
+    /// The coordinator hung up without a shutdown (crash or restart); the
+    /// worker exits, and a worker started again attaches afresh.
     Eof,
     /// The fault plan's scheduled crash fired: die like a crash would.
     Crashed,
     /// The coordinator refused the hello (version or model skew).
-    /// Terminal: retrying cannot heal it.
     Rejected(String),
 }
 
-/// Per-session knobs threaded into [`worker_loop`] (kept separate from
-/// [`WorkerOptions`] so in-memory tests can pin the heartbeat cadence).
-#[derive(Debug, Clone)]
-pub struct SessionOptions {
-    pub heartbeat_interval: Duration,
-}
-
-impl Default for SessionOptions {
-    fn default() -> Self {
-        Self {
-            heartbeat_interval: Duration::from_millis(HEARTBEAT_MS),
-        }
-    }
-}
-
-/// Entry point for `rh-cli worker`.
+/// Entry point for `rh-cli worker`: one session over TCP or stdio.
 pub fn run_worker(opts: &WorkerOptions) -> Result<(), String> {
-    let session = SessionOptions::default();
-    match &opts.connect {
-        Some(addr) => {
-            let mut backoff_rng = SplitMix64::new(derive_seed(opts.fault_plan.seed(), &[0xB0FF]));
-            let mut attempt: u32 = 0;
-            loop {
-                // A silent hangup (EOF without shutdown) or a failed
-                // connect is retryable; a reject never is.
-                let retryable_err = match connect_session(addr, &session, opts.fault_plan.clone()) {
-                    Ok(SessionEnd::Shutdown | SessionEnd::Crashed) => return Ok(()),
-                    Ok(SessionEnd::Rejected(reason)) => {
-                        return Err(format!(
-                            "worker: coordinator rejected this worker: {reason}"
-                        ))
-                    }
-                    Ok(SessionEnd::Eof) => None,
-                    Err(e) => Some(e),
-                };
-                if attempt >= opts.retries {
-                    return match retryable_err {
-                        None => Ok(()),
-                        Some(e) => Err(e),
-                    };
-                }
-                if let Some(e) = &retryable_err {
-                    eprintln!(
-                        "worker: attempt {}/{} failed ({e}), backing off",
-                        attempt + 1,
-                        opts.retries + 1
-                    );
-                }
-                let base = opts.backoff_base_ms.max(1);
-                let step = base
-                    .checked_shl(attempt.min(16))
-                    .unwrap_or(u64::MAX)
-                    .min(BACKOFF_CAP_MS);
-                let jitter = backoff_rng.gen_range(base);
-                std::thread::sleep(Duration::from_millis(step + jitter));
-                attempt += 1;
-            }
-        }
-        None => {
-            // `Stdin`/`Stdout` handles (not the locks) because the reader
-            // and heartbeat threads need them to be `Send`; each access
-            // locks internally.
-            let stdin = BufReader::new(std::io::stdin());
-            let stdout = std::io::stdout();
-            let mut plan = opts.fault_plan.clone();
-            match worker_loop(stdin, stdout, &session, &mut plan)? {
-                SessionEnd::Rejected(reason) => Err(format!(
-                    "worker: coordinator rejected this worker: {reason}"
-                )),
-                _ => Ok(()),
-            }
-        }
+    let mut plan = opts.fault_plan.clone();
+    let end = match &opts.connect {
+        Some(addr) => connect_session(addr, &mut plan)?,
+        // `Stdin` (not its lock) because the reader thread needs it to be
+        // `Send`; each read locks internally.
+        None => worker_loop(
+            BufReader::new(std::io::stdin()),
+            std::io::stdout(),
+            &mut plan,
+        )?,
+    };
+    match end {
+        SessionEnd::Rejected(reason) => Err(format!(
+            "worker: coordinator rejected this worker: {reason}"
+        )),
+        SessionEnd::Shutdown | SessionEnd::Eof | SessionEnd::Crashed => Ok(()),
     }
 }
 
-fn connect_session(
-    addr: &str,
-    session: &SessionOptions,
-    mut plan: FaultPlan,
-) -> Result<SessionEnd, String> {
+fn connect_session(addr: &str, plan: &mut FaultPlan) -> Result<SessionEnd, String> {
     let stream =
         TcpStream::connect(addr).map_err(|e| format!("worker: cannot connect to {addr}: {e}"))?;
     let reader = BufReader::new(
@@ -205,14 +122,7 @@ fn connect_session(
     let unblock: UnblockReader = Box::new(move || {
         let _ = teardown.shutdown(std::net::Shutdown::Both);
     });
-    worker_loop_with(reader, stream, session, &mut plan, Some(unblock))
-}
-
-/// Heartbeat coordination between the protocol loop and its pulse thread:
-/// which lease is active (if any), and the stop flag for teardown.
-struct BeatState {
-    active: Option<(u64, u64)>,
-    stop: bool,
+    worker_loop_with(reader, stream, plan, Some(unblock))
 }
 
 /// Decoded coordinator lines, drained off the transport by the reader
@@ -266,41 +176,24 @@ fn take_cancel(inbox: &Inbox, job: u64) -> bool {
 
 /// The worker protocol loop over any line-oriented transport. Returns how
 /// the session ended; `Err` is reserved for transport/protocol failures.
-pub fn worker_loop<R, W>(
-    reader: R,
-    writer: W,
-    session: &SessionOptions,
-    plan: &mut FaultPlan,
-) -> Result<SessionEnd, String>
+pub fn worker_loop<R, W>(reader: R, writer: W, plan: &mut FaultPlan) -> Result<SessionEnd, String>
 where
     R: BufRead + Send + 'static,
-    W: Write + Send,
+    W: Write,
 {
-    worker_loop_with(reader, writer, session, plan, None)
+    worker_loop_with(reader, writer, plan, None)
 }
 
 fn worker_loop_with<R, W>(
     mut reader: R,
-    writer: W,
-    session: &SessionOptions,
+    mut writer: W,
     plan: &mut FaultPlan,
     unblock: Option<UnblockReader>,
 ) -> Result<SessionEnd, String>
 where
     R: BufRead + Send + 'static,
-    W: Write + Send,
+    W: Write,
 {
-    if let Some(delay) = plan.connect_delay() {
-        std::thread::sleep(delay);
-    }
-
-    let writer = Mutex::new(writer);
-    let beat = Mutex::new(BeatState {
-        active: None,
-        stop: false,
-    });
-    let beat_wake = Condvar::new();
-
     let inbox: Inbox = Arc::new((
         Mutex::new(Incoming {
             queue: VecDeque::new(),
@@ -336,76 +229,7 @@ where
         }
     });
 
-    let out = std::thread::scope(|scope| {
-        scope.spawn(|| {
-            let mut st = beat.lock().unwrap();
-            loop {
-                // Predicate before wait: on a loaded host the session can
-                // finish (and notify) before this thread first blocks, and
-                // a lost wakeup here would pin the join for a full
-                // heartbeat interval.
-                if st.stop {
-                    return;
-                }
-                let (next, _) = beat_wake
-                    .wait_timeout(st, session.heartbeat_interval)
-                    .unwrap();
-                st = next;
-                if st.stop {
-                    return;
-                }
-                if let Some((job, shard)) = st.active {
-                    // Heartbeats bypass the fault plan: line numbering must
-                    // not depend on timing. A write error here just means
-                    // the main loop is about to find out too.
-                    let pulse = FromWorker::Heartbeat { job, shard }.encode();
-                    let _ = write_line(&mut *writer.lock().unwrap(), &pulse);
-                }
-            }
-        });
-
-        let result = (|| {
-            let hello = FromWorker::Hello {
-                kernel: Kernel::auto().name().to_string(),
-                pid: u64::from(std::process::id()),
-                proto_version: PROTO_VERSION,
-                model: crate::MODEL_ID,
-            };
-            send(&writer, plan, &hello.encode()).map_err(|e| format!("worker: hello: {e}"))?;
-
-            loop {
-                match next_msg(&inbox)? {
-                    // Coordinator hung up without a shutdown.
-                    None => return Ok(SessionEnd::Eof),
-                    Some(ToWorker::Shutdown) => return Ok(SessionEnd::Shutdown),
-                    Some(ToWorker::Reject { reason }) => return Ok(SessionEnd::Rejected(reason)),
-                    // A cancel for a lease this worker no longer holds (it
-                    // finished before the cancel arrived): nothing to
-                    // abandon, nothing to ack.
-                    Some(ToWorker::Cancel { .. }) => {}
-                    Some(ToWorker::Shard {
-                        job,
-                        shard,
-                        indices,
-                        config,
-                    }) => {
-                        beat.lock().unwrap().active = Some((job, shard));
-                        let alive = run_shard(&writer, &inbox, plan, job, shard, &indices, &config);
-                        beat.lock().unwrap().active = None;
-                        if !alive? {
-                            // Scheduled crash: die by dropping the
-                            // connection, exactly like a real crash.
-                            return Ok(SessionEnd::Crashed);
-                        }
-                    }
-                }
-            }
-        })();
-
-        beat.lock().unwrap().stop = true;
-        beat_wake.notify_all();
-        result
-    });
+    let out = session(&mut writer, &inbox, plan);
     // Unblock (and thereby retire) the reader thread before handing the
     // session end to the caller — over TCP this also sends the FIN that
     // makes a fault-injected crash observable to the coordinator.
@@ -415,13 +239,52 @@ where
     out
 }
 
+/// Say hello, then serve leases in order until the coordinator ends the
+/// session, hangs up, or the fault plan's crash fires.
+fn session<W: Write>(
+    writer: &mut W,
+    inbox: &Inbox,
+    plan: &mut FaultPlan,
+) -> Result<SessionEnd, String> {
+    let hello = FromWorker::Hello {
+        kernel: Kernel::auto().name().to_string(),
+        proto_version: PROTO_VERSION,
+        model: crate::MODEL_ID,
+    };
+    send(writer, plan, &hello.encode()).map_err(|e| format!("worker: hello: {e}"))?;
+    loop {
+        match next_msg(inbox)? {
+            // Coordinator hung up without a shutdown.
+            None => return Ok(SessionEnd::Eof),
+            Some(ToWorker::Shutdown) => return Ok(SessionEnd::Shutdown),
+            Some(ToWorker::Reject { reason }) => return Ok(SessionEnd::Rejected(reason)),
+            // A cancel for a lease this worker no longer holds (it
+            // finished before the cancel arrived): nothing to abandon,
+            // nothing to ack.
+            Some(ToWorker::Cancel { .. }) => {}
+            Some(ToWorker::Shard {
+                job,
+                shard,
+                indices,
+                config,
+            }) => {
+                if !run_shard(writer, inbox, plan, job, shard, &indices, &config)? {
+                    // Scheduled crash: die by dropping the connection,
+                    // exactly like a real crash.
+                    return Ok(SessionEnd::Crashed);
+                }
+            }
+        }
+    }
+}
+
 /// Write one protocol line through the fault plan (which may drop or garble
-/// it). Heartbeats never pass through here.
-fn send<W: Write>(writer: &Mutex<W>, plan: &mut FaultPlan, line: &str) -> std::io::Result<()> {
+/// it).
+fn send<W: Write>(writer: &mut W, plan: &mut FaultPlan, line: &str) -> std::io::Result<()> {
     match plan.on_line(line) {
-        LineFate::Send => write_line(&mut *writer.lock().unwrap(), line),
+        LineFate::Send => write_line(writer, line),
         LineFate::Drop => Ok(()),
-        LineFate::Garble(garbled) => write_line(&mut *writer.lock().unwrap(), &garbled),
+        LineFate::Garble(garbled) => write_line(writer, &garbled),
     }
 }
 
@@ -429,7 +292,7 @@ fn send<W: Write>(writer: &Mutex<W>, plan: &mut FaultPlan, line: &str) -> std::i
 /// plan's crash fired (the caller drops the connection), `Ok(true)` after a
 /// clean `shard_done`, `fail`, or acknowledged mid-shard cancel.
 fn run_shard<W: Write>(
-    writer: &Mutex<W>,
+    writer: &mut W,
     inbox: &Inbox,
     plan: &mut FaultPlan,
     job: u64,
@@ -498,26 +361,12 @@ mod tests {
         }
     }
 
-    /// A session whose heartbeat can never fire, so scripted outputs stay
-    /// exactly the protocol lines.
-    fn quiet_session() -> SessionOptions {
-        SessionOptions {
-            heartbeat_interval: Duration::from_secs(3_600),
-        }
-    }
-
     /// Drive the loop in-memory: feed scripted coordinator lines, collect
     /// the worker's output lines.
     fn drive_plan(script: &[String], mut plan: FaultPlan) -> (Vec<FromWorker>, SessionEnd) {
         let input = script.join("\n") + "\n";
         let mut out: Vec<u8> = Vec::new();
-        let end = worker_loop(
-            Cursor::new(input.into_bytes()),
-            &mut out,
-            &quiet_session(),
-            &mut plan,
-        )
-        .unwrap();
+        let end = worker_loop(Cursor::new(input.into_bytes()), &mut out, &mut plan).unwrap();
         let msgs = String::from_utf8(out)
             .unwrap()
             .lines()
@@ -633,13 +482,7 @@ mod tests {
         let input = [lease.encode(), ToWorker::Shutdown.encode()].join("\n") + "\n";
         let mut out: Vec<u8> = Vec::new();
         let mut plan = FaultPlan::parse("drop-line=2,garble-line=3").unwrap();
-        worker_loop(
-            Cursor::new(input.into_bytes()),
-            &mut out,
-            &quiet_session(),
-            &mut plan,
-        )
-        .unwrap();
+        worker_loop(Cursor::new(input.into_bytes()), &mut out, &mut plan).unwrap();
         let lines: Vec<String> = String::from_utf8(out)
             .unwrap()
             .lines()
@@ -689,13 +532,7 @@ mod tests {
         let input = ToWorker::Shutdown.encode() + "\n";
         let mut out: Vec<u8> = Vec::new();
         let mut plan = FaultPlan::default();
-        worker_loop(
-            Cursor::new(input.into_bytes()),
-            &mut out,
-            &quiet_session(),
-            &mut plan,
-        )
-        .unwrap();
+        worker_loop(Cursor::new(input.into_bytes()), &mut out, &mut plan).unwrap();
         let first = String::from_utf8(out)
             .unwrap()
             .lines()
@@ -704,7 +541,6 @@ mod tests {
             .to_string();
         let FromWorker::Hello {
             kernel,
-            pid,
             proto_version,
             model,
         } = FromWorker::decode(&first).unwrap()
@@ -712,7 +548,6 @@ mod tests {
             panic!("first line must be hello");
         };
         assert_eq!(kernel, Kernel::auto().name());
-        assert_eq!(pid, u64::from(std::process::id()));
         assert_eq!(proto_version, PROTO_VERSION);
         assert_eq!(model, crate::MODEL_ID);
         // And the hello line is valid jsonl for the coordinator's parser.
@@ -734,43 +569,6 @@ mod tests {
             panic!("expected rejection, got {end:?}");
         };
         assert!(reason.contains("model"), "{reason}");
-    }
-
-    #[test]
-    fn heartbeats_pulse_while_a_shard_stalls() {
-        let cfg = small_config();
-        let lease = ToWorker::Shard {
-            job: 5,
-            shard: 11,
-            indices: vec![0, 1],
-            config: cfg,
-        };
-        let input = [lease.encode(), ToWorker::Shutdown.encode()].join("\n") + "\n";
-        let mut out: Vec<u8> = Vec::new();
-        let session = SessionOptions {
-            heartbeat_interval: Duration::from_millis(20),
-        };
-        // Stall 400ms after the first cell: the pulse thread gets ~20
-        // chances to fire while the lease is active.
-        let mut plan = FaultPlan::parse("stall-after-cells=1,stall-ms=400").unwrap();
-        worker_loop(
-            Cursor::new(input.into_bytes()),
-            &mut out,
-            &session,
-            &mut plan,
-        )
-        .unwrap();
-        let beats = String::from_utf8(out)
-            .unwrap()
-            .lines()
-            .filter(|l| {
-                matches!(
-                    FromWorker::decode(l),
-                    Ok(FromWorker::Heartbeat { job: 5, shard: 11 })
-                )
-            })
-            .count();
-        assert!(beats >= 1, "a stalled shard must still pulse heartbeats");
     }
 
     #[test]

@@ -210,7 +210,7 @@ fn model_mismatched_worker_is_rejected_without_affecting_the_job() {
     writeln!(
         writer,
         "{{\"type\":\"hello\",\"role\":\"worker\",\"proto\":{PROTO_VERSION},\
-         \"model\":{foreign},\"kernel\":\"scalar\",\"pid\":1}}"
+         \"model\":{foreign},\"kernel\":\"scalar\"}}"
     )
     .expect("send hello");
     let mut line = String::new();

@@ -273,14 +273,13 @@ fn tcp_attached_workers_produce_identical_bytes() {
 }
 
 /// A shutdown lets a healthy worker finish writing. A lease settles on its
-/// last cell, which the worker sends before its `shard_done`; here a stall
-/// after that cell holds the `shard_done` back until the job's document
-/// has arrived and the coordinator is shutting down, and a second of it
-/// puts a heartbeat in the same gap. The coordinator reads the connection
-/// to its end after sending `shutdown`, so the worker's late writes land
-/// and it exits 0 without an `error:` line (before, the coordinator
-/// dropped the connection at once and the worker failed with `error:
-/// worker: write: Broken pipe`).
+/// last cell, which the worker sends before its `shard_done`; here a
+/// one-second stall after that cell holds the `shard_done` back until the
+/// job's document has arrived and the coordinator is shutting down. The
+/// coordinator reads the connection to its end after sending `shutdown`,
+/// so the worker's late write lands and it exits 0 without an `error:`
+/// line (before, the coordinator dropped the connection at once and the
+/// worker failed with `error: worker: write: Broken pipe`).
 #[test]
 fn shutdown_lets_a_worker_finish_writing_its_last_lease() {
     let coordinator = Coordinator::start(ServeOptions {

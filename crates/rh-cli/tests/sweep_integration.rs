@@ -485,3 +485,35 @@ fn closed_stdout_is_an_error_not_a_panic() {
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
 }
+
+/// A closed stderr costs the message, not the exit code: with the reader
+/// of its stderr gone, a command that fails on its arguments (a bad flag
+/// on `sweep` or `serve`, `submit` without `--connect`, an unknown
+/// command) or while running (a worker whose connect is refused) exits 1.
+/// Before, writing the `error:` line panicked and the exit code was 101.
+#[test]
+fn closed_stderr_costs_the_message_not_the_exit_code() {
+    let bin = env!("CARGO_BIN_EXE_rh-cli");
+    let refused = {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        listener.local_addr().expect("bound").to_string()
+    };
+    for args in [
+        &["sweep", "--bogus"][..],
+        &["serve", "--bogus"],
+        &["submit"],
+        &["frobnicate"],
+        &["worker", "--connect", refused.as_str()],
+    ] {
+        let (reader, writer) = std::io::pipe().expect("a pipe");
+        drop(reader);
+        let status = std::process::Command::new(bin)
+            .args(args)
+            .stdin(std::process::Stdio::null())
+            .stdout(std::process::Stdio::null())
+            .stderr(writer)
+            .status()
+            .expect("run rh-cli");
+        assert_eq!(status.code(), Some(1), "{args:?}");
+    }
+}
